@@ -20,7 +20,7 @@ from .circuit import GateKind, Granularity
 from .converters import Direction, EvenMethod, build_cnot_stair, build_converter
 from .decompose import decompose_to_basis
 from .dicke import BinomialSpec, build_binomial_pipeline
-from .encodings import EncodingKind, random_vector
+from .encodings import EncodingKind, level_to_basis, random_vector
 from .qasm import emit_text
 from .statevector import Statevector, basis_state, fidelity, run, zero_state
 
@@ -127,16 +127,10 @@ def _cmd_prepare_binomial(args: argparse.Namespace) -> int:
     circuit, _ = build_binomial_pipeline(spec)
     state = run(zero_state(circuit.num_qubits), circuit)
 
-    if target is EncodingKind.EDICK:
-        index_of = lambda k: (1 << k) - 1
-    elif target is EncodingKind.ONE_HOT:
-        index_of = lambda k: 1 << k
-    else:
-        index_of = lambda k: k
-
     lines = ["level,probability,pmf,abs_error"]
     for k in range(args.n + 1):
-        probability = float(abs(state.amplitudes[index_of(k)]) ** 2)
+        index = level_to_basis(target, k, circuit.num_qubits)
+        probability = float(abs(state.amplitudes[index]) ** 2)
         pmf = math.comb(args.n, k) * args.p**k * (1.0 - args.p) ** (args.n - k)
         lines.append(f"{k},{probability!r},{pmf!r},{abs(probability - pmf)!r}")
     _write("\n".join(lines) + "\n", args.out)

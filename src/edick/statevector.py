@@ -4,12 +4,19 @@ Amplitudes are complex128 over basis index sum(b_q * 2**(n-1-q)), matching the
 circuit convention (qubit 0 is the leftmost ket position).  Purely classical
 permutation gates (X, CNOT, Toffoli, MCX) are applied as index moves, never as
 matrix arithmetic, so they are float-exact.
+
+When `run` gets the circuit object it ran last (a verifier runs one circuit on
+input after input), it builds a fused plan once and reuses it: each run of two
+or more consecutive permutation gates, applied to arange(2**n), becomes one
+index array, applied as a single gather that only moves values, so bit-exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from typing import Iterable
 
 import numpy as np
 
@@ -17,6 +24,7 @@ from .circuit import Circuit, Gate, GateKind
 
 _NORM_TOL = 1e-10
 _MAX_QUBITS = 24  # dense float64 memory wall; acceptance needs no more than 17
+_PERMUTATIONS = (GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.MCX)
 
 
 @dataclass(frozen=True)
@@ -67,7 +75,7 @@ def _apply_inplace(tensor: np.ndarray, gate: Gate, num_qubits: int) -> None:
     sl0, sl1 = tuple(lo), tuple(hi)
 
     kind = gate.kind
-    if kind in (GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.MCX):
+    if kind in _PERMUTATIONS:
         swap = view[sl0].copy()
         view[sl0] = view[sl1]
         view[sl1] = swap
@@ -99,18 +107,56 @@ def apply(state: Statevector, gate: Gate) -> Statevector:
     return Statevector(state.num_qubits, amps)
 
 
+# The circuit `run` saw last (held, so its id is not reused) and, once seen again, its plan.
+_last: tuple[Circuit | None, list | None] = (None, None)
+
+
+def _fuse(circuit: Circuit) -> list[tuple[object, Gate | np.ndarray]]:
+    """(label, step) pairs: a lone gate, or the index array of a permutation run."""
+    n, plan, start = circuit.num_qubits, [], 0
+    for permutes, group in groupby(circuit.gates, lambda g: g.kind in _PERMUTATIONS):
+        gates = list(group)
+        if permutes and len(gates) > 1:
+            index = np.arange(2**n, dtype=np.int32)
+            for gate in gates:
+                _apply_inplace(index.reshape([2] * n), gate, n)
+            plan.append((f"the gather of gates {start}..{start + len(gates) - 1}", index))
+        else:
+            plan.extend(zip(gates, gates))
+        start += len(gates)
+    return plan
+
+
+def _steps(circuit: Circuit) -> Iterable[tuple[object, Gate | np.ndarray]]:
+    global _last
+    seen, plan = _last
+    if seen is not circuit:
+        _last = (circuit, None)
+        return zip(circuit.gates, circuit.gates)
+    plan = _fuse(circuit) if plan is None else plan
+    _last = (circuit, plan)
+    return plan
+
+
 def run(state: Statevector, circuit: Circuit) -> Statevector:
-    """Apply a whole circuit, checking norm preservation after every gate."""
+    """Apply a whole circuit, checking norm preservation after every step.
+
+    A step is one gate on the first run of a circuit object, and one gate or
+    one gather of its fused plan on later runs; a drift names the step.
+    """
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
             f"circuit width {circuit.num_qubits} does not match state width {state.num_qubits}"
         )
     amps = state.amplitudes.copy()
-    tensor = amps.reshape([2] * state.num_qubits)
-    for gate in circuit.gates:
-        _apply_inplace(tensor, gate, state.num_qubits)
+    spare = np.empty_like(amps)
+    for label, step in _steps(circuit):
+        if isinstance(step, Gate):
+            _apply_inplace(amps.reshape([2] * state.num_qubits), step, state.num_qubits)
+        else:  # indices are in range; "clip" writes `out` without a buffered copy
+            amps, spare = np.take(amps, step, out=spare, mode="clip"), amps
         if abs(np.linalg.norm(amps) - 1.0) > _NORM_TOL:
-            raise AssertionError(f"norm drifted past 1e-10 after {gate}")
+            raise AssertionError(f"norm drifted past 1e-10 after {label}")
     return Statevector(state.num_qubits, amps)
 
 
