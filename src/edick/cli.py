@@ -67,6 +67,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials < 0:
+        raise ValueError("--trials must be non-negative")
     circuit, total, level_in, level_out = _resolve(
         args.direction, args.n, EvenMethod(args.method)
     )
@@ -79,10 +81,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if value < worst:
             worst, worst_label = value, f"level {level}"
 
+    # One pair of buffers for every trial: `run` copies its input, and every
+    # trial overwrites the same N entries, so none is left from the last one.
+    source = np.zeros(1 << total, dtype=np.complex128)
+    expected = np.zeros(1 << total, dtype=np.complex128)
     for trial in range(args.trials):
         vector = random_vector(args.n, rng)
-        source = np.zeros(1 << total, dtype=np.complex128)
-        expected = np.zeros(1 << total, dtype=np.complex128)
         for level, alpha in enumerate(vector.alphas):
             source[level_in(level)] = alpha
             expected[level_out(level)] = alpha

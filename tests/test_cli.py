@@ -53,6 +53,30 @@ def test_verify_is_deterministic(capsys) -> None:
     assert first == second
 
 
+# Recorded before support-restricted simulation; the fidelities are printed
+# with repr, so any change in the last bit of an amplitude shows here.
+_GOLDEN_VERIFY = {
+    ("binary-to-onehot", 15, "expand-pow2"): ("0.9999999999999982", "trial 10"),
+    ("onehot-to-binary", 16, "recursion"): ("0.999999999999996", "trial 11"),
+    ("edick-to-binary", 14, "expand-n-plus-1"): ("0.9999999999999982", "trial 0"),
+    ("onehot-to-binary", 13, "expand-pow2"): ("0.9999999999999959", "trial 5"),
+}
+
+
+@pytest.mark.parametrize("case", list(_GOLDEN_VERIFY), ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+def test_verify_output_is_byte_identical_to_the_recorded_output(case, capsys) -> None:
+    direction, n, method = case
+    fid, where = _GOLDEN_VERIFY[case]
+    argv = ["verify", "--direction", direction, "--n", str(n), "--method", method,
+            "--trials", "20", "--seed", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        f"verify direction={direction} n={n} method={method} trials=20 seed=1\n"
+        f"worst fidelity {fid} at {where}\n"
+        "verify: PASS\n"
+    )
+
+
 def test_sweep_writes_csv(tmp_path) -> None:
     out = tmp_path / "sweep.csv"
     code = main(
@@ -127,3 +151,17 @@ def test_usage_errors_exit_two(capsys, tmp_path) -> None:
     assert main(["prepare-binomial", "--n", "4", "--p", "1.5"]) == 2
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_verify_rejects_negative_trials(capsys) -> None:
+    argv = ["verify", "--direction", "edick-to-binary", "--n", "5", "--trials", "-3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "--trials" in captured.err
+
+
+def test_verify_rejects_registers_above_the_simulation_cap(capsys) -> None:
+    # 45 levels need a 49-qubit register, 8 PiB of amplitudes: far past any allocation.
+    assert main(["verify", "--direction", "edick-to-binary", "--n", "45"]) == 2
+    assert "register width" in capsys.readouterr().err

@@ -53,6 +53,15 @@ def test_state_validation() -> None:
         zero_state(25)  # above the simulation cap
 
 
+@pytest.mark.parametrize("width", [0, 49, 64])
+def test_register_width_is_checked_before_allocating(width: int) -> None:
+    # 2**49 amplitudes are 8 PiB: an allocation would fail, not raise ValueError.
+    with pytest.raises(ValueError, match="register width"):
+        zero_state(width)
+    with pytest.raises(ValueError, match="register width"):
+        basis_state(width, 0)
+
+
 def test_x_flips_the_addressed_qubit() -> None:
     # Qubit 0 is the leftmost bit of the ket string.
     state = apply(zero_state(3), x(0))
