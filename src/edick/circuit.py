@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 
 class GateKind(enum.Enum):
@@ -25,23 +25,21 @@ class GateKind(enum.Enum):
     MCX = "mcx"
 
 
-# Control arity per kind; MCX is variable (>= 3, smaller counts have their own kind).
-_FIXED_CONTROLS = {
-    GateKind.X: 0,
-    GateKind.H: 0,
-    GateKind.RY: 0,
-    GateKind.PHASE: 0,
-    GateKind.CNOT: 1,
-    GateKind.CPHASE: 1,
-    GateKind.CRY: 1,
-    GateKind.CCRY: 2,
-    GateKind.TOFFOLI: 2,
+# Per kind: control count (None for MCX, which takes >= 3; smaller counts have
+# their own kind) and whether it takes an angle. Angled kinds invert by
+# negating the angle; the others are self-inverse.
+_RULES = {
+    GateKind.X: (0, False),
+    GateKind.H: (0, False),
+    GateKind.RY: (0, True),
+    GateKind.PHASE: (0, True),
+    GateKind.CNOT: (1, False),
+    GateKind.CPHASE: (1, True),
+    GateKind.CRY: (1, True),
+    GateKind.CCRY: (2, True),
+    GateKind.TOFFOLI: (2, False),
+    GateKind.MCX: (None, False),
 }
-
-_ANGLED = {GateKind.RY, GateKind.PHASE, GateKind.CPHASE, GateKind.CRY, GateKind.CCRY}
-
-# Self-inverse kinds; the angled ones invert by negating the angle.
-_SELF_INVERSE = {GateKind.X, GateKind.H, GateKind.CNOT, GateKind.TOFFOLI, GateKind.MCX}
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,40 +52,43 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is GateKind.MCX:
-            if len(self.controls) < 3:
+        arity, angled = _RULES[self.kind]
+        controls, target = self.controls, self.target
+        count = len(controls)
+        if arity is None:
+            if count < 3:
                 raise ValueError("MCX needs at least 3 controls; use CNOT or TOFFOLI below that")
-        elif len(self.controls) != _FIXED_CONTROLS[self.kind]:
-            raise ValueError(
-                f"{self.kind.value} takes {_FIXED_CONTROLS[self.kind]} control(s), "
-                f"got {len(self.controls)}"
-            )
-        if self.kind in _ANGLED:
+        elif count != arity:
+            raise ValueError(f"{self.kind.value} takes {arity} control(s), got {count}")
+        if angled:
             if self.angle is None or not math.isfinite(self.angle):
                 raise ValueError(f"{self.kind.value} needs a finite angle")
         elif self.angle is not None:
             raise ValueError(f"{self.kind.value} takes no angle")
-        qubits = self.qubits
-        if any(q < 0 for q in qubits):
-            raise ValueError("qubit indices must be non-negative")
-        if len(set(qubits)) != len(qubits):
-            raise ValueError("control and target qubits must be distinct")
+        if count < 2:
+            if target < 0 or (count and controls[0] < 0):
+                raise ValueError("qubit indices must be non-negative")
+            if count and controls[0] == target:
+                raise ValueError("control and target qubits must be distinct")
+        else:
+            qubits = controls + (target,)
+            if min(qubits) < 0:
+                raise ValueError("qubit indices must be non-negative")
+            if len(set(qubits)) != len(qubits):
+                raise ValueError("control and target qubits must be distinct")
 
     @property
     def qubits(self) -> tuple[int, ...]:
         return self.controls + (self.target,)
 
     def inverse(self) -> Gate:
-        if self.kind in _SELF_INVERSE:
+        if self.angle is None:
             return self
-        return replace(self, angle=-self.angle)
+        return Gate(self.kind, self.target, self.controls, -self.angle)
 
     def remapped(self, mapping: dict[int, int]) -> Gate:
-        return replace(
-            self,
-            target=mapping[self.target],
-            controls=tuple(mapping[c] for c in self.controls),
-        )
+        controls = tuple([mapping[c] for c in self.controls])
+        return Gate(self.kind, mapping[self.target], controls, self.angle)
 
 
 def x(q: int) -> Gate:
@@ -150,9 +151,10 @@ class Circuit:
         if self.num_qubits < 1:
             raise ValueError("a circuit needs at least one qubit")
         object.__setattr__(self, "gates", tuple(self.gates))
+        n = self.num_qubits
         for g in self.gates:
-            if max(g.qubits) >= self.num_qubits:
-                raise ValueError(f"gate {g} exceeds register width {self.num_qubits}")
+            if g.target >= n or (g.controls and max(g.controls) >= n):
+                raise ValueError(f"gate {g} exceeds register width {n}")
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -196,6 +198,8 @@ def remap(
         raise ValueError("mapping must cover qubits 0..num_qubits-1 of the circuit")
     if len(set(table.values())) != len(table):
         raise ValueError("mapping must be injective")
+    if all(old == new for old, new in table.items()):
+        return Circuit(num_qubits, circuit.gates, circuit.label)
     return Circuit(num_qubits, tuple(g.remapped(table) for g in circuit.gates), circuit.label)
 
 
@@ -224,8 +228,13 @@ def depth_of(gates: tuple[Gate, ...]) -> int:
     free: dict[int, int] = {}
     top = 0
     for g in gates:
-        layer = max((free.get(q, 0) for q in g.qubits), default=0) + 1
-        for q in g.qubits:
+        layer = free.get(g.target, 0)
+        for q in g.controls:
+            if free.get(q, 0) > layer:
+                layer = free[q]
+        layer += 1
+        free[g.target] = layer
+        for q in g.controls:
             free[q] = layer
         if layer > top:
             top = layer

@@ -4,6 +4,12 @@ Every rewrite here is an exact unitary identity (no global-phase slack):
 controlled phases split over two CNOTs, controlled rotations use the
 conjugate-by-X trick, Toffoli uses the fixed 6-CNOT realization, and MCX
 recurses through controlled powers of X, where X**s = H . Phase(pi*s) . H.
+
+decompose_to_basis expands each distinct gate once per call and reuses that
+expansion for its repeats. Equal gates may differ in the sign of a zero angle,
+which the expansion keeps and emit_text prints, so the key is the gate's
+fields plus math.copysign(1.0, angle). A circuit with nothing to lower is
+returned as it is.
 """
 
 from __future__ import annotations
@@ -77,11 +83,12 @@ def _mcx_basis(controls: tuple[int, ...], t: int) -> list[Gate]:
     if len(controls) == 2:
         return _toffoli_basis(controls[0], controls[1], t)
     body, last = controls[:-1], controls[-1]
+    inner = _mcx_basis(body, last)
     return (
         _cxpow_basis(0.5, last, t)
-        + _mcx_basis(body, last)
+        + inner
         + _cxpow_basis(-0.5, last, t)
-        + _mcx_basis(body, last)
+        + inner
         + _mcxpow_basis(0.5, body, t)
     )
 
@@ -90,11 +97,12 @@ def _mcxpow_basis(s: float, controls: tuple[int, ...], t: int) -> list[Gate]:
     if len(controls) == 1:
         return _cxpow_basis(s, controls[0], t)
     body, last = controls[:-1], controls[-1]
+    inner = _mcx_basis(body, last)
     return (
         _cxpow_basis(s / 2.0, last, t)
-        + _mcx_basis(body, last)
+        + inner
         + _cxpow_basis(-s / 2.0, last, t)
-        + _mcx_basis(body, last)
+        + inner
         + _mcxpow_basis(s / 2.0, body, t)
     )
 
@@ -120,6 +128,18 @@ def decompose_gate(gate: Gate) -> list[Gate]:
 def decompose_to_basis(circuit: Circuit) -> Circuit:
     """Rewrite a circuit into single-qubit gates and CNOTs, exactly."""
     gates: list[Gate] = []
+    expansions: dict[tuple, list[Gate]] = {}
     for gate in circuit.gates:
-        gates.extend(decompose_gate(gate))
+        if gate.kind in _PRIMITIVE:
+            gates.append(gate)
+            continue
+        angle = gate.angle
+        sign = None if angle is None else math.copysign(1.0, angle)
+        key = (gate.kind, gate.target, gate.controls, angle, sign)
+        expansion = expansions.get(key)
+        if expansion is None:
+            expansion = expansions[key] = decompose_gate(gate)
+        gates.extend(expansion)
+    if not expansions:
+        return circuit
     return Circuit(circuit.num_qubits, tuple(gates), circuit.label)

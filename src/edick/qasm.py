@@ -7,13 +7,19 @@ them with :func:`edick.decompose.decompose_to_basis` before emitting.
 
 Angles are printed with ``repr``, so parse_text(emit_text(c)) reproduces
 the text byte for byte.
+
+Each distinct gate is handled once per call. emit_text formats each gate
+object once (by object, as equal gates may print differently: ``u1(0.0)``
+and ``u1(-0.0)``); parse_text matches, converts and validates each distinct
+line once and reuses that gate for its repeats. The round trip stays
+byte-identical.
 """
 
 from __future__ import annotations
 
 import re
 
-from .circuit import Circuit, Gate, GateKind, cnot, cphase, h, phase, ry, toffoli, x
+from .circuit import Circuit, Gate, GateKind
 
 _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -22,94 +28,112 @@ _GATE_RE = re.compile(r"^(x|h|cx|ccx|ry|u1|cu1)(?:\(([^)]+)\))? ([^;]+);$")
 _QUBIT_RE = re.compile(r"^q\[(\d+)\]$")
 
 
+_NAMES = {
+    GateKind.X: "x",
+    GateKind.H: "h",
+    GateKind.CNOT: "cx",
+    GateKind.TOFFOLI: "ccx",
+    GateKind.RY: "ry",
+    GateKind.PHASE: "u1",
+    GateKind.CPHASE: "cu1",
+}
+
+
 def _gate_line(gate: Gate) -> str:
-    kind = gate.kind
-    operands = ",".join(f"q[{q}]" for q in (*gate.controls, gate.target))
-    if kind is GateKind.X:
-        return f"x {operands};"
-    if kind is GateKind.H:
-        return f"h {operands};"
-    if kind is GateKind.CNOT:
-        return f"cx {operands};"
-    if kind is GateKind.TOFFOLI:
-        return f"ccx {operands};"
-    if kind is GateKind.RY:
-        return f"ry({gate.angle!r}) {operands};"
-    if kind is GateKind.PHASE:
-        return f"u1({gate.angle!r}) {operands};"
-    if kind is GateKind.CPHASE:
-        return f"cu1({gate.angle!r}) {operands};"
-    raise ValueError(
-        f"gate kind {kind.value} has no OPENQASM 2.0 line in this subset; "
-        "decompose the circuit first"
-    )
+    name = _NAMES.get(gate.kind)
+    if name is None:
+        raise ValueError(
+            f"gate kind {gate.kind.value} has no OPENQASM 2.0 line in this subset; "
+            "decompose the circuit first"
+        )
+    operands = "".join([f"q[{c}]," for c in gate.controls]) + f"q[{gate.target}]"
+    if gate.angle is None:
+        return f"{name} {operands};"
+    return f"{name}({gate.angle!r}) {operands};"
 
 
 def emit_text(circuit: Circuit) -> str:
     """Render a circuit as OPENQASM 2.0 source."""
     lines = [_HEADER + f"qreg q[{circuit.num_qubits}];"]
-    lines.extend(_gate_line(gate) for gate in circuit.gates)
+    text: dict[int, str] = {}  # by id: equal gates may print differently
+    for gate in circuit.gates:
+        line = text.get(id(gate))
+        if line is None:
+            line = text[id(gate)] = _gate_line(gate)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
-def _parse_operands(text: str, line_no: int) -> tuple[int, ...]:
+def _parse_operands(text: str) -> tuple[int, ...]:
     qubits = []
     for token in text.split(","):
         match = _QUBIT_RE.match(token.strip())
         if match is None:
-            raise ValueError(f"line {line_no}: bad operand {token.strip()!r}")
+            raise ValueError(f"bad operand {token.strip()!r}")
         qubits.append(int(match.group(1)))
     return tuple(qubits)
 
 
+_KINDS = {name: kind for kind, name in _NAMES.items()}
 _ARITY = {"x": 1, "h": 1, "ry": 1, "u1": 1, "cx": 2, "cu1": 2, "ccx": 3}
 _TAKES_ANGLE = {"ry", "u1", "cu1"}
 
 
-def _build_gate(name: str, angle: float | None, qubits: tuple[int, ...]) -> Gate:
-    if name == "x":
-        return x(qubits[0])
-    if name == "h":
-        return h(qubits[0])
-    if name == "ry":
-        return ry(angle, qubits[0])
-    if name == "u1":
-        return phase(angle, qubits[0])
-    if name == "cx":
-        return cnot(qubits[0], qubits[1])
-    if name == "cu1":
-        return cphase(angle, qubits[0], qubits[1])
-    return toffoli(qubits[0], qubits[1], qubits[2])
+def _parse_gate(line: str, num_qubits: int) -> Gate:
+    match = _GATE_RE.match(line)
+    if match is None:
+        raise ValueError(f"unsupported statement {line!r}")
+    name, angle_text, operand_text = match.groups()
+    if (angle_text is not None) != (name in _TAKES_ANGLE):
+        raise ValueError(f"bad parameter list for {name}")
+    qubits = _parse_operands(operand_text)
+    if len(qubits) != _ARITY[name]:
+        raise ValueError(f"{name} expects {_ARITY[name]} operands")
+    if max(qubits) >= num_qubits:
+        raise ValueError(f"{line!r} exceeds register width {num_qubits}")
+    angle = float(angle_text) if angle_text is not None else None
+    return Gate(_KINDS[name], qubits[-1], qubits[:-1], angle)
+
+
+def _next_statement(lines: list[str], start: int) -> tuple[int, str | None]:
+    """Index and text of the first line at or after `start` that is not blank or a comment."""
+    for index in range(start, len(lines)):
+        line = lines[index].strip()
+        if line and not line.startswith("//"):
+            return index, line
+    return len(lines), None
 
 
 def parse_text(text: str) -> Circuit:
-    """Parse OPENQASM 2.0 source restricted to the emitted subset."""
-    lines = [line.strip() for line in text.splitlines()]
-    lines = [line for line in lines if line and not line.startswith("//")]
-    if not lines or lines[0] != "OPENQASM 2.0;":
-        raise ValueError("missing OPENQASM 2.0 header")
-    pos = 1
-    if pos < len(lines) and lines[pos] == 'include "qelib1.inc";':
-        pos += 1
-    if pos >= len(lines):
-        raise ValueError("missing qreg declaration")
-    qreg = _QREG_RE.match(lines[pos])
-    if qreg is None:
-        raise ValueError(f"expected qreg declaration, got {lines[pos]!r}")
-    num_qubits = int(qreg.group(1))
-    pos += 1
+    """Parse OPENQASM 2.0 source restricted to the emitted subset.
 
-    gates: list[Gate] = []
-    for line_no, line in enumerate(lines[pos:], start=pos + 1):
-        match = _GATE_RE.match(line)
-        if match is None:
-            raise ValueError(f"line {line_no}: unsupported statement {line!r}")
-        name, angle_text, operand_text = match.groups()
-        if (angle_text is not None) != (name in _TAKES_ANGLE):
-            raise ValueError(f"line {line_no}: bad parameter list for {name}")
-        qubits = _parse_operands(operand_text, line_no)
-        if len(qubits) != _ARITY[name]:
-            raise ValueError(f"line {line_no}: {name} expects {_ARITY[name]} operands")
-        angle = float(angle_text) if angle_text is not None else None
-        gates.append(_build_gate(name, angle, qubits))
+    Every error is a ValueError naming its source line (counting from 1,
+    blanks and comments included), except for text that ends early.
+    """
+    lines = text.splitlines()
+    pos, line = _next_statement(lines, 0)
+    if line != "OPENQASM 2.0;":
+        where = "" if line is None else f"line {pos + 1}: "
+        raise ValueError(f"{where}missing OPENQASM 2.0 header")
+    pos, line = _next_statement(lines, pos + 1)
+    if line == 'include "qelib1.inc";':
+        pos, line = _next_statement(lines, pos + 1)
+    if line is None:
+        raise ValueError("missing qreg declaration")
+    qreg = _QREG_RE.match(line)
+    if qreg is None:
+        raise ValueError(f"line {pos + 1}: expected qreg declaration, got {line!r}")
+    num_qubits = int(qreg.group(1))
+
+    body = lines[pos + 1 :]
+    # Distinct lines in order of first occurrence, so a bad line raises where it first appears.
+    parsed: dict[str, Gate | None] = dict.fromkeys(body)
+    for raw in parsed:
+        line = raw.strip()
+        if line and not line.startswith("//"):
+            try:
+                parsed[raw] = _parse_gate(line, num_qubits)
+            except ValueError as exc:
+                raise ValueError(f"line {pos + 2 + body.index(raw)}: {exc}") from exc
+    gates = [gate for gate in map(parsed.__getitem__, body) if gate is not None]
     return Circuit(num_qubits, tuple(gates))

@@ -15,6 +15,7 @@ from edick import (
     cry,
     decompose_gate,
     decompose_to_basis,
+    emit_text,
     h,
     mcx,
     run,
@@ -98,3 +99,31 @@ def test_cphase_lowering_is_exact(lam: float) -> None:
     assert_same_unitary(cphase(lam, 0, 1), 2)
     gates = decompose_gate(cphase(lam, 0, 1))
     assert len(gates) == 5
+
+
+def test_lowering_keeps_the_sign_of_zero_angles() -> None:
+    # cry(0.0) and cry(-0.0) compare equal but lower to ry(0.0), ry(-0.0) and
+    # ry(-0.0), ry(0.0): a lowering that reused one for the other would print wrong.
+    gates = (
+        cry(0.0, 0, 1),
+        cry(-0.0, 0, 1),
+        ccry(0.0, 0, 1, 2),
+        ccry(-0.0, 0, 1, 2),
+        cry(0.0, 0, 1),
+        ccry(-0.0, 0, 1, 2),
+    )
+    assert gates[0] == gates[1] and gates[2] == gates[3]
+    expected = Circuit(3, tuple(g for gate in gates for g in decompose_gate(gate)))
+    assert emit_text(decompose_to_basis(Circuit(3, gates))) == emit_text(expected)
+
+
+def test_repeated_gates_lower_like_their_first_copy() -> None:
+    gates = (toffoli(0, 1, 2), mcx([0, 1, 2], 3), cphase(0.4, 1, 3))
+    gates += gates
+    lowered = decompose_to_basis(Circuit(4, gates))
+    assert lowered.gates == tuple(g for gate in gates for g in decompose_gate(gate))
+
+
+def test_a_circuit_with_nothing_to_lower_is_returned_as_it_is() -> None:
+    source = Circuit(2, (h(0), cnot(0, 1), x(1)), label="basis")
+    assert decompose_to_basis(source) is source

@@ -1,0 +1,135 @@
+"""Golden digests of lowered QASM: lowering and emission stay byte-identical.
+
+Each digest is the sha256 over emit_text(decompose_to_basis(circuit)) of a
+family of circuits, taken in order, recorded before lowering and parsing
+began to share work between repeated gates. Every lowered circuit must
+also survive a QASM round trip gate for gate.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from edick import (
+    BinomialSpec,
+    Direction,
+    EncodingKind,
+    EvenMethod,
+    build_binomial_pipeline,
+    build_cnot_stair,
+    build_converter,
+    decompose_to_basis,
+    emit_text,
+    parse_text,
+)
+
+# Every level count up to 64 and two large self-similar ones for the core
+# builders. The composed directions reuse the same compression blocks, and
+# the staircase baseline lowers nothing (at N=513 it is 131k distinct lines),
+# so sparser sets keep the file to a few seconds.
+SIZES = (*range(2, 65), 257, 513)
+COMPOSED_SIZES = (*range(2, 17), 31, 32, 33, 63, 64, 257, 513)
+STAIR_SIZES = (*range(2, 65), 129)
+BINOMIAL = ((2, 0.5), (5, 0.3), (12, 0.71), (31, 0.05))
+
+CONVERTER_DIGESTS = {
+    ("edick-to-onehot", None):
+        "45dbf7f2f114786957d00598bad5ab58a231603f5bb7d1e3d0680ff1b4d7e967",
+    ("cnot-stair", None):
+        "58a709c09077c164f81fd85002ddd2d17183bb638c15ed719c53a14060cb3d5b",
+    ("edick-to-binary", "recursion"):
+        "20f66ed9331bf891d6866e2457b8bb9db864ee1b9d53c34f7d919adaa6a14f92",
+    ("edick-to-binary", "expand-n-plus-1"):
+        "97606e961a8c8052c16ef3ec675abc9ffb92149d5b32317d8490eb9f12d226c9",
+    ("edick-to-binary", "expand-pow2"):
+        "c3fb92cdf7769ac6ab10a13158583cbc6c3ca7a01ec6a82528f631e7f142e89a",
+    ("onehot-to-binary", "recursion"):
+        "b532dc84f46b150a4d659eed325507e0bed5a5cff01ba91c7a6d918e3b088cff",
+    ("onehot-to-binary", "expand-n-plus-1"):
+        "d0f0ef10e5515d1c4fb68c4f43a7842a8fb6ddd54838f1fa4d60fa9cbd68a926",
+    ("onehot-to-binary", "expand-pow2"):
+        "b98a20ab7dea047f61a36055c99e2364edc8f8c9e8e933568708dca85dd02ed8",
+    ("binary-to-onehot", "recursion"):
+        "89dde1468f7c53805ab2b5ce4600d1ece5fa90aa404d86e019ec9cf93aa5f417",
+    ("binary-to-onehot", "expand-n-plus-1"):
+        "cb960e582d601da691e3e6d5b92eea6195dab45757938c86669f014033747624",
+    ("binary-to-onehot", "expand-pow2"):
+        "7e06e2d917040898408ee41f639a658cb9ab0e934ff78d5c92347bd9dc8951e9",
+}
+
+BINOMIAL_DIGESTS = {
+    ("edick", "recursion"):
+        "2a54402abca55a1634d7f210daf302ae2f78f1a120bfc2756ef7bfb404fa590f",
+    ("edick", "expand-n-plus-1"):
+        "2a54402abca55a1634d7f210daf302ae2f78f1a120bfc2756ef7bfb404fa590f",
+    ("edick", "expand-pow2"):
+        "2a54402abca55a1634d7f210daf302ae2f78f1a120bfc2756ef7bfb404fa590f",
+    ("onehot", "recursion"):
+        "cd2399eaedfa73b6637b6c7f6b6568ae021a76e382d1ba469fee43bc20357ff4",
+    ("onehot", "expand-n-plus-1"):
+        "cd2399eaedfa73b6637b6c7f6b6568ae021a76e382d1ba469fee43bc20357ff4",
+    ("onehot", "expand-pow2"):
+        "cd2399eaedfa73b6637b6c7f6b6568ae021a76e382d1ba469fee43bc20357ff4",
+    ("binary", "recursion"):
+        "e06a7ed51761cb77527ce15ea201731166dfb930e80c2ef8ba704b14ccfd315c",
+    ("binary", "expand-n-plus-1"):
+        "23f5343e8b5fd423e4f269bb45042f09221fc1ccd751f070c03b48ce0f0036eb",
+    ("binary", "expand-pow2"):
+        "9ac60272ae00956b466cfc93950057df0c370ef7b0e3f64fe47730306372fe5c",
+}
+
+
+def _case_id(case: tuple[str, str | None]) -> str:
+    return "-".join(part for part in case if part)
+
+
+def _converter(direction: str, method: str | None, n: int):
+    if direction == "cnot-stair":
+        return build_cnot_stair(n)
+    if method is None:
+        return build_converter(Direction(direction), n)[0]
+    return build_converter(Direction(direction), n, EvenMethod(method))[0]
+
+
+def _digest(circuits) -> str:
+    """sha256 over the lowered QASM of each circuit, checking each round trip."""
+    digest = hashlib.sha256()
+    for circuit in circuits:
+        lowered = decompose_to_basis(circuit)
+        text = emit_text(lowered)
+        parsed = parse_text(text)
+        assert parsed.num_qubits == lowered.num_qubits
+        assert parsed.gates == lowered.gates
+        digest.update(text.encode())
+    return digest.hexdigest()
+
+
+def converter_digest(direction: str, method: str | None) -> str:
+    if direction == "cnot-stair":
+        sizes = STAIR_SIZES
+    elif direction in ("onehot-to-binary", "binary-to-onehot"):
+        sizes = COMPOSED_SIZES
+    else:
+        sizes = SIZES
+    return _digest(_converter(direction, method, n) for n in sizes)
+
+
+def binomial_digest(target: str, method: str) -> str:
+    return _digest(
+        build_binomial_pipeline(
+            BinomialSpec.from_probability(n, p, EncodingKind(target), EvenMethod(method))
+        )[0]
+        for n, p in BINOMIAL
+    )
+
+
+@pytest.mark.parametrize("case", list(CONVERTER_DIGESTS), ids=_case_id)
+def test_lowered_converter_qasm_matches_its_golden_digest(case: tuple[str, str | None]) -> None:
+    assert converter_digest(*case) == CONVERTER_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", list(BINOMIAL_DIGESTS), ids=_case_id)
+def test_lowered_binomial_qasm_matches_its_golden_digest(case: tuple[str, str]) -> None:
+    assert binomial_digest(*case) == BINOMIAL_DIGESTS[case]

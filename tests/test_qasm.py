@@ -100,3 +100,58 @@ def test_parse_rejects_out_of_register_operands() -> None:
     text = "OPENQASM 2.0;\n" 'include "qelib1.inc";\n' "qreg q[1];\n" "x q[1];\n"
     with pytest.raises(ValueError):
         parse_text(text)
+
+
+_PREFIX = "OPENQASM 2.0;\n" 'include "qelib1.inc";\n' "qreg q[2];\n"
+
+
+def test_parse_errors_name_the_source_line_counting_blanks_and_comments() -> None:
+    text = (
+        "OPENQASM 2.0;\n"
+        "// first comment\n"
+        "\n"
+        'include "qelib1.inc";\n'
+        "qreg q[2];\n"
+        "// second comment\n"
+        "\n"
+        "x q[0];\n"
+        "measure q[0];\n"
+    )
+    with pytest.raises(ValueError, match=r"^line 9: unsupported statement"):
+        parse_text(text)
+    with pytest.raises(ValueError, match=r"^line 4: expected qreg declaration"):
+        parse_text("// a comment\nOPENQASM 2.0;\n\nx q[0];\n")
+    with pytest.raises(ValueError, match=r"^line 3: missing OPENQASM 2.0 header"):
+        parse_text("\n// a comment\nqreg q[1];\n")
+
+
+@pytest.mark.parametrize(
+    "statement, message",
+    [
+        ("u1(inf) q[0];", "finite angle"),
+        ("ry(nan) q[1];", "finite angle"),
+        ("cx q[1],q[1];", "distinct"),
+        ("x q[2];", "register width 2"),
+        ("cu1(0.5) q[0],q[3];", "register width 2"),
+        ("ry(half) q[0];", "float"),
+        ("x q0;", "bad operand"),
+    ],
+)
+def test_gate_errors_name_the_source_line(statement: str, message: str) -> None:
+    text = _PREFIX + "h q[0];\n\n" + statement + "\n"
+    with pytest.raises(ValueError, match=rf"^line 6: .*{message}"):
+        parse_text(text)
+
+
+def test_a_repeated_bad_line_is_reported_at_its_first_occurrence() -> None:
+    text = _PREFIX + "x q[0];\nx q[2];\nx q[0];\nx q[2];\n"
+    with pytest.raises(ValueError, match=r"^line 5: "):
+        parse_text(text)
+
+
+def test_repeated_lines_parse_to_equal_gates_and_keep_signed_zeros() -> None:
+    body = ["u1(0.0) q[0];", "u1(-0.0) q[0];", "cx q[0],q[1];", "ry(-0.0) q[1];"]
+    text = _PREFIX + "\n".join(body * 3) + "\n"
+    parsed = parse_text(text)
+    assert parsed.gates == parse_text(_PREFIX + "\n".join(body) + "\n").gates * 3
+    assert emit_text(parsed) == text
