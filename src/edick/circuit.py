@@ -3,6 +3,12 @@
 Qubits are indexed 0..n-1 left to right in ket notation, so qubit 0 is the
 most significant bit of a basis index: |b_0 b_1 ... b_{n-1}> has index
 sum(b_q * 2**(n-1-q)).  Gates and circuits are immutable after construction.
+
+Widths are checked where gates enter a circuit: the Circuit constructor
+checks that every gate fits the register. A circuit derived from checked
+ones does not rescan its gates: `compose` needs equal widths, `inverse`
+keeps the width, `remap` checks that its mapping's image lies in the new
+register, and lowering expands each gate on that gate's own qubits.
 """
 
 from __future__ import annotations
@@ -160,23 +166,29 @@ class Circuit:
         return len(self.gates)
 
 
+def _derived(num_qubits: int, gates: tuple[Gate, ...], label: str) -> Circuit:
+    """A circuit whose gates are known to fit `num_qubits` >= 1; no rescan."""
+    circuit = object.__new__(Circuit)
+    object.__setattr__(circuit, "num_qubits", num_qubits)
+    object.__setattr__(circuit, "gates", gates)
+    object.__setattr__(circuit, "label", label)
+    return circuit
+
+
 def compose(first: Circuit, second: Circuit, label: str = "") -> Circuit:
     """Circuit that applies `first`, then `second`; widths must agree."""
     if first.num_qubits != second.num_qubits:
         raise ValueError(
             f"cannot compose circuits of widths {first.num_qubits} and {second.num_qubits}"
         )
-    return Circuit(first.num_qubits, first.gates + second.gates, label or first.label)
+    return _derived(first.num_qubits, first.gates + second.gates, label or first.label)
 
 
 def inverse(circuit: Circuit) -> Circuit:
     """Exact inverse: reversed gate order, each gate inverted."""
     label = f"inverse({circuit.label})" if circuit.label else ""
-    return Circuit(
-        circuit.num_qubits,
-        tuple(g.inverse() for g in reversed(circuit.gates)),
-        label,
-    )
+    gates = tuple([g.inverse() for g in reversed(circuit.gates)])
+    return _derived(circuit.num_qubits, gates, label)
 
 
 def remap(
@@ -188,8 +200,10 @@ def remap(
 
     `mapping` sends old indices to new ones, as a dict or as a sequence
     indexed by old qubit. It must cover every qubit of the circuit
-    injectively.
+    injectively, into qubits 0..num_qubits-1.
     """
+    if num_qubits < 1:
+        raise ValueError("a circuit needs at least one qubit")
     if isinstance(mapping, dict):
         table = dict(mapping)
     else:
@@ -198,9 +212,12 @@ def remap(
         raise ValueError("mapping must cover qubits 0..num_qubits-1 of the circuit")
     if len(set(table.values())) != len(table):
         raise ValueError("mapping must be injective")
+    if not all(0 <= new < num_qubits for new in table.values()):
+        raise ValueError(f"mapping sends a qubit outside register width {num_qubits}")
     if all(old == new for old, new in table.items()):
-        return Circuit(num_qubits, circuit.gates, circuit.label)
-    return Circuit(num_qubits, tuple(g.remapped(table) for g in circuit.gates), circuit.label)
+        return _derived(num_qubits, circuit.gates, circuit.label)
+    gates = tuple([g.remapped(table) for g in circuit.gates])
+    return _derived(num_qubits, gates, circuit.label)
 
 
 class Granularity(enum.Enum):

@@ -12,16 +12,20 @@ Conventions used throughout:
   other qubit returned to |0>;
 * ancilla qubits, when a method needs them, occupy the leftmost physical
   positions and start and end in |0>.
+
+Builders emit physical qubit ids: the staircase -> binary compression
+computes its peak ancilla count first, so its pool hands out the leftmost
+qubits directly and no second pass relabels the gates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .circuit import Circuit, Gate, cnot, cphase, h, mcx, phase, toffoli, x
-from .circuit import compose, inverse, remap
+from .circuit import _derived, inverse
 
 
 class EvenMethod(Enum):
@@ -133,15 +137,15 @@ def build_cnot_stair(num_levels: int) -> Circuit:
 
 
 class _AncillaPool:
-    """Hands out virtual ancilla ids (above `base`) with reuse.
+    """Hands out the ancilla qubits below `top`, rightmost first, with reuse.
 
     A sub-build that finishes returns its ancillas to |0>, so a sibling
     sub-build may take the same physical qubits; `total` is therefore the
     peak simultaneous need, not the sum.
     """
 
-    def __init__(self, base: int) -> None:
-        self._base = base
+    def __init__(self, top: int) -> None:
+        self._top = top
         self._free: list[int] = []
         self.total = 0
 
@@ -151,16 +155,31 @@ class _AncillaPool:
             if self._free:
                 out.append(self._free.pop())
             else:
-                out.append(self._base + self.total)
                 self.total += 1
+                out.append(self._top - self.total)
         return tuple(out)
 
     def release(self, qubits: tuple[int, ...]) -> None:
         self._free.extend(qubits)
 
-    def placement(self) -> dict[int, int]:
-        """Physical homes for the ids: the leftmost block of qubits."""
-        return {self._base + k: self.total - 1 - k for k in range(self.total)}
+
+def _expansion(levels: int, method: EvenMethod) -> int:
+    """Fresh |0> qubits an expansion method adds to an even level count."""
+    if method is EvenMethod.EXPAND_TO_N_PLUS_1:
+        return 1
+    return (1 << (levels - 2).bit_length()) + 1 - levels
+
+
+def _peak_ancilla(levels: int, method: EvenMethod) -> int:
+    """The most ancillas _binary_gates holds at once for `levels` levels."""
+    if levels <= 3:
+        return 0
+    if levels % 2:
+        return _peak_ancilla((levels - 1) // 2 + 1, method)
+    if method is EvenMethod.RECURSION:
+        return _peak_ancilla(levels - 1, method)
+    extra = _expansion(levels, method)
+    return extra + _peak_ancilla(levels + extra, method)
 
 
 def _adder_gates(qubits: tuple[int, ...], shift: int) -> list[Gate]:
@@ -247,11 +266,7 @@ def _even_gates(view: tuple[int, ...], method: EvenMethod, pool: _AncillaPool) -
     levels = len(view) + 1
     if method is EvenMethod.RECURSION:
         return _recursion_gates(view, method, pool)
-    if method is EvenMethod.EXPAND_TO_N_PLUS_1:
-        extra = pool.alloc(1)
-    else:
-        target = (1 << (levels - 2).bit_length()) + 1
-        extra = pool.alloc(target - levels)
+    extra = pool.alloc(_expansion(levels, method))
     gates = _binary_gates(extra + view, method, pool)
     pool.release(extra)
     return gates
@@ -282,7 +297,7 @@ def build_recursion_step(num_levels: int) -> Circuit:
     """The ancilla-free even-level reduction, exposed on its own register."""
     if num_levels < 4 or num_levels % 2:
         raise ValueError("recursion step applies to even level counts >= 4")
-    pool = _AncillaPool(base=num_levels)
+    pool = _AncillaPool(top=0)  # the recursion allocates nothing
     gates = _recursion_gates(tuple(range(num_levels - 1)), EvenMethod.RECURSION, pool)
     return Circuit(num_levels - 1, tuple(gates), label=f"recursion_step_{num_levels}")
 
@@ -299,18 +314,10 @@ def build_edick_to_binary(
     """
     if num_levels < 2:
         raise ValueError("need at least two levels")
-    pool = _AncillaPool(base=num_levels)
-    data = tuple(range(num_levels - 1))
-    gates = _binary_gates(data, method, pool)
-    anc = pool.total
-    mapping = {v: anc + v for v in data}
-    mapping.update(pool.placement())
+    anc = _peak_ancilla(num_levels, method)
     total = anc + num_levels - 1
-    circuit = Circuit(
-        total,
-        tuple(g.remapped(mapping) for g in gates),
-        label=f"edick_to_binary_{num_levels}",
-    )
+    gates = _binary_gates(tuple(range(anc, total)), method, _AncillaPool(top=anc))
+    circuit = Circuit(total, tuple(gates), label=f"edick_to_binary_{num_levels}")
     plan = ConverterPlan(num_levels, method, total, anc, Direction.EDICK_TO_BINARY)
     return circuit, plan
 
@@ -332,10 +339,10 @@ def build_onehot_to_binary(
     binary, sub_plan = build_edick_to_binary(num_levels, method)
     anc = sub_plan.ancilla
     total = anc + num_levels
-    unfold_inv = inverse(build_edick_to_onehot(num_levels))
-    unfold_inv = remap(unfold_inv, {i: anc + i for i in range(num_levels)}, total)
-    compress = remap(binary, {i: i for i in range(binary.num_qubits)}, total)
-    circuit = compose(unfold_inv, compress, label=f"onehot_to_binary_{num_levels}")
+    # The unfolding is all CNOTs, so its inverse is its reversal.
+    gates = _onehot_gates(tuple(range(anc, total)))[::-1]
+    gates += binary.gates
+    circuit = Circuit(total, tuple(gates), label=f"onehot_to_binary_{num_levels}")
     plan = ConverterPlan(num_levels, method, total, anc, Direction.ONEHOT_TO_BINARY)
     return circuit, plan
 
@@ -346,7 +353,8 @@ def build_binary_to_onehot(
 ) -> tuple[Circuit, ConverterPlan]:
     """|0...0>|binary>|1> in, one-hot on the rightmost num_levels qubits out."""
     forward, fplan = build_onehot_to_binary(num_levels, method)
-    circuit = replace(inverse(forward), label=f"binary_to_onehot_{num_levels}")
+    label = f"binary_to_onehot_{num_levels}"
+    circuit = _derived(forward.num_qubits, inverse(forward).gates, label)
     ancilla = fplan.total_qubits - binary_width(num_levels)
     plan = ConverterPlan(
         num_levels, method, fplan.total_qubits, ancilla, Direction.BINARY_TO_ONEHOT

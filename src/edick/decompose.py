@@ -10,6 +10,13 @@ expansion for its repeats. Equal gates may differ in the sign of a zero angle,
 which the expansion keeps and emit_text prints, so the key is the gate's
 fields plus math.copysign(1.0, angle). A circuit with nothing to lower is
 returned as it is.
+
+Templates share gate objects. All CNOTs of one call come from one table keyed
+by (control, target). A CRY or CCRY builds each of its two RYs (+-theta/2 or
++-theta/4) once and reuses it wherever the gate-by-gate expansion has the same
+value with the same sign of zero; that holds because (-a)/2 equals -(a/2) bit
+for bit, so a CCRY is 14 gates over 2 RY and 3 CNOT objects. Each template acts
+on its source gate's qubits only, so the lowered circuit is not rechecked.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .circuit import (
     Circuit,
     Gate,
     GateKind,
+    _derived,
     cnot,
     cphase,
     h,
@@ -30,98 +38,99 @@ from .circuit import (
 _PRIMITIVE = {GateKind.X, GateKind.H, GateKind.RY, GateKind.PHASE, GateKind.CNOT}
 
 
-def _cphase_basis(lam: float, c: int, t: int) -> list[Gate]:
+class _Cnots(dict):
+    """CNOT gates by (control, target), each built on first use."""
+
+    def __missing__(self, key: tuple[int, int]) -> Gate:
+        gate = self[key] = cnot(*key)
+        return gate
+
+
+def _cphase_basis(lam: float, c: int, t: int, cx: _Cnots) -> list[Gate]:
     half = lam / 2.0
-    return [phase(half, c), cnot(c, t), phase(-half, t), cnot(c, t), phase(half, t)]
+    a = cx[c, t]
+    return [phase(half, c), a, phase(-half, t), a, phase(half, t)]
 
 
-def _cry_basis(theta: float, c: int, t: int) -> list[Gate]:
+def _cry_basis(theta: float, c: int, t: int, cx: _Cnots) -> list[Gate]:
     half = theta / 2.0
-    return [ry(half, t), cnot(c, t), ry(-half, t), cnot(c, t)]
+    p, m, a = ry(half, t), ry(-half, t), cx[c, t]
+    return [p, a, m, a]
 
 
-def _ccry_basis(theta: float, c0: int, c1: int, t: int) -> list[Gate]:
-    half = theta / 2.0
-    return (
-        _cry_basis(half, c1, t)
-        + [cnot(c0, c1)]
-        + _cry_basis(-half, c1, t)
-        + [cnot(c0, c1)]
-        + _cry_basis(half, c0, t)
-    )
+def _ccry_basis(theta: float, c0: int, c1: int, t: int, cx: _Cnots) -> list[Gate]:
+    # Two CRYs by +-theta/2 on c1 and one on c0, with their +-theta/4 RYs.
+    quarter = theta / 2.0 / 2.0
+    p, m = ry(quarter, t), ry(-quarter, t)
+    a, b, c = cx[c1, t], cx[c0, c1], cx[c0, t]
+    return [p, a, m, a, b, m, a, p, a, b, p, c, m, c]
 
 
-def _toffoli_basis(c0: int, c1: int, t: int) -> list[Gate]:
+def _toffoli_basis(c0: int, c1: int, t: int, cx: _Cnots) -> list[Gate]:
     quarter = math.pi / 4.0
+    ht, plus, minus = h(t), phase(quarter, t), phase(-quarter, t)
+    a, b, c = cx[c1, t], cx[c0, t], cx[c0, c1]
     return [
-        h(t),
-        cnot(c1, t),
-        phase(-quarter, t),
-        cnot(c0, t),
-        phase(quarter, t),
-        cnot(c1, t),
-        phase(-quarter, t),
-        cnot(c0, t),
-        phase(quarter, c1),
-        phase(quarter, t),
-        h(t),
-        cnot(c0, c1),
-        phase(quarter, c0),
-        phase(-quarter, c1),
-        cnot(c0, c1),
+        ht, a, minus, b, plus, a, minus, b, phase(quarter, c1), plus, ht,
+        c, phase(quarter, c0), phase(-quarter, c1), c,
     ]
 
 
-def _cxpow_basis(s: float, c: int, t: int) -> list[Gate]:
+def _cxpow_basis(s: float, c: int, t: int, cx: _Cnots) -> list[Gate]:
     # Controlled X**s; the H pair is harmless when the control is 0.
-    return [h(t)] + _cphase_basis(math.pi * s, c, t) + [h(t)]
+    ht = h(t)
+    return [ht] + _cphase_basis(math.pi * s, c, t, cx) + [ht]
 
 
-def _mcx_basis(controls: tuple[int, ...], t: int) -> list[Gate]:
+def _mcx_basis(controls: tuple[int, ...], t: int, cx: _Cnots) -> list[Gate]:
     if len(controls) == 1:
-        return [cnot(controls[0], t)]
+        return [cx[controls[0], t]]
     if len(controls) == 2:
-        return _toffoli_basis(controls[0], controls[1], t)
+        return _toffoli_basis(controls[0], controls[1], t, cx)
     body, last = controls[:-1], controls[-1]
-    inner = _mcx_basis(body, last)
+    inner = _mcx_basis(body, last, cx)
     return (
-        _cxpow_basis(0.5, last, t)
+        _cxpow_basis(0.5, last, t, cx)
         + inner
-        + _cxpow_basis(-0.5, last, t)
+        + _cxpow_basis(-0.5, last, t, cx)
         + inner
-        + _mcxpow_basis(0.5, body, t)
+        + _mcxpow_basis(0.5, body, t, cx)
     )
 
 
-def _mcxpow_basis(s: float, controls: tuple[int, ...], t: int) -> list[Gate]:
+def _mcxpow_basis(s: float, controls: tuple[int, ...], t: int, cx: _Cnots) -> list[Gate]:
     if len(controls) == 1:
-        return _cxpow_basis(s, controls[0], t)
+        return _cxpow_basis(s, controls[0], t, cx)
     body, last = controls[:-1], controls[-1]
-    inner = _mcx_basis(body, last)
+    inner = _mcx_basis(body, last, cx)
     return (
-        _cxpow_basis(s / 2.0, last, t)
+        _cxpow_basis(s / 2.0, last, t, cx)
         + inner
-        + _cxpow_basis(-s / 2.0, last, t)
+        + _cxpow_basis(-s / 2.0, last, t, cx)
         + inner
-        + _mcxpow_basis(s / 2.0, body, t)
+        + _mcxpow_basis(s / 2.0, body, t, cx)
     )
 
 
 def decompose_gate(gate: Gate) -> list[Gate]:
     """Exact expansion of one gate into {X, H, RY, Phase, CNOT}."""
-    kind = gate.kind
-    if kind in _PRIMITIVE:
+    if gate.kind in _PRIMITIVE:
         return [gate]
+    return _expand(gate, _Cnots())
+
+
+def _expand(gate: Gate, cx: _Cnots) -> list[Gate]:
+    kind = gate.kind
     if kind is GateKind.CPHASE:
-        return _cphase_basis(gate.angle, gate.controls[0], gate.target)
+        return _cphase_basis(gate.angle, gate.controls[0], gate.target, cx)
     if kind is GateKind.CRY:
-        return _cry_basis(gate.angle, gate.controls[0], gate.target)
+        return _cry_basis(gate.angle, gate.controls[0], gate.target, cx)
     if kind is GateKind.CCRY:
-        return _ccry_basis(gate.angle, gate.controls[0], gate.controls[1], gate.target)
+        return _ccry_basis(gate.angle, gate.controls[0], gate.controls[1], gate.target, cx)
     if kind is GateKind.TOFFOLI:
-        return _toffoli_basis(gate.controls[0], gate.controls[1], gate.target)
+        return _toffoli_basis(gate.controls[0], gate.controls[1], gate.target, cx)
     if kind is GateKind.MCX:
-        return _mcx_basis(gate.controls, gate.target)
+        return _mcx_basis(gate.controls, gate.target, cx)
     raise ValueError(f"unsupported gate kind {kind}")  # pragma: no cover
 
 
@@ -129,6 +138,7 @@ def decompose_to_basis(circuit: Circuit) -> Circuit:
     """Rewrite a circuit into single-qubit gates and CNOTs, exactly."""
     gates: list[Gate] = []
     expansions: dict[tuple, list[Gate]] = {}
+    cx = _Cnots()
     for gate in circuit.gates:
         if gate.kind in _PRIMITIVE:
             gates.append(gate)
@@ -138,8 +148,8 @@ def decompose_to_basis(circuit: Circuit) -> Circuit:
         key = (gate.kind, gate.target, gate.controls, angle, sign)
         expansion = expansions.get(key)
         if expansion is None:
-            expansion = expansions[key] = decompose_gate(gate)
+            expansion = expansions[key] = _expand(gate, cx)
         gates.extend(expansion)
     if not expansions:
         return circuit
-    return Circuit(circuit.num_qubits, tuple(gates), circuit.label)
+    return _derived(circuit.num_qubits, tuple(gates), circuit.label)

@@ -5,6 +5,10 @@ on the Dicke components |D_k^N>. Running the Dicke preparation unitary
 backwards collapses each component onto the staircase string of k ones,
 after which the staircase converters can re-encode the distribution as
 one-hot or binary. The amplitudes are exact at every stage.
+
+The pipeline is emitted in place: the Y rotations and the inverse Dicke
+unitary are built once, on the physical qubits of the final register, with
+the converter's gates appended, and checked once as one circuit.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, ccry, cnot, compose, cry, inverse, remap, ry, x
+from .circuit import Circuit, Gate, ccry, cnot, cry, ry, x
 from .converters import (
     ConverterPlan,
     Direction,
@@ -23,6 +27,37 @@ from .converters import (
 from .encodings import EncodingKind
 
 _P_TOL = 1e-12
+
+
+def _scs_gates(n: int, k: int, off: int, invert: bool) -> list[Gate]:
+    """Gates of build_scs(n, k) on qubits off..off+k, or of its inverse.
+
+    Level l rotates qubit k-l by 2*arccos(sqrt(l/n)) between two equal
+    CNOTs, one gate object. The inverse runs the levels backwards and
+    negates each angle, as Gate.inverse does.
+    """
+    top = off + k
+    gates: list[Gate] = []
+    for level in range(k, 0, -1) if invert else range(1, k + 1):
+        angle = 2.0 * math.acos(math.sqrt(level / n))
+        if invert:
+            angle = -angle
+        target = top - level
+        pair = cnot(target, top)
+        if level == 1:
+            rotation = cry(angle, top, target)
+        else:
+            rotation = ccry(angle, top, target + 1, target)
+        gates += (pair, rotation, pair)
+    return gates
+
+
+def _staircase_gates(n: int, theta: float, off: int) -> list[Gate]:
+    """Y rotations by theta, then the inverse Dicke unitary, on qubits off..off+n-1."""
+    gates = [ry(theta, off + q) for q in range(n)]
+    for width in range(2, n + 1):
+        gates += _scs_gates(width, width - 1, off, invert=True)
+    return gates
 
 
 def build_scs(n: int, k: int) -> Circuit:
@@ -38,20 +73,7 @@ def build_scs(n: int, k: int) -> Circuit:
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    gates: list[Gate] = [
-        cnot(k - 1, k),
-        cry(2.0 * math.acos(math.sqrt(1.0 / n)), k, k - 1),
-        cnot(k - 1, k),
-    ]
-    for level in range(2, k + 1):
-        target = k - level
-        angle = 2.0 * math.acos(math.sqrt(level / n))
-        gates += [
-            cnot(target, k),
-            ccry(angle, k, target + 1, target),
-            cnot(target, k),
-        ]
-    return Circuit(k + 1, tuple(gates), label=f"scs_{n}_{k}")
+    return Circuit(k + 1, tuple(_scs_gates(n, k, 0, invert=False)), label=f"scs_{n}_{k}")
 
 
 def build_dicke_unitary(num_qubits: int) -> Circuit:
@@ -62,9 +84,9 @@ def build_dicke_unitary(num_qubits: int) -> Circuit:
     """
     if num_qubits < 2:
         raise ValueError("need at least two qubits")
-    gates = list(build_scs(num_qubits, num_qubits - 1).gates)
-    for width in range(num_qubits - 1, 1, -1):
-        gates += list(build_scs(width, width - 1).gates)
+    gates: list[Gate] = []
+    for width in range(num_qubits, 1, -1):
+        gates += _scs_gates(width, width - 1, 0, invert=False)
     return Circuit(num_qubits, tuple(gates), label=f"dicke_unitary_{num_qubits}")
 
 
@@ -113,37 +135,18 @@ def build_binomial_pipeline(spec: BinomialSpec) -> tuple[Circuit, ConverterPlan]
     the plan's direction is None.
     """
     n = spec.trials
-    staircase = Circuit(
-        n,
-        tuple([ry(spec.theta, q) for q in range(n)])
-        + inverse(build_dicke_unitary(n)).gates,
-        label=f"binomial_staircase_{n}",
-    )
-
     if spec.target is EncodingKind.EDICK:
         plan = ConverterPlan(n + 1, None, n, 0, None)
-        return (
-            Circuit(n, staircase.gates, label=f"binomial_pipeline_{n}_edick"),
-            plan,
-        )
-
-    if spec.target is EncodingKind.ONE_HOT:
-        total = n + 1
-        unfold = build_edick_to_onehot(n + 1)
-        gates = remap(staircase, {q: q for q in range(n)}, total).gates
-        gates += (x(n),) + unfold.gates
-        plan = ConverterPlan(n + 1, None, total, 0, Direction.EDICK_TO_ONEHOT)
-        return (
-            Circuit(total, gates, label=f"binomial_pipeline_{n}_onehot"),
-            plan,
-        )
-
-    if spec.target is EncodingKind.BINARY:
+        converter: tuple[Gate, ...] = ()
+    elif spec.target is EncodingKind.ONE_HOT:
+        plan = ConverterPlan(n + 1, None, n + 1, 0, Direction.EDICK_TO_ONEHOT)
+        converter = (x(n),) + build_edick_to_onehot(n + 1).gates
+    elif spec.target is EncodingKind.BINARY:
         compress, plan = build_edick_to_binary(n + 1, spec.method)
-        total = plan.total_qubits
-        anc = plan.ancilla
-        widened = remap(staircase, {q: anc + q for q in range(n)}, total)
-        circuit = compose(widened, compress, label=f"binomial_pipeline_{n}_binary")
-        return circuit, plan
-
-    raise ValueError(f"unsupported target {spec.target!r}")
+        converter = compress.gates
+    else:
+        raise ValueError(f"unsupported target {spec.target!r}")
+    gates = _staircase_gates(n, spec.theta, plan.ancilla)
+    gates += converter
+    label = f"binomial_pipeline_{n}_{spec.target.value}"
+    return Circuit(plan.total_qubits, tuple(gates), label=label), plan

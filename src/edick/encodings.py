@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .statevector import Statevector
+from .statevector import Statevector, _check_width
 
 _NORM_TOL = 1e-10
 _STRAY_TOL = 1e-9
@@ -121,8 +121,10 @@ def build_state(
     """Place amplitudes at the encoding's basis positions on `width` qubits.
 
     For `Dicke(k)` the state is fully determined by the weight, so
-    `amplitudes` must be None.
+    `amplitudes` must be None. The width is checked before any amplitude
+    is allocated.
     """
+    _check_width(width)
     if isinstance(kind, Dicke):
         if amplitudes is not None:
             raise ValueError("Dicke states take no amplitude vector")

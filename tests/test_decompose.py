@@ -19,6 +19,7 @@ from edick import (
     h,
     mcx,
     run,
+    ry,
     toffoli,
     x,
 )
@@ -115,6 +116,34 @@ def test_lowering_keeps_the_sign_of_zero_angles() -> None:
     assert gates[0] == gates[1] and gates[2] == gates[3]
     expected = Circuit(3, tuple(g for gate in gates for g in decompose_gate(gate)))
     assert emit_text(decompose_to_basis(Circuit(3, gates))) == emit_text(expected)
+
+
+def _cry_by_gates(theta: float, c: int, t: int) -> list:
+    half = theta / 2.0
+    return [ry(half, t), cnot(c, t), ry(-half, t), cnot(c, t)]
+
+
+def _ccry_by_gates(theta: float, c0: int, c1: int, t: int) -> list:
+    half = theta / 2.0
+    return (
+        _cry_by_gates(half, c1, t) + [cnot(c0, c1)]
+        + _cry_by_gates(-half, c1, t) + [cnot(c0, c1)]
+        + _cry_by_gates(half, c0, t)
+    )
+
+
+def _exact(gates) -> list:
+    return [(g.kind, g.target, g.controls, None if g.angle is None else g.angle.hex()) for g in gates]
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 0.7, -2.9])
+def test_shared_template_rotations_match_the_gate_by_gate_expansion(theta: float) -> None:
+    # The CRY and CCRY templates reuse one RY object per value and sign of zero.
+    assert _exact(decompose_gate(cry(theta, 0, 1))) == _exact(_cry_by_gates(theta, 0, 1))
+    expected = _ccry_by_gates(theta, 2, 0, 1)
+    assert _exact(decompose_gate(ccry(theta, 2, 0, 1))) == _exact(expected)
+    lowered = decompose_to_basis(Circuit(3, (ccry(theta, 2, 0, 1), cry(theta, 0, 1))))
+    assert _exact(lowered.gates) == _exact(expected + _cry_by_gates(theta, 0, 1))
 
 
 def test_repeated_gates_lower_like_their_first_copy() -> None:

@@ -154,3 +154,16 @@ def test_save_load_complex_vectors(tmp_path) -> None:
     assert "," in path.read_text()
     back = load_amplitudes(path)
     assert all(abs(x - y) < 1e-15 for x, y in zip(back.alphas, vector.alphas))
+
+
+@pytest.mark.parametrize("width", (25, 40, 64))
+@pytest.mark.parametrize("kind", [*EncodingKind, Dicke(2)], ids=str)
+def test_build_state_refuses_wide_registers_before_allocating(kind, width: int, monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated or enumerated before the width check")
+
+    monkeypatch.setattr("edick.encodings.np.zeros", refuse)
+    monkeypatch.setattr("edick.encodings.combinations", refuse)
+    amplitudes = None if isinstance(kind, Dicke) else AmplitudeVector((0.6, 0.8))
+    with pytest.raises(ValueError, match="register width"):
+        build_state(kind, amplitudes, width)
