@@ -141,7 +141,7 @@ def run_sweep(
     """
     for subject in subjects:
         if subject not in SWEEP_SUBJECTS:
-            raise ValueError(f"unknown sweep subject {subject!r}")
+            raise ValueError(f"unknown sweep subject {subject!r}; choose from {SWEEP_SUBJECTS}")
     rows = []
     for num_levels in level_counts:
         for subject in subjects:

@@ -11,51 +11,31 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .analysis import SWEEP_SUBJECTS, rows_to_csv, run_sweep
 from .circuit import GateKind, Granularity
-from .converters import Direction, EvenMethod, build_cnot_stair, build_converter
+from .converters import Direction, EvenMethod, build_converter
 from .decompose import decompose_to_basis
 from .dicke import BinomialSpec, build_binomial_pipeline
-from .encodings import EncodingKind, level_to_basis, random_vector
+from .encodings import EncodingKind, random_vector
 from .qasm import emit_text
-from .statevector import Statevector, basis_state, fidelity, run, zero_state
+from .statevector import Statevector, _check_width, basis_state, fidelity, run, zero_state
 
 _FIDELITY_TOL = 1e-9
 
-_DIRECTION_CHOICES = [d.value for d in Direction] + ["cnot-stair"]
+_DIRECTION_CHOICES = [d.value for d in Direction]
 _METHOD_CHOICES = [m.value for m in EvenMethod]
 
 _NEEDS_LOWERING = {GateKind.CRY, GateKind.CCRY, GateKind.MCX}
 
 
 def _resolve(direction: str, num_levels: int, method: EvenMethod):
-    """Circuit plus the level -> basis-index maps of its input and output."""
-    if direction == "cnot-stair":
-        circuit = build_cnot_stair(num_levels)
-        total = num_levels
-    else:
-        circuit, plan = build_converter(Direction(direction), num_levels, method)
-        total = plan.total_qubits
-
-    stair_in = lambda i: (1 << (i + 1)) - 1  # staircase joined with the |1> flag
-    edick_in = lambda i: (1 << i) - 1
-    onehot = lambda i: 1 << i
-    binary = lambda i: i
-    flagged_binary = lambda i: (i << 1) | 1  # binary register left of the flag
-
-    maps = {
-        "edick-to-onehot": (stair_in, onehot),
-        "cnot-stair": (stair_in, onehot),
-        "edick-to-binary": (edick_in, binary),
-        "onehot-to-binary": (onehot, flagged_binary),
-        "binary-to-onehot": (flagged_binary, onehot),
-    }
-    level_in, level_out = maps[direction]
-    return circuit, total, level_in, level_out
+    """Circuit, register width and the level -> basis-index maps of its input and output."""
+    circuit, plan = build_converter(Direction(direction), num_levels, method)
+    return circuit, plan.total_qubits, plan.input_index, plan.output_index
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -69,15 +49,18 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 0:
         raise ValueError("--trials must be non-negative")
+    _check_width(args.n - 1)  # every direction needs at least n - 1 qubits
     circuit, total, level_in, level_out = _resolve(
         args.direction, args.n, EvenMethod(args.method)
     )
+    inputs = [level_in(level) for level in range(args.n)]
+    outputs = [level_out(level) for level in range(args.n)]
     rng = np.random.default_rng(args.seed)
     worst, worst_label = 2.0, ""
 
-    for level in range(args.n):
-        output = run(basis_state(total, level_in(level)), circuit)
-        value = float(abs(output.amplitudes[level_out(level)]))
+    for level, (index_in, index_out) in enumerate(zip(inputs, outputs)):
+        output = run(basis_state(total, index_in), circuit)
+        value = float(abs(output.amplitudes[index_out]))
         if value < worst:
             worst, worst_label = value, f"level {level}"
 
@@ -86,10 +69,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     source = np.zeros(1 << total, dtype=np.complex128)
     expected = np.zeros(1 << total, dtype=np.complex128)
     for trial in range(args.trials):
-        vector = random_vector(args.n, rng)
-        for level, alpha in enumerate(vector.alphas):
-            source[level_in(level)] = alpha
-            expected[level_out(level)] = alpha
+        alphas = random_vector(args.n, rng).alphas
+        source[inputs] = alphas
+        expected[outputs] = alphas
         output = run(Statevector(total, source), circuit)
         value = float(fidelity(output, Statevector(total, expected)))
         if value < worst:
@@ -107,9 +89,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     subjects = [s.strip() for s in args.methods.split(",") if s.strip()]
-    for subject in subjects:
-        if subject not in SWEEP_SUBJECTS:
-            raise ValueError(f"unknown method {subject!r}; choose from {SWEEP_SUBJECTS}")
     if not 2 <= args.n_min <= args.n_max:
         raise ValueError("need 2 <= n-min <= n-max")
     granularity = (
@@ -128,13 +107,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_prepare_binomial(args: argparse.Namespace) -> int:
     target = EncodingKind(args.target)
     spec = BinomialSpec.from_probability(args.n, args.p, target, EvenMethod(args.method))
-    circuit, _ = build_binomial_pipeline(spec)
+    _check_width(args.n)  # every target needs at least n qubits
+    circuit, plan = build_binomial_pipeline(spec)
     state = run(zero_state(circuit.num_qubits), circuit)
 
     lines = ["level,probability,pmf,abs_error"]
     for k in range(args.n + 1):
-        index = level_to_basis(target, k, circuit.num_qubits)
-        probability = float(abs(state.amplitudes[index]) ** 2)
+        probability = float(abs(state.amplitudes[plan.output_index(k)]) ** 2)
         pmf = math.comb(args.n, k) * args.p**k * (1.0 - args.p) ** (args.n - k)
         lines.append(f"{k},{probability!r},{pmf!r},{abs(probability - pmf)!r}")
     _write("\n".join(lines) + "\n", args.out)

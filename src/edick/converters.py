@@ -26,6 +26,7 @@ from enum import Enum
 
 from .circuit import Circuit, Gate, cnot, cphase, h, mcx, phase, toffoli, x
 from .circuit import _derived, inverse
+from .encodings import EncodingKind, level_to_basis
 
 
 class EvenMethod(Enum):
@@ -49,6 +50,22 @@ class Direction(Enum):
     EDICK_TO_BINARY = "edick-to-binary"
     ONEHOT_TO_BINARY = "onehot-to-binary"
     BINARY_TO_ONEHOT = "binary-to-onehot"
+    CNOT_STAIR = "cnot-stair"  # quadratic baseline of edick-to-onehot
+
+
+# Where each end of a converter keeps level i: an encoding, plus 1 when a |1>
+# flag qubit sits at the far right. The unfolding reads the staircase joined
+# with that flag, (2 << i) - 1; one-hot <-> binary keeps the binary register left
+# of it, (i << 1) | 1. No direction (the edick-target binomial plan) is edick to edick.
+_EDICK, _ONEHOT, _BINARY = EncodingKind.EDICK, EncodingKind.ONE_HOT, EncodingKind.BINARY
+_LAYOUTS = {
+    Direction.EDICK_TO_ONEHOT: ((_EDICK, 1), (_ONEHOT, 0)),
+    Direction.EDICK_TO_BINARY: ((_EDICK, 0), (_BINARY, 0)),
+    Direction.ONEHOT_TO_BINARY: ((_ONEHOT, 0), (_BINARY, 1)),
+    Direction.BINARY_TO_ONEHOT: ((_BINARY, 1), (_ONEHOT, 0)),
+    Direction.CNOT_STAIR: ((_EDICK, 1), (_ONEHOT, 0)),
+    None: ((_EDICK, 0), (_EDICK, 0)),
+}
 
 
 @dataclass(frozen=True)
@@ -74,6 +91,17 @@ class ConverterPlan:
             raise ValueError("empty register")
         if not 0 <= self.ancilla <= self.total_qubits:
             raise ValueError("ancilla count out of range")
+
+    def input_index(self, level: int) -> int:
+        return self._index(level, *_LAYOUTS[self.direction][0])
+
+    def output_index(self, level: int) -> int:
+        return self._index(level, *_LAYOUTS[self.direction][1])
+
+    def _index(self, level: int, kind: EncodingKind, flag: int) -> int:
+        if not 0 <= level < self.num_levels:
+            raise ValueError(f"level {level} outside 0..{self.num_levels - 1}")
+        return (level_to_basis(kind, level, self.total_qubits - flag) << flag) | flag
 
 
 def binary_width(num_levels: int) -> int:
@@ -367,11 +395,10 @@ def build_converter(
     num_levels: int,
     method: EvenMethod = EvenMethod.EXPAND_TO_POW2,
 ) -> tuple[Circuit, ConverterPlan]:
-    """Uniform entry point over all four conversion directions."""
-    if direction is Direction.EDICK_TO_ONEHOT:
-        circuit = build_edick_to_onehot(num_levels)
-        plan = ConverterPlan(num_levels, None, num_levels, 0, direction)
-        return circuit, plan
+    """Uniform entry point over every direction, the cnot-stair baseline included."""
+    if direction is Direction.EDICK_TO_ONEHOT or direction is Direction.CNOT_STAIR:
+        unfold = build_cnot_stair if direction is Direction.CNOT_STAIR else build_edick_to_onehot
+        return unfold(num_levels), ConverterPlan(num_levels, None, num_levels, 0, direction)
     if direction is Direction.EDICK_TO_BINARY:
         return build_edick_to_binary(num_levels, method)
     if direction is Direction.ONEHOT_TO_BINARY:

@@ -87,15 +87,7 @@ def _mcx_basis(controls: tuple[int, ...], t: int, cx: _Cnots) -> list[Gate]:
         return [cx[controls[0], t]]
     if len(controls) == 2:
         return _toffoli_basis(controls[0], controls[1], t, cx)
-    body, last = controls[:-1], controls[-1]
-    inner = _mcx_basis(body, last, cx)
-    return (
-        _cxpow_basis(0.5, last, t, cx)
-        + inner
-        + _cxpow_basis(-0.5, last, t, cx)
-        + inner
-        + _mcxpow_basis(0.5, body, t, cx)
-    )
+    return _mcxpow_basis(1.0, controls, t, cx)
 
 
 def _mcxpow_basis(s: float, controls: tuple[int, ...], t: int, cx: _Cnots) -> list[Gate]:

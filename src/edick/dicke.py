@@ -17,13 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, ccry, cnot, cry, ry, x
-from .converters import (
-    ConverterPlan,
-    Direction,
-    EvenMethod,
-    build_edick_to_binary,
-    build_edick_to_onehot,
-)
+from .converters import ConverterPlan, Direction, EvenMethod, build_converter
 from .encodings import EncodingKind
 
 _P_TOL = 1e-12
@@ -139,10 +133,10 @@ def build_binomial_pipeline(spec: BinomialSpec) -> tuple[Circuit, ConverterPlan]
         plan = ConverterPlan(n + 1, None, n, 0, None)
         converter: tuple[Gate, ...] = ()
     elif spec.target is EncodingKind.ONE_HOT:
-        plan = ConverterPlan(n + 1, None, n + 1, 0, Direction.EDICK_TO_ONEHOT)
-        converter = (x(n),) + build_edick_to_onehot(n + 1).gates
+        unfold, plan = build_converter(Direction.EDICK_TO_ONEHOT, n + 1)
+        converter = (x(n),) + unfold.gates
     elif spec.target is EncodingKind.BINARY:
-        compress, plan = build_edick_to_binary(n + 1, spec.method)
+        compress, plan = build_converter(Direction.EDICK_TO_BINARY, n + 1, spec.method)
         converter = compress.gates
     else:
         raise ValueError(f"unsupported target {spec.target!r}")

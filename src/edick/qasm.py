@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit, Gate, GateKind, _derived
 
 _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -124,6 +124,8 @@ def parse_text(text: str) -> Circuit:
     if qreg is None:
         raise ValueError(f"line {pos + 1}: expected qreg declaration, got {line!r}")
     num_qubits = int(qreg.group(1))
+    if num_qubits < 1:
+        raise ValueError(f"line {pos + 1}: a circuit needs at least one qubit")
 
     body = lines[pos + 1 :]
     # Distinct lines in order of first occurrence, so a bad line raises where it first appears.
@@ -136,4 +138,4 @@ def parse_text(text: str) -> Circuit:
             except ValueError as exc:
                 raise ValueError(f"line {pos + 2 + body.index(raw)}: {exc}") from exc
     gates = [gate for gate in map(parsed.__getitem__, body) if gate is not None]
-    return Circuit(num_qubits, tuple(gates))
+    return _derived(num_qubits, tuple(gates), "")

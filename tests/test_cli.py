@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import edick.cli
 from edick import parse_text
 from edick.cli import main
 
@@ -165,3 +166,30 @@ def test_verify_rejects_registers_above_the_simulation_cap(capsys) -> None:
     # 45 levels need a 49-qubit register, 8 PiB of amplitudes: far past any allocation.
     assert main(["verify", "--direction", "edick-to-binary", "--n", "45"]) == 2
     assert "register width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--direction", "cnot-stair", "--n", "4000"],
+        ["verify", "--direction", "edick-to-binary", "--n", "26", "--method", "recursion"],
+        ["prepare-binomial", "--n", "1500", "--p", "0.3"],
+        ["prepare-binomial", "--n", "25", "--p", "0.3", "--target", "binary"],
+    ],
+)
+def test_too_wide_registers_are_refused_before_anything_is_built(
+    argv: list[str], capsys, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a circuit for a register that cannot be simulated")
+
+    monkeypatch.setattr(edick.cli, "build_converter", refuse)
+    monkeypatch.setattr(edick.cli, "build_binomial_pipeline", refuse)
+    assert main(argv) == 2
+    assert "register width" in capsys.readouterr().err
+
+
+def test_sweep_names_the_known_subjects_for_an_unknown_one(capsys) -> None:
+    assert main(["sweep", "--n-min", "3", "--n-max", "4", "--methods", "onehot,qft"]) == 2
+    err = capsys.readouterr().err
+    assert "'qft'" in err and "choose from" in err and "cnot-stair" in err

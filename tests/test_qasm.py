@@ -98,8 +98,21 @@ def test_parse_rejects_malformed_programs() -> None:
 
 def test_parse_rejects_out_of_register_operands() -> None:
     text = "OPENQASM 2.0;\n" 'include "qelib1.inc";\n' "qreg q[1];\n" "x q[1];\n"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^line 4: .*register width 1"):
         parse_text(text)
+    text = (
+        "OPENQASM 2.0;\n" 'include "qelib1.inc";\n' "qreg q[3];\n"
+        "h q[2];\n" "ccx q[0],q[1],q[3];\n"
+    )
+    with pytest.raises(ValueError, match=r"^line 5: .*register width 3"):
+        parse_text(text)
+
+
+def test_parse_rejects_an_empty_register() -> None:
+    with pytest.raises(ValueError, match=r"^line 3: .*at least one qubit"):
+        parse_text("OPENQASM 2.0;\n" 'include "qelib1.inc";\n' "qreg q[0];\n")
+    with pytest.raises(ValueError, match=r"^line 3: .*at least one qubit"):
+        parse_text("OPENQASM 2.0;\n" 'include "qelib1.inc";\n' "qreg q[0];\n" "x q[0];\n")
 
 
 _PREFIX = "OPENQASM 2.0;\n" 'include "qelib1.inc";\n' "qreg q[2];\n"
