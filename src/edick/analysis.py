@@ -19,13 +19,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .circuit import Circuit, Granularity, cost
-from .converters import (
-    EvenMethod,
-    binary_width,
-    build_cnot_stair,
-    build_edick_to_binary,
-    build_edick_to_onehot,
-)
+from .converters import Direction, EvenMethod, binary_width, build_converter
 
 SWEEP_CSV_HEADER = (
     "N,method,depth_logical,depth_basis,size_logical,size_basis,ancilla,build_time_ms"
@@ -118,12 +112,14 @@ def edick_to_onehot_size(num_levels: int) -> int:
     return edick_to_onehot_size(num_levels - 1) + 1
 
 
+# Sweep subjects that are a direction of their own; the rest are methods of edick-to-binary.
+_SUBJECT_DIRECTIONS = {"onehot": Direction.EDICK_TO_ONEHOT, "cnot-stair": Direction.CNOT_STAIR}
+
+
 def _build_subject(subject: str, num_levels: int) -> tuple[Circuit, int]:
-    if subject == "onehot":
-        return build_edick_to_onehot(num_levels), 0
-    if subject == "cnot-stair":
-        return build_cnot_stair(num_levels), 0
-    circuit, plan = build_edick_to_binary(num_levels, EvenMethod(subject))
+    direction = _SUBJECT_DIRECTIONS.get(subject, Direction.EDICK_TO_BINARY)
+    method = EvenMethod.EXPAND_TO_POW2 if subject in _SUBJECT_DIRECTIONS else EvenMethod(subject)
+    circuit, plan = build_converter(direction, num_levels, method)
     return circuit, plan.ancilla
 
 

@@ -1,29 +1,30 @@
-"""Dense statevector simulation of the gate set.
+"""Statevector simulation of the gate set.
 
 Amplitudes are complex128 over basis index sum(b_q * 2**(n-1-q)), matching the
 circuit convention (qubit 0 is the leftmost ket position).  Purely classical
-permutation gates (X, CNOT, Toffoli, MCX) are applied as index moves, never as
+permutation gates (X, CNOT, Toffoli, MCX) only move amplitudes, never do
 matrix arithmetic, so they are float-exact.
 
-When `run` gets the circuit object it ran last (a verifier runs one circuit on
-input after input), it builds a fused plan once and reuses it: each run of two
-or more consecutive permutation gates, applied to arange(2**n), becomes one
-index array, applied as a single gather that only moves values, so bit-exact.
-
-Arithmetic gates (H, RY, PHASE and their controlled forms) act only on the
-amplitude pairs that can be nonzero while that support is small next to 2**n:
-the pairs are gathered into a block, the same kernel runs on the block, and
-the block is scattered back, so amplitudes are bit-identical to dense
-simulation. A verifier's inputs hold N of 2**n amplitudes; a state that
-spreads past the cutoff is simulated densely from there on.
+`run_batch` simulates many states in one pass over a circuit, and `run` is its
+one-state case. A batch is held as the rows of its union support: the basis
+indices that may be nonzero in any of its states, and an (S, B) block of their
+amplitudes, one column per state. A permutation gate rewrites the indices with
+bit operations. An arithmetic gate (H, RY, PHASE and their controlled forms)
+gathers the (G, B) blocks of the pairs it meets, adding zero rows for partners
+outside the union, and applies the dense kernel's elementwise formulas, so every
+amplitude is bit-identical to dense simulation. A verifier's inputs share N of
+2**n indices. Once the union is too wide for this to pay, each state goes on
+densely; in a chunk of several states, every run of consecutive permutation
+gates is then fused into one gather.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -33,14 +34,14 @@ _NORM_TOL = 1e-10
 _MAX_QUBITS = 24  # dense float64 memory wall; acceptance needs no more than 17
 _PERMUTATIONS = (GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.MCX)
 _DIAGONAL = (GateKind.PHASE, GateKind.CPHASE)
-_UNCONTROLLED = {
-    GateKind.CRY: GateKind.RY,
-    GateKind.CCRY: GateKind.RY,
-    GateKind.CPHASE: GateKind.PHASE,
-}
-# Fixed numpy cost of one support-restricted step, in amplitudes of a dense
-# pass, from per-gate timings at 13-17 qubits; see `_restricts`.
-_RESTRICT_OVERHEAD = 8192
+_ROTATIONS = (GateKind.RY, GateKind.CRY, GateKind.CCRY)
+_CHUNK = 64  # states in one block, so its memory does not grow with the batch
+# Costs of a sparse step in dense-pass amplitudes, from per-step timings at
+# 12-16 qubits and 1-36 states; see `_sparse_pays`.
+_SPARSE_ROW = 3
+_SPARSE_STEP = 2048
+_BLOCK_MAX = 1 << 19  # amplitudes: 8 MiB
+_PIECE = 1 << 15  # amplitudes of a block that one gather of pairs may hold
 
 
 def _check_width(num_qubits: int) -> None:
@@ -64,7 +65,7 @@ class Statevector:
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         if amps.shape != (2**self.num_qubits,):
             raise ValueError("amplitude count must be 2**num_qubits")
-        if _norm_drift(amps) > _NORM_TOL:
+        if not _norm_drift(amps) <= _NORM_TOL:  # NaN fails too
             raise ValueError("statevector must be normalized to 1 within 1e-10")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -75,6 +76,8 @@ def zero_state(num_qubits: int) -> Statevector:
 
 def basis_state(num_qubits: int, index: int) -> Statevector:
     _check_width(num_qubits)
+    if isinstance(index, bool) or not isinstance(index, numbers.Integral):
+        raise ValueError(f"basis index must be an integer, not {index!r}")
     if not 0 <= index < 2**num_qubits:
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     amps = np.zeros(2**num_qubits, dtype=np.complex128)
@@ -101,28 +104,30 @@ def _apply_inplace(tensor: np.ndarray, gate: Gate, num_qubits: int) -> None:
     hi[axis] = 1
     sl0, sl1 = tuple(lo), tuple(hi)
 
-    kind = gate.kind
-    if kind in _PERMUTATIONS:
+    if gate.kind in _PERMUTATIONS:
         swap = view[sl0].copy()
         view[sl0] = view[sl1]
         view[sl1] = swap
-    elif kind is GateKind.H:
-        a = view[sl0].copy()
-        b = view[sl1].copy()
+        return
+    new_a, new_b = _mixed(gate.kind, gate.angle, view[sl0], view[sl1])
+    if gate.kind not in _DIAGONAL:
+        view[sl0] = new_a
+    view[sl1] = new_b
+
+
+def _mixed(kind: GateKind, angle: float | None, a, b):
+    """New (target 0, target 1) amplitudes of an arithmetic gate's pairs, elementwise.
+
+    A diagonal gate returns `a` itself, which it leaves alone.
+    """
+    if kind is GateKind.H:
         r = 1.0 / math.sqrt(2.0)
-        view[sl0] = (a + b) * r
-        view[sl1] = (a - b) * r
-    elif kind in (GateKind.RY, GateKind.CRY, GateKind.CCRY):
-        c = math.cos(gate.angle / 2.0)
-        s = math.sin(gate.angle / 2.0)
-        a = view[sl0].copy()
-        b = view[sl1].copy()
-        view[sl0] = c * a - s * b
-        view[sl1] = s * a + c * b
-    elif kind in (GateKind.PHASE, GateKind.CPHASE):
-        view[sl1] = view[sl1] * complex(math.cos(gate.angle), math.sin(gate.angle))
-    else:  # pragma: no cover - the enum is closed
-        raise ValueError(f"unsupported gate kind {kind}")
+        return (a + b) * r, (a - b) * r
+    if kind in _ROTATIONS:
+        c = math.cos(angle / 2.0)
+        s = math.sin(angle / 2.0)
+        return c * a - s * b, s * a + c * b
+    return a, b * complex(math.cos(angle), math.sin(angle))
 
 
 def apply(state: Statevector, gate: Gate) -> Statevector:
@@ -134,12 +139,11 @@ def apply(state: Statevector, gate: Gate) -> Statevector:
     return Statevector(state.num_qubits, amps)
 
 
-# The circuit `run` saw last (held, so its id is not reused) and, once seen again, its plan.
-_last: tuple[Circuit | None, list | None] = (None, None)
-
-
-def _fuse(circuit: Circuit) -> list[tuple[object, Gate | np.ndarray]]:
-    """(label, step) pairs: a lone gate, or the index array of a permutation run."""
+def _plan(circuit: Circuit, fuse: bool) -> list[tuple[int, object, Gate | np.ndarray]]:
+    """The dense path as (first gate, label, step): a lone gate or, with `fuse`,
+    the index array of a run of two or more permutation gates."""
+    if not fuse:
+        return [(k, gate, gate) for k, gate in enumerate(circuit.gates)]
     n, plan, start = circuit.num_qubits, [], 0
     for permutes, group in groupby(circuit.gates, lambda g: g.kind in _PERMUTATIONS):
         gates = list(group)
@@ -147,107 +151,161 @@ def _fuse(circuit: Circuit) -> list[tuple[object, Gate | np.ndarray]]:
             index = np.arange(2**n, dtype=np.int32)
             for gate in gates:
                 _apply_inplace(index.reshape([2] * n), gate, n)
-            plan.append((f"the gather of gates {start}..{start + len(gates) - 1}", index))
+            plan.append((start, f"the gather of gates {start}..{start + len(gates) - 1}", index))
         else:
-            plan.extend(zip(gates, gates))
+            plan.extend((start + i, gate, gate) for i, gate in enumerate(gates))
         start += len(gates)
     return plan
 
 
-def _steps(circuit: Circuit) -> Iterable[tuple[object, Gate | np.ndarray]]:
-    global _last
-    seen, plan = _last
-    if seen is not circuit:
-        _last = (circuit, None)
-        return zip(circuit.gates, circuit.gates)
-    plan = _fuse(circuit) if plan is None else plan
-    _last = (circuit, plan)
-    return plan
+def _sparse_pays(rows: int, states: int, size: int) -> bool:
+    """Whether an arithmetic step on `rows` union rows of `states` states beats dense passes.
 
-
-def _restricts(support: int, size: int) -> bool:
-    """Whether a step restricted to `support` of `size` amplitudes beats a dense pass.
-
-    A restricted amplitude costs about eight dense ones, plus the fixed overhead.
+    In amplitudes of a dense pass, a union row costs about one per state and
+    `_SPARSE_ROW` for its index, and the step about `_SPARSE_STEP` more; the
+    block also stays within `_BLOCK_MAX` amplitudes.
     """
-    return 8 * support + _RESTRICT_OVERHEAD < size
+    return (
+        rows * (states + _SPARSE_ROW) + _SPARSE_STEP < states * size
+        and rows * states <= _BLOCK_MAX
+    )
 
 
-def _apply_on_support(
-    amps: np.ndarray, gate: Gate, num_qubits: int, support: np.ndarray, mark: np.ndarray
-) -> np.ndarray:
-    """Apply an arithmetic gate to the pairs that meet `support`; return the new support.
+def _support(state: Statevector, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the nonzero amplitudes of `state`, and those amplitudes."""
+    if state.num_qubits != num_qubits:
+        raise ValueError(f"circuit width {num_qubits} does not match state width {state.num_qubits}")
+    amps = state.amplitudes
+    # An amplitude is nonzero when either of its two bytes of flags is.
+    index = np.flatnonzero((amps.view(np.float64) != 0).view(np.uint16))
+    return index, amps[index]
 
-    `support` holds every index whose amplitude may be nonzero; `mark` is an
-    all-False array of 2**n flags, which is left all False again.
+
+def _chunks(states: Iterable[Statevector], num_qubits: int) -> Iterator[list]:
+    """The supports of `states`, up to `_CHUNK` states or `_BLOCK_MAX` amplitudes at a time."""
+    chunk, held = [], 0
+    for state in states:
+        chunk.append(_support(state, num_qubits))
+        held += chunk[-1][0].size
+        if len(chunk) == _CHUNK or held >= _BLOCK_MAX:
+            yield chunk
+            chunk, held = [], 0
+    if chunk:
+        yield chunk
+
+
+def _check(drift: float, label: object) -> None:
+    if not drift <= _NORM_TOL:  # NaN fails too
+        raise AssertionError(f"norm drifted past 1e-10 after {label}")
+
+
+def _sparse(chunk: list, circuit: Circuit):
+    """Walk one chunk through the circuit as far as the sparse steps pay.
+
+    Returns the union's indices, the block of its amplitudes (a column per
+    state) and the first gate left for the dense path, or None.
     """
-    bit = 1 << (num_qubits - 1 - gate.target)
-    controls = sum(1 << (num_qubits - 1 - c) for c in gate.controls)
-    active = (support & controls) == controls if controls else None
-    selected = support if active is None else support[active]
-    high = (selected & bit) != 0
-    keys = selected[high] ^ bit  # the target-0 index of each pair; a phase acts on no other
-    if gate.kind not in _DIAGONAL:
-        # A pair is met once or twice; add the pairs met only by their target-0 member.
-        low = selected[~high]
-        mark[keys] = True
-        keys = np.concatenate((keys, low[~mark[low]]))
-        mark[keys] = False
-    pairs = np.empty((2, keys.size), dtype=keys.dtype)
-    pairs[0] = keys
-    np.bitwise_or(keys, bit, out=pairs[1])
-    block = amps[pairs]
-    kind = _UNCONTROLLED.get(gate.kind, gate.kind)
-    _apply_inplace(block, Gate(kind, 0, angle=gate.angle), 1)
-    amps[pairs] = block
-    if gate.kind in _DIAGONAL:
-        return support
-    if active is None:
-        return pairs.ravel()
-    return np.concatenate((support[~active], pairs.ravel()))
+    n, count, size = circuit.num_qubits, len(chunk), 1 << circuit.num_qubits
+    idx = chunk[0][0] if count == 1 else np.unique(np.concatenate([i for i, _ in chunk]))
+    rows = idx.size
+    pos = np.full(size, -1, dtype=np.int32)  # the row of each index, or -1
+    pos[idx] = np.arange(rows, dtype=np.int32)
+    synced = idx  # the indices `pos` holds
+    block = np.zeros((2 * rows, count), np.complex128)
+    for j, (index, values) in enumerate(chunk):
+        block[pos[index], j] = values
+    for k, gate in enumerate(circuit.gates):
+        kind, bit = gate.kind, 1 << (n - 1 - gate.target)
+        cmask = sum(1 << (n - 1 - c) for c in gate.controls)
+        if kind in _PERMUTATIONS:  # moves indices, not amplitudes: the norms stay
+            idx = idx ^ bit if not cmask else np.where((idx & cmask) == cmask, idx ^ bit, idx)
+            continue
+        if not _sparse_pays(rows, count, size):
+            return idx, block[:rows], k
+        if idx is not synced:
+            pos[synced] = -1
+            pos[idx] = np.arange(rows, dtype=np.int32)
+            synced = idx
+        if kind in _DIAGONAL:
+            hit = np.flatnonzero((idx & (cmask | bit)) == cmask | bit)
+            block[hit] = _mixed(kind, gate.angle, None, block[hit])[1]
+        else:
+            own = np.flatnonzero((idx & cmask) == cmask) if cmask else np.arange(rows)
+            sub = idx[own] if cmask else idx
+            high = (sub & bit) != 0
+            partner = pos[sub ^ bit]
+            missing = partner < 0
+            added = np.count_nonzero(missing)
+            if added:  # zero rows for the partners outside the union
+                joined = sub[missing] ^ bit
+                partner[missing] = pos[joined] = np.arange(rows, rows + added, dtype=np.int32)
+                idx = synced = np.concatenate((idx, joined))
+                if rows + added > len(block):
+                    room = (rows + 2 * added, count)  # twice the rows in use after the step
+                    block = np.concatenate((block[:rows], np.zeros(room, np.complex128)))
+                rows += added
+            # Each pair once: from its target-0 row, or from a target-1 row just given one.
+            keep = ~high | missing
+            low = np.where(high, partner, own)[keep]
+            up = np.where(high, own, partner)[keep]
+            piece = max(1, _PIECE // count)  # pairs at a time, bounding the temporaries
+            for p in range(0, low.size, piece):
+                lo, hi = low[p : p + piece], up[p : p + piece]
+                block[lo], block[hi] = _mixed(kind, gate.angle, block[lo], block[hi])
+        f = block[:rows].view(np.float64)
+        norms = np.einsum("ij,ij->j", f, f).reshape(count, 2).sum(1)
+        _check(np.max(np.abs(np.sqrt(norms) - 1.0)), gate)  # NaN propagates
+    return idx, block[:rows], None
 
 
-def _arithmetic(step: tuple[object, Gate | np.ndarray]) -> bool:
-    return isinstance(step[1], Gate) and step[1].kind not in _PERMUTATIONS
+def _dense(amps: np.ndarray, plan: list, num_qubits: int) -> Statevector:
+    """Run `plan` steps on one dense state, checking its norm after each."""
+    tensor, spare = amps.reshape([2] * num_qubits), None
+    for _, label, step in plan:
+        if isinstance(step, Gate):
+            _apply_inplace(tensor, step, num_qubits)
+        else:  # indices are in range; "clip" writes `out` without a buffered copy
+            spare = np.empty_like(amps) if spare is None else spare
+            amps, spare = np.take(amps, step, out=spare, mode="clip"), amps
+            tensor = amps.reshape([2] * num_qubits)
+        _check(_norm_drift(amps), label)
+    return Statevector(num_qubits, amps)
+
+
+def run_batch(states: Iterable[Statevector], circuit: Circuit) -> Iterator[Statevector]:
+    """Yield `run(state, circuit)` for each state, in order, from one pass over the circuit.
+
+    States are taken in chunks of at most `_CHUNK`, and each is read when it
+    is taken, so a caller may refill one amplitude buffer between states. A
+    chunk is held as the rows of its union support (see the module docstring)
+    while the arithmetic steps pay (`_sparse_pays`); from the first that does
+    not, each state goes on alone through the dense plan, fused when the chunk
+    holds several states and built once per call. The norm of every state is
+    checked after every step that changes amplitudes; a drift names the gate
+    or gather.
+    """
+    n, size = circuit.num_qubits, 1 << circuit.num_qubits
+    plans: dict[bool, list] = {}
+    for chunk in _chunks(states, n):
+        idx, block, dense_from = _sparse(chunk, circuit)
+        if dense_from is not None:
+            fuse = block.shape[1] > 1  # a gather repays building its index over several states
+            plans[fuse] = plans.get(fuse) or _plan(circuit, fuse)
+            rest = [step for step in plans[fuse] if step[0] >= dense_from]
+        for j in range(block.shape[1]):
+            amps = np.zeros(size, dtype=np.complex128)
+            amps[idx] = block[:, j]
+            yield Statevector(n, amps) if dense_from is None else _dense(amps, rest, n)
 
 
 def run(state: Statevector, circuit: Circuit) -> Statevector:
-    """Apply a whole circuit, checking norm preservation after every step.
+    """Apply a whole circuit, checking the norm after every step: `run_batch` of one state.
 
-    A step is one gate on the first run of a circuit object, and one gate or
-    one gather of its fused plan on later runs; a drift names the step.
-    An arithmetic gate touches only the pairs that meet the support (the
-    nonzero amplitudes, counted at the start of each run of such gates) while
-    that support is small next to 2**n (see `_restricts`); from the first
-    step that is too wide, every step is dense. The result is bit-identical.
+    A step is one gate, or on the dense path one gather of a fused run of
+    permutation gates; a drift names it. The result is bit-identical to
+    dense gate-by-gate simulation.
     """
-    if circuit.num_qubits != state.num_qubits:
-        raise ValueError(
-            f"circuit width {circuit.num_qubits} does not match state width {state.num_qubits}"
-        )
-    n = state.num_qubits
-    amps = state.amplitudes.copy()
-    spare = np.empty_like(amps)
-    # Once an arithmetic step is too wide to restrict, all later steps are dense:
-    # a count costs a dense pass, and the supports it finds seldom shrink again.
-    dense = not _restricts(0, amps.size)
-    mark = None if dense else np.zeros(amps.size, dtype=bool)
-    for arithmetic, steps in groupby(_steps(circuit), _arithmetic):
-        support = np.flatnonzero(amps) if arithmetic and not dense else None
-        for label, step in steps:
-            if support is not None and _restricts(support.size, amps.size):
-                support = _apply_on_support(amps, step, n, support, mark)
-                drift = _norm_drift(amps[support])
-            else:
-                support, dense = None, dense or arithmetic
-                if isinstance(step, Gate):
-                    _apply_inplace(amps.reshape([2] * n), step, n)
-                else:  # indices are in range; "clip" writes `out` without a buffered copy
-                    amps, spare = np.take(amps, step, out=spare, mode="clip"), amps
-                drift = _norm_drift(amps)
-            if drift > _NORM_TOL:
-                raise AssertionError(f"norm drifted past 1e-10 after {label}")
-    return Statevector(n, amps)
+    return next(run_batch((state,), circuit))
 
 
 def fidelity(a: Statevector, b: Statevector) -> float:

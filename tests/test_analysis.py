@@ -7,12 +7,14 @@ builders or the cost model shows up here first.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
 
 from edick import (
     SWEEP_CSV_HEADER,
+    SWEEP_SUBJECTS,
     EvenMethod,
     Granularity,
     ScalingModel,
@@ -122,6 +124,20 @@ def test_sweep_times_default_to_zero_for_reproducibility() -> None:
     assert rows[0].build_time_ms == 0.0
     timed = run_sweep([5], subjects=("expand-pow2",), measure_time=True)
     assert timed[0].build_time_ms > 0.0
+
+
+# sha256 of the sweep CSV over every subject at N = 2..40, recorded when each
+# subject was still built by its own builder call.
+_SWEEP_DIGESTS = {
+    Granularity.TWO_QUBIT_BASIS: "b5a9422bd6f5f4adf11c557d122ec0196a0bad01ecd7a2eb978f5e21f7dc166c",
+    Granularity.LOGICAL: "0b5fb28459946a80ea6cc0ad0fc682dee266c916e2646b5e658ba8c2bbb43a1e",
+}
+
+
+@pytest.mark.parametrize("granularity", list(_SWEEP_DIGESTS), ids=lambda g: g.name)
+def test_sweep_csv_matches_its_recorded_digest(granularity: Granularity) -> None:
+    text = rows_to_csv(run_sweep(range(2, 41), SWEEP_SUBJECTS, granularity))
+    assert hashlib.sha256(text.encode()).hexdigest() == _SWEEP_DIGESTS[granularity]
 
 
 def test_sweep_rejects_unknown_subjects() -> None:

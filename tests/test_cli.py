@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 import edick.cli
@@ -61,6 +62,17 @@ _GOLDEN_VERIFY = {
     ("onehot-to-binary", 16, "recursion"): ("0.999999999999996", "trial 11"),
     ("edick-to-binary", 14, "expand-n-plus-1"): ("0.9999999999999982", "trial 0"),
     ("onehot-to-binary", 13, "expand-pow2"): ("0.9999999999999959", "trial 5"),
+    # These two spread over much of the register partway through the circuit.
+    ("edick-to-binary", 16, "recursion"): ("0.9999999999999959", "trial 13"),
+    ("edick-to-binary", 16, "expand-n-plus-1"): ("0.9999999999999998", "trial 0"),
+    # Permutation gates only, on 17 qubits.
+    ("edick-to-onehot", 17, "expand-pow2"): ("0.9999999999999997", "trial 0"),
+}
+
+# Basis levels only (--trials 0), recorded like the cases above.
+_GOLDEN_VERIFY_LEVELS = {
+    ("onehot-to-binary", 12, "recursion"): "0.9999999999999986",
+    ("edick-to-binary", 16, "recursion"): "0.9999999999999963",
 }
 
 
@@ -76,6 +88,43 @@ def test_verify_output_is_byte_identical_to_the_recorded_output(case, capsys) ->
         f"worst fidelity {fid} at {where}\n"
         "verify: PASS\n"
     )
+
+
+@pytest.mark.parametrize("case", list(_GOLDEN_VERIFY_LEVELS), ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+def test_verify_without_trials_is_byte_identical_to_the_recorded_output(case, capsys) -> None:
+    direction, n, method = case
+    argv = ["verify", "--direction", direction, "--n", str(n), "--method", method,
+            "--trials", "0", "--seed", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        f"verify direction={direction} n={n} method={method} trials=0 seed=1\n"
+        f"worst fidelity {_GOLDEN_VERIFY_LEVELS[case]} at level 0\n"
+        "verify: PASS\n"
+    )
+
+
+class _Output:
+    """Stands in for a statevector that `run_batch` would never yield: it is not normalized."""
+
+    def __init__(self, amplitudes) -> None:
+        self.amplitudes = amplitudes
+
+
+@pytest.mark.parametrize("bad", [0, 1, 4], ids=["level-0", "level-1", "trial-1"])
+def test_verify_fails_on_a_nan_fidelity(bad: int, monkeypatch, capsys) -> None:
+    real = edick.cli.run_batch
+
+    def with_nan(states, circuit):
+        for k, output in enumerate(real(states, circuit)):
+            yield _Output(np.full_like(output.amplitudes, np.nan)) if k == bad else output
+
+    monkeypatch.setattr(edick.cli, "run_batch", with_nan)
+    argv = ["verify", "--direction", "edick-to-onehot", "--n", "3", "--trials", "2", "--seed", "1"]
+    assert main(argv) == 1
+    where = f"level {bad}" if bad < 3 else f"trial {bad - 3}"
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"worst fidelity nan at {where}", "verify: FAIL"
+    ]
 
 
 def test_sweep_writes_csv(tmp_path) -> None:

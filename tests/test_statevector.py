@@ -53,6 +53,22 @@ def test_state_validation() -> None:
         zero_state(25)  # above the simulation cap
 
 
+@pytest.mark.parametrize("amps", [[math.nan, 0.0], [1.0, math.nan], [complex(math.nan, 0.0), 0.0]])
+def test_nan_amplitudes_are_not_normalized(amps: list) -> None:
+    with pytest.raises(ValueError, match="normalized"):
+        Statevector(1, np.array(amps, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("index", [1.5, 1.0, True, False, "1", None])
+def test_basis_index_must_be_an_integer(index: object) -> None:
+    with pytest.raises(ValueError, match="integer"):
+        basis_state(2, index)
+
+
+def test_numpy_integer_basis_index_is_accepted() -> None:
+    assert basis_state(2, np.int64(3)).amplitudes[3] == 1.0
+
+
 @pytest.mark.parametrize("width", [0, 49, 64])
 def test_register_width_is_checked_before_allocating(width: int) -> None:
     # 2**49 amplitudes are 8 PiB: an allocation would fail, not raise ValueError.

@@ -1,4 +1,4 @@
-"""Re-simulation plan of `run`: fused permutation gathers are exact and opt-in by reuse."""
+"""Dense path of `run_batch`: fused permutation gathers are exact, and built once per call."""
 
 from __future__ import annotations
 
@@ -7,113 +7,79 @@ import re
 import numpy as np
 import pytest
 
-from edick import (
-    Circuit,
-    EvenMethod,
-    Gate,
-    GateKind,
-    Statevector,
-    basis_state,
-    cnot,
-    h,
-    run,
-    toffoli,
-    x,
-)
+from edick import Circuit, EvenMethod, Gate, basis_state, cnot, h, run, toffoli, x
 from edick import statevector
-from edick.cli import _DIRECTION_CHOICES, _resolve
-from edick.encodings import random_vector
+from edick.cli import _resolve
+from edick.statevector import run_batch
 
 
 @pytest.fixture
 def plans(monkeypatch: pytest.MonkeyPatch) -> list[list]:
-    """Every plan `run` builds while the test runs, in build order."""
+    """Every dense plan built while the test runs, in build order; no step is sparse."""
     built: list[list] = []
-    fuse = statevector._fuse
+    make_plan = statevector._plan
 
-    def recording(circuit: Circuit) -> list:
-        built.append(fuse(circuit))
+    def recording(circuit: Circuit, fuse: bool) -> list:
+        built.append(make_plan(circuit, fuse))
         return built[-1]
 
-    monkeypatch.setattr(statevector, "_fuse", recording)
+    monkeypatch.setattr(statevector, "_plan", recording)
+    monkeypatch.setattr(statevector, "_sparse_pays", lambda rows, states, size: False)
     return built
 
 
-def _contract_inputs(direction: str, n: int, method: EvenMethod):
-    circuit, total, level_in, _ = _resolve(direction, n, method)
-    inputs = [basis_state(total, level_in(level)) for level in range(n)]
-    rng = np.random.default_rng(n)
-    for _ in range(3):
-        amps = np.zeros(1 << total, dtype=np.complex128)
-        for level, alpha in enumerate(random_vector(n, rng).alphas):
-            amps[level_in(level)] = alpha
-        inputs.append(Statevector(total, amps))
-    return circuit, inputs
-
-
-@pytest.mark.parametrize("method", list(EvenMethod), ids=lambda m: m.value)
-@pytest.mark.parametrize("direction", _DIRECTION_CHOICES)
-def test_rerun_of_one_circuit_is_bit_identical_to_its_first_run(
-    direction: str, method: EvenMethod, plans: list[list]
-) -> None:
-    gathers = 0
-    for n in range(2, 13):
-        circuit, inputs = _contract_inputs(direction, n, method)
-        # A fresh equal circuit per input is always a first run: gate by gate.
-        unfused = [run(s, Circuit(circuit.num_qubits, circuit.gates)).amplitudes for s in inputs]
-        assert plans == []
-        first = run(inputs[0], circuit).amplitudes
-        assert np.array_equal(first, unfused[0])
-        for i, (state, expected) in enumerate(zip(inputs, unfused)):
-            assert np.array_equal(run(state, circuit).amplitudes, expected), (n, i)
-        assert len(plans) == 1
-        gathers += sum(isinstance(step, np.ndarray) for _, step in plans.pop())
-    assert gathers > 0
-
-
-def test_one_shot_runs_and_equal_copies_never_build_a_plan(plans: list[list]) -> None:
-    circuit, _, level_in, _ = _resolve("onehot-to-binary", 9, EvenMethod.EXPAND_TO_POW2)
-    copy = Circuit(circuit.num_qubits, circuit.gates, circuit.label)
-    state = basis_state(circuit.num_qubits, level_in(4))
-    run(state, circuit)
-    assert plans == []
-    for _ in range(3):  # equal gates, different object: each run is a first run
-        run(state, copy)
-        run(state, circuit)
-    assert plans == []
-    run(state, circuit)
+def test_fused_plan_is_built_once_per_call_and_only_for_several_states(plans: list[list]) -> None:
+    circuit, _, level_in, _ = _resolve("onehot-to-binary", 11, EvenMethod.EXPAND_TO_POW2)
+    states = [basis_state(circuit.num_qubits, level_in(level)) for level in range(11)]
+    single = [run(s, circuit).amplitudes for s in states]
+    assert len(plans) == 11
+    assert not any(isinstance(step, np.ndarray) for plan in plans for _, _, step in plan)
+    plans.clear()
+    batched = [o.amplitudes for o in run_batch(states, circuit)]
     assert len(plans) == 1
-    assert any(isinstance(step, np.ndarray) for _, step in plans[0])
+    assert any(isinstance(step, np.ndarray) for _, _, step in plans[0])
+    assert all(np.array_equal(a, b) for a, b in zip(batched, single, strict=True))
 
 
-def _drifting_h(monkeypatch: pytest.MonkeyPatch) -> None:
-    apply = statevector._apply_inplace
+def test_plan_steps_start_at_their_first_gate() -> None:
+    gates = (x(0), cnot(0, 1), h(2), cnot(1, 2), toffoli(0, 1, 2), x(1))
+    plan = statevector._plan(Circuit(3, gates), fuse=True)
+    assert [(start, type(step)) for start, _, step in plan] == [
+        (0, np.ndarray), (2, Gate), (3, np.ndarray)
+    ]
+    assert plan[2][1] == "the gather of gates 3..5"
+    unfused = statevector._plan(Circuit(3, gates), fuse=False)
+    assert [(start, step) for start, _, step in unfused] == list(enumerate(gates))
 
-    def drifting(tensor, gate, num_qubits):
-        apply(tensor, gate, num_qubits)
-        if gate.kind is GateKind.H:
-            tensor *= 1.001
 
-    monkeypatch.setattr(statevector, "_apply_inplace", drifting)
-
-
-def test_norm_drift_is_reported_on_first_and_fused_runs(
+def test_norm_drift_is_named_on_fused_and_gate_by_gate_plans(
     monkeypatch: pytest.MonkeyPatch, plans: list[list]
 ) -> None:
+    mixed = statevector._mixed
+    monkeypatch.setattr(
+        statevector, "_mixed", lambda kind, angle, a, b: tuple(v * 1.001 for v in mixed(kind, angle, a, b))
+    )
     gate = h(2)
     circuit = Circuit(3, (x(0), cnot(0, 1), gate, cnot(1, 2), toffoli(0, 1, 2)))
-    _drifting_h(monkeypatch)
-    for _ in range(3):
+    for states in (1, 2):
         with pytest.raises(AssertionError, match=re.escape(f"after {gate}")):
-            run(basis_state(3, 0), circuit)
-    assert len(plans) == 1
-    assert [type(step) for _, step in plans[0]] == [np.ndarray, Gate, np.ndarray]
+            list(run_batch([basis_state(3, 0)] * states, circuit))
+    assert [[type(step) for _, _, step in plan] for plan in plans] == [
+        [Gate] * 5, [np.ndarray, Gate, np.ndarray]
+    ]
 
 
-def test_norm_drift_in_a_gather_names_its_gate_range(plans: list[list]) -> None:
+def test_norm_drift_in_a_gather_names_its_gate_range(
+    monkeypatch: pytest.MonkeyPatch, plans: list[list]
+) -> None:
+    make_plan = statevector._plan
+
+    def corrupted(circuit: Circuit, fuse: bool) -> list:
+        plan = make_plan(circuit, fuse)
+        plan[-1][2][:] = 0  # every output amplitude now copies input amplitude 0
+        return plan
+
+    monkeypatch.setattr(statevector, "_plan", corrupted)
     circuit = Circuit(3, (x(0), cnot(0, 1), h(2), cnot(1, 2), toffoli(0, 1, 2)))
-    run(basis_state(3, 0), circuit)
-    run(basis_state(3, 0), circuit)
-    plans[0][-1][1][:] = 0  # every output amplitude now copies input amplitude 0
     with pytest.raises(AssertionError, match=re.escape("gates 3..4")):
-        run(basis_state(3, 0), circuit)
+        list(run_batch([basis_state(3, 0)] * 2, circuit))
