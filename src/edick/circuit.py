@@ -4,6 +4,9 @@ Qubits are indexed 0..n-1 left to right in ket notation, so qubit 0 is the
 most significant bit of a basis index: |b_0 b_1 ... b_{n-1}> has index
 sum(b_q * 2**(n-1-q)).  Gates and circuits are immutable after construction.
 
+Each Gate is validated once, by its constructor. It stores other integral
+qubit indices as int and real angles as float, and refuses bools, so every
+gate prints as QASM that parses back to it.
 Widths are checked where gates enter a circuit: the Circuit constructor
 checks that every gate fits the register. A circuit derived from checked
 ones does not rescan its gates: `compose` needs equal widths, `inverse`
@@ -15,6 +18,8 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 
@@ -29,6 +34,8 @@ class GateKind(enum.Enum):
     CCRY = "ccry"
     TOFFOLI = "toffoli"
     MCX = "mcx"
+
+    __hash__ = object.__hash__  # members are singletons; Enum.__hash__ runs Python code
 
 
 # Per kind: control count (None for MCX, which takes >= 3; smaller counts have
@@ -48,7 +55,7 @@ _RULES = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Gate:
     """One gate application: a kind, optional controls, one target, optional angle."""
 
@@ -57,20 +64,31 @@ class Gate:
     controls: tuple[int, ...] = ()
     angle: float | None = None
 
-    def __post_init__(self) -> None:
-        arity, angled = _RULES[self.kind]
-        controls, target = self.controls, self.target
+    def __init__(self, kind, target, controls=(), angle=None) -> None:
+        arity, angled = _RULES[kind]
+        if type(controls) is not tuple:
+            raise ValueError(f"controls must be a tuple of qubit indices, got {controls!r}")
         count = len(controls)
         if arity is None:
             if count < 3:
                 raise ValueError("MCX needs at least 3 controls; use CNOT or TOFFOLI below that")
         elif count != arity:
-            raise ValueError(f"{self.kind.value} takes {arity} control(s), got {count}")
+            raise ValueError(f"{kind.value} takes {arity} control(s), got {count}")
         if angled:
-            if self.angle is None or not math.isfinite(self.angle):
-                raise ValueError(f"{self.kind.value} needs a finite angle")
-        elif self.angle is not None:
-            raise ValueError(f"{self.kind.value} takes no angle")
+            if type(angle) is not float and angle is not None:
+                if isinstance(angle, bool) or not isinstance(angle, numbers.Real):
+                    raise ValueError(f"{kind.value} takes a real angle, got {angle!r}")
+                angle = float(angle)
+            if angle is None or not math.isfinite(angle):
+                raise ValueError(f"{kind.value} needs a finite angle")
+        elif angle is not None:
+            raise ValueError(f"{kind.value} takes no angle")
+        if type(target) is not int:
+            target = _index(target)
+        for q in controls:
+            if type(q) is not int:
+                controls = tuple(map(_index, controls))
+                break
         if count < 2:
             if target < 0 or (count and controls[0] < 0):
                 raise ValueError("qubit indices must be non-negative")
@@ -82,6 +100,10 @@ class Gate:
                 raise ValueError("qubit indices must be non-negative")
             if len(set(qubits)) != len(qubits):
                 raise ValueError("control and target qubits must be distinct")
+        _set_kind(self, kind)
+        _set_target(self, target)
+        _set_controls(self, controls)
+        _set_angle(self, angle)
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -95,6 +117,17 @@ class Gate:
     def remapped(self, mapping: dict[int, int]) -> Gate:
         controls = tuple([mapping[c] for c in self.controls])
         return Gate(self.kind, mapping[self.target], controls, self.angle)
+
+
+# The generated frozen __init__ would write each slot through object.__setattr__.
+_set_kind, _set_target = Gate.kind.__set__, Gate.target.__set__
+_set_controls, _set_angle = Gate.controls.__set__, Gate.angle.__set__
+
+
+def _index(q: object) -> int:
+    if isinstance(q, bool) or not hasattr(type(q), "__index__"):
+        raise ValueError(f"qubit indices must be integers, got {q!r}")
+    return operator.index(q)
 
 
 def x(q: int) -> Gate:
@@ -239,23 +272,20 @@ class CostReport:
             raise ValueError("depth and size are zero together or not at all")
 
 
-def depth_of(gates: tuple[Gate, ...]) -> int:
+def depth_of(gates: tuple[Gate, ...], num_qubits: int) -> int:
     # Greedy left-to-right layering: each gate lands on the earliest layer where
     # all its qubits are free, i.e. one past the last layer touching any of them.
-    free: dict[int, int] = {}
-    top = 0
+    free = [0] * num_qubits
     for g in gates:
-        layer = free.get(g.target, 0)
+        layer = free[g.target]
         for q in g.controls:
-            if free.get(q, 0) > layer:
+            if free[q] > layer:
                 layer = free[q]
         layer += 1
         free[g.target] = layer
         for q in g.controls:
             free[q] = layer
-        if layer > top:
-            top = layer
-    return top
+    return max(free)
 
 
 def cost(circuit: Circuit, granularity: Granularity = Granularity.LOGICAL, ancilla: int = 0) -> CostReport:
@@ -267,4 +297,4 @@ def cost(circuit: Circuit, granularity: Granularity = Granularity.LOGICAL, ancil
         from .decompose import decompose_to_basis
 
         circuit = decompose_to_basis(circuit)
-    return CostReport(depth_of(circuit.gates), len(circuit.gates), ancilla, granularity)
+    return CostReport(depth_of(circuit.gates, circuit.num_qubits), len(circuit.gates), ancilla, granularity)

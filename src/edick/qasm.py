@@ -6,13 +6,12 @@ Controlled rotations and multi-controlled X have no line form here; lower
 them with :func:`edick.decompose.decompose_to_basis` before emitting.
 
 Angles are printed with ``repr``, so parse_text(emit_text(c)) reproduces
-the text byte for byte.
-
-Each distinct gate is handled once per call. emit_text formats each gate
-object once (by object, as equal gates may print differently: ``u1(0.0)``
-and ``u1(-0.0)``); parse_text matches, converts and validates each distinct
-line once and reuses that gate for its repeats. The round trip stays
-byte-identical.
+the text byte for byte. emit_text formats each gate object once (by object,
+as equal gates may print differently: ``u1(0.0)`` and ``u1(-0.0)``).
+parse_text reads each distinct line once and reuses its gate for repeats. A
+line in emitted form takes one pattern match; other lines are split into
+operands, which accepts extra blanks and names what is wrong. The Gate
+constructor validates every parsed gate.
 """
 
 from __future__ import annotations
@@ -24,8 +23,10 @@ from .circuit import Circuit, Gate, GateKind, _derived
 _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
 _QREG_RE = re.compile(r"^qreg q\[(\d+)\];$")
-_GATE_RE = re.compile(r"^(x|h|cx|ccx|ry|u1|cu1)(?:\(([^)]+)\))? ([^;]+);$")
+_HEAD = r"(x|h|cx|ccx|ry|u1|cu1)(?:\(([^)]+)\))?"  # gate name and optional angle
+_GATE_RE = re.compile(rf"^{_HEAD} ([^;]+);$")
 _QUBIT_RE = re.compile(r"^q\[(\d+)\]$")
+_LINE_RE = re.compile(rf"{_HEAD} q\[(\d+)\](?:,q\[(\d+)\])?(?:,q\[(\d+)\])?;")
 
 
 _NAMES = {
@@ -46,22 +47,20 @@ def _gate_line(gate: Gate) -> str:
             f"gate kind {gate.kind.value} has no OPENQASM 2.0 line in this subset; "
             "decompose the circuit first"
         )
-    operands = "".join([f"q[{c}]," for c in gate.controls]) + f"q[{gate.target}]"
-    if gate.angle is None:
-        return f"{name} {operands};"
-    return f"{name}({gate.angle!r}) {operands};"
+    target, controls, angle = gate.target, gate.controls, gate.angle
+    head = name if angle is None else f"{name}({angle!r})"
+    if not controls:
+        return f"{head} q[{target}];\n"
+    if len(controls) == 1:
+        return f"{head} q[{controls[0]}],q[{target}];\n"
+    return f"{head} q[{controls[0]}],q[{controls[1]}],q[{target}];\n"
 
 
 def emit_text(circuit: Circuit) -> str:
     """Render a circuit as OPENQASM 2.0 source."""
-    lines = [_HEADER + f"qreg q[{circuit.num_qubits}];"]
-    text: dict[int, str] = {}  # by id: equal gates may print differently
-    for gate in circuit.gates:
-        line = text.get(id(gate))
-        if line is None:
-            line = text[id(gate)] = _gate_line(gate)
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+    ids = list(map(id, circuit.gates))
+    lines = {key: _gate_line(gate) for key, gate in dict(zip(ids, circuit.gates)).items()}
+    return f"{_HEADER}qreg q[{circuit.num_qubits}];\n" + "".join(map(lines.__getitem__, ids))
 
 
 def _parse_operands(text: str) -> tuple[int, ...]:
@@ -80,6 +79,15 @@ _TAKES_ANGLE = {"ry", "u1", "cu1"}
 
 
 def _parse_gate(line: str, num_qubits: int) -> Gate:
+    # One match for a canonical line. Other lines, and lines failing a check, go on to
+    # the operand splitting, which gives the same messages and accepts the same spacing.
+    if (match := _LINE_RE.fullmatch(line)) is not None:
+        name, angle_text, a, b, c = match.groups()
+        qubits = (int(a),) if b is None else (int(a), int(b)) if c is None else (int(a), int(b), int(c))
+        if (angle_text is not None) == (name in _TAKES_ANGLE) and len(qubits) == _ARITY[name]:
+            if max(qubits) < num_qubits:
+                angle = float(angle_text) if angle_text is not None else None
+                return Gate(_KINDS[name], qubits[-1], qubits[:-1], angle)
     match = _GATE_RE.match(line)
     if match is None:
         raise ValueError(f"unsupported statement {line!r}")
@@ -137,5 +145,4 @@ def parse_text(text: str) -> Circuit:
                 parsed[raw] = _parse_gate(line, num_qubits)
             except ValueError as exc:
                 raise ValueError(f"line {pos + 2 + body.index(raw)}: {exc}") from exc
-    gates = [gate for gate in map(parsed.__getitem__, body) if gate is not None]
-    return _derived(num_qubits, tuple(gates), "")
+    return _derived(num_qubits, tuple(filter(None, map(parsed.__getitem__, body))), "")

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 
+import numpy as np
 import pytest
 
 from edick import (
@@ -60,6 +64,85 @@ def test_gate_rejects_bad_operands() -> None:
         Gate(GateKind.RY, 0, (), math.inf)
     with pytest.raises(ValueError):
         Gate(GateKind.MCX, 5, (0, 1), None)  # too few controls for MCX
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((GateKind.CNOT, 1, (1,)), "control and target qubits must be distinct"),
+        ((GateKind.TOFFOLI, 2, (0, 2)), "control and target qubits must be distinct"),
+        ((GateKind.CNOT, 0, (-1,)), "qubit indices must be non-negative"),
+        ((GateKind.MCX, 3, (0, 1, -2)), "qubit indices must be non-negative"),
+        ((GateKind.X, 0, (), 0.3), "x takes no angle"),
+        ((GateKind.RY, 0, (), None), "ry needs a finite angle"),
+        ((GateKind.CPHASE, 0, (1,), math.nan), "cphase needs a finite angle"),
+        ((GateKind.MCX, 5, (0, 1)), "MCX needs at least 3 controls; use CNOT or TOFFOLI below that"),
+        ((GateKind.CCRY, 5, (0,), 0.1), "ccry takes 2 control(s), got 1"),
+    ],
+)
+def test_gate_messages_are_exact(args, message: str) -> None:
+    with pytest.raises(ValueError) as info:
+        Gate(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (GateKind.X, 0.5),
+        (GateKind.X, True),
+        (GateKind.H, "0"),
+        (GateKind.CNOT, 1, (False,)),
+        (GateKind.CNOT, 1, (2.0,)),
+        (GateKind.TOFFOLI, 2, (0, 1.0)),
+        (GateKind.MCX, True, (2, 3, 4)),
+        (GateKind.MCX, 5, (0, 1, None)),
+    ],
+    ids=str,
+)
+def test_gate_rejects_qubit_indices_that_are_not_integers(args) -> None:
+    with pytest.raises(ValueError, match="qubit indices must be integers"):
+        Gate(*args)
+
+
+@pytest.mark.parametrize("controls", [[0], [0, 1], [0, 1, 2], {0: 1}, None], ids=str)
+def test_gate_rejects_controls_that_are_not_a_tuple(controls) -> None:
+    kind = {1: GateKind.CNOT, 2: GateKind.TOFFOLI, 3: GateKind.MCX}.get(len(controls or ()), GateKind.CNOT)
+    with pytest.raises(ValueError, match="controls must be a tuple"):
+        Gate(kind, 5, controls)
+
+
+@pytest.mark.parametrize(
+    "angle", [True, False, "0.5", 1j, object()], ids=["True", "False", "str", "complex", "object"]
+)
+def test_gate_rejects_angles_that_are_not_real(angle) -> None:
+    with pytest.raises(ValueError, match="ry takes a real angle"):
+        Gate(GateKind.RY, 0, (), angle)
+
+
+def test_gate_normalizes_integral_indices_and_real_angles() -> None:
+    gate = Gate(GateKind.CCRY, np.int64(3), (np.int32(0), np.uint8(1)), np.float32(0.5))
+    assert gate == ccry(0.5, 0, 1, 3)
+    assert type(gate.target) is int and all(type(c) is int for c in gate.controls)
+    assert type(gate.angle) is float
+    assert type(Gate(GateKind.CNOT, 1, (np.int64(0),)).controls[0]) is int
+    assert type(Gate(GateKind.X, np.int16(2)).target) is int
+    assert repr(Gate(GateKind.PHASE, 0, (), 1).angle) == "1.0"
+    assert repr(ry(np.float64(0.25), 0).angle) == "0.25"
+
+
+def test_gate_keeps_its_dataclass_behaviour() -> None:
+    gate = Gate(kind=GateKind.CPHASE, target=2, controls=(0,), angle=0.5)
+    assert gate == cphase(0.5, 0, 2) and hash(gate) == hash(cphase(0.5, 0, 2))
+    assert gate != cphase(0.5, 1, 2)
+    assert repr(gate) == "Gate(kind=<GateKind.CPHASE: 'cphase'>, target=2, controls=(0,), angle=0.5)"
+    assert dataclasses.replace(gate, target=3) == cphase(0.5, 0, 3)
+    with pytest.raises(ValueError, match="distinct"):
+        dataclasses.replace(gate, target=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gate.target = 4
+    assert copy.deepcopy(gate) == gate and pickle.loads(pickle.dumps(gate)) == gate
+    assert {GateKind.X: 1}[GateKind("x")] == 1 and hash(GateKind.X) == hash(GateKind.X)
 
 
 def test_gate_inverse_negates_angles_only() -> None:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,3 +246,28 @@ def test_sweep_names_the_known_subjects_for_an_unknown_one(capsys) -> None:
     assert main(["sweep", "--n-min", "3", "--n-max", "4", "--methods", "onehot,qft"]) == 2
     err = capsys.readouterr().err
     assert "'qft'" in err and "choose from" in err and "cnot-stair" in err
+
+
+def _python_m_edick(*argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(edick.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "edick", *argv], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_python_m_edick_runs_the_command_line() -> None:
+    direction, n, method = case = ("binary-to-onehot", 15, "expand-pow2")
+    fid, where = _GOLDEN_VERIFY[case]
+    done = _python_m_edick("verify", "--direction", direction, "--n", str(n), "--method", method,
+                           "--trials", "20", "--seed", "1")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        f"verify direction={direction} n={n} method={method} trials=20 seed=1\n"
+        f"worst fidelity {fid} at {where}\n"
+        "verify: PASS\n"
+    )
+    bad = _python_m_edick("verify", "--direction", direction, "--n", "1", "--method", method)
+    assert bad.returncode == 2
+    assert "at least two levels" in bad.stderr

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from edick import (
     Circuit,
+    Gate,
+    GateKind,
     ccry,
     cnot,
     cphase,
     cry,
+    decompose_to_basis,
     emit_text,
     h,
     mcx,
@@ -167,4 +171,37 @@ def test_repeated_lines_parse_to_equal_gates_and_keep_signed_zeros() -> None:
     text = _PREFIX + "\n".join(body * 3) + "\n"
     parsed = parse_text(text)
     assert parsed.gates == parse_text(_PREFIX + "\n".join(body) + "\n").gates * 3
+    assert emit_text(parsed) == text
+
+
+# One gate of every kind, with operands given as numpy integers and angles
+# as ints and numpy floats as well as plain Python values.
+_EVERY_KIND = [
+    x(np.int64(2)),
+    h(0),
+    ry(np.float64(0.25), 1),
+    ry(-0.0, 0),
+    phase(3, np.int32(1)),
+    cnot(np.uint8(0), 2),
+    cphase(np.float32(1.5), 2, 0),
+    cry(1e-300, 0, 1),
+    ccry(-2.5, 2, 0, 1),
+    toffoli(1, np.int16(2), 0),
+    Gate(GateKind.MCX, 3, (0, 2, 1)),
+]
+
+
+def test_every_gate_kind_is_covered() -> None:
+    assert {g.kind for g in _EVERY_KIND} == set(GateKind)
+
+
+@pytest.mark.parametrize("gate", _EVERY_KIND, ids=lambda g: g.kind.value)
+def test_every_accepted_gate_emits_lines_that_parse_back_to_equal_gates(gate) -> None:
+    circuit = decompose_to_basis(Circuit(4, (gate,)))
+    text = emit_text(circuit)
+    parsed = parse_text(text)
+    assert parsed.gates == circuit.gates
+    assert [float.hex(g.angle) for g in parsed.gates if g.angle is not None] == [
+        float.hex(g.angle) for g in circuit.gates if g.angle is not None
+    ]
     assert emit_text(parsed) == text

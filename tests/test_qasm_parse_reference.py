@@ -1,0 +1,147 @@
+"""parse_text against the operand-splitting gate parser it replaced.
+
+`_reference_parse_gate` and `_reference_parse_operands` are the gate-line
+parser as it was before canonical lines took a single-pattern fast path.
+Each generated program is parsed twice, once with that parser swapped in, and
+both must give the same gates (signed zeros included) or the same error.
+"""
+
+from __future__ import annotations
+
+import re
+from unittest import mock
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import edick.qasm
+from edick import Gate, GateKind, parse_text
+
+_GATE_RE = re.compile(r"^(x|h|cx|ccx|ry|u1|cu1)(?:\(([^)]+)\))? ([^;]+);$")
+_QUBIT_RE = re.compile(r"^q\[(\d+)\]$")
+_KINDS = {
+    "x": GateKind.X, "h": GateKind.H, "cx": GateKind.CNOT, "ccx": GateKind.TOFFOLI,
+    "ry": GateKind.RY, "u1": GateKind.PHASE, "cu1": GateKind.CPHASE,
+}
+_ARITY = {"x": 1, "h": 1, "ry": 1, "u1": 1, "cx": 2, "cu1": 2, "ccx": 3}
+_TAKES_ANGLE = {"ry", "u1", "cu1"}
+
+
+def _reference_parse_operands(text: str) -> tuple[int, ...]:
+    qubits = []
+    for token in text.split(","):
+        match = _QUBIT_RE.match(token.strip())
+        if match is None:
+            raise ValueError(f"bad operand {token.strip()!r}")
+        qubits.append(int(match.group(1)))
+    return tuple(qubits)
+
+
+def _reference_parse_gate(line: str, num_qubits: int) -> Gate:
+    match = _GATE_RE.match(line)
+    if match is None:
+        raise ValueError(f"unsupported statement {line!r}")
+    name, angle_text, operand_text = match.groups()
+    if (angle_text is not None) != (name in _TAKES_ANGLE):
+        raise ValueError(f"bad parameter list for {name}")
+    qubits = _reference_parse_operands(operand_text)
+    if len(qubits) != _ARITY[name]:
+        raise ValueError(f"{name} expects {_ARITY[name]} operands")
+    if max(qubits) >= num_qubits:
+        raise ValueError(f"{line!r} exceeds register width {num_qubits}")
+    angle = float(angle_text) if angle_text is not None else None
+    return Gate(_KINDS[name], qubits[-1], qubits[:-1], angle)
+
+
+def _outcome(text: str):
+    try:
+        circuit = parse_text(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", circuit.num_qubits, [
+        (g.kind, g.target, g.controls, None if g.angle is None else float.hex(g.angle))
+        for g in circuit.gates
+    ]
+
+
+_BLANKS = st.sampled_from(["", " ", "  ", "\t", " \t"])
+_SEPARATORS = st.sampled_from([",", ",", ", ", " ,", " , ", ",\t", "\t,"])
+
+
+@st.composite
+def _valid_line(draw) -> str:
+    """A gate line the parser accepts, in canonical or odd but legal spacing."""
+    name = draw(st.sampled_from(sorted(_ARITY)))
+    qubits = draw(st.permutations(range(6)))[: _ARITY[name]]
+    operands = draw(_SEPARATORS).join(f"q[{q}]" for q in qubits)
+    head = name
+    if name in _TAKES_ANGLE:
+        angle = repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+        head += "(" + draw(st.sampled_from(["", " ", "\t"])) + angle + draw(_BLANKS) + ")"
+    gap = draw(st.sampled_from([" ", " ", "  ", " \t"]))
+    return draw(_BLANKS) + head + gap + operands + draw(_BLANKS) + ";" + draw(_BLANKS)
+
+
+_ANGLES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "-0.0", "1e-320", "1e999", "nan", "-inf", "half", "0.5)", " 0.25 ", "1_0", ""]),
+)
+_INDICES = st.one_of(
+    st.integers(0, 7).map(str), st.sampled_from(["007", "12", "-1", "", "1.0", " 2", "x"])
+)
+
+
+@st.composite
+def _operand(draw) -> str:
+    index = draw(_INDICES)
+    form = draw(st.sampled_from(["q[{}]", "q[{}]", "q[{}]", "q{}", "q[ {} ]", "r[{}]", "q[{}"]))
+    return form.format(index)
+
+
+@st.composite
+def _any_line(draw) -> str:
+    """A gate-like line that may be malformed: wrong arity, angles, operands, names or spacing."""
+    name = draw(st.sampled_from([*_ARITY, "cry", "measure", "X"]))
+    arity = _ARITY.get(name, 1)
+    count = draw(st.sampled_from([arity, arity, max(arity - 1, 0), arity + 1]))
+    operands = [draw(_operand()) for _ in range(count)]
+    takes_angle = (name in _TAKES_ANGLE) != (draw(st.integers(0, 4)) == 0)
+    head = name + (f"({draw(_ANGLES)})" if takes_angle else "")
+    gap = draw(st.sampled_from([" ", " ", "  ", "\t", ""]))
+    end = draw(st.sampled_from([";", ";", " ;", "", ";;"]))
+    return draw(_BLANKS) + head + gap + draw(_SEPARATORS).join(operands) + end + draw(_BLANKS)
+
+
+_FILLER = st.sampled_from(["", "  ", "// comment", "\t// x q[0];"])
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    num_qubits=st.integers(1, 7),
+    head=st.lists(st.one_of(_valid_line(), _FILLER), max_size=6),
+    odd=st.one_of(st.none(), _any_line(), _FILLER),
+    tail=st.lists(st.one_of(_valid_line(), _any_line()), max_size=3),
+)
+def test_parse_matches_the_operand_splitting_parser(num_qubits, head, odd, tail) -> None:
+    body = head + ([] if odd is None else [odd]) + tail
+    text = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{num_qubits}];\n' + "\n".join(body) + "\n"
+    with mock.patch.object(edick.qasm, "_parse_gate", _reference_parse_gate):
+        expected = _outcome(text)
+    assert _outcome(text) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_ARITY)),
+    indices=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+    with_angle=st.booleans(),
+    angle=st.floats(),
+)
+def test_canonical_lines_match_the_operand_splitting_parser(name, indices, with_angle, angle) -> None:
+    # Canonically spaced lines, right or wrong in arity, angle and register width.
+    operands = ",".join(f"q[{q}]" for q in indices)
+    head = f"{name}({angle!r})" if with_angle else name
+    text = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\n{head} {operands};\n'
+    with mock.patch.object(edick.qasm, "_parse_gate", _reference_parse_gate):
+        expected = _outcome(text)
+    assert _outcome(text) == expected
