@@ -25,15 +25,11 @@ SWEEP_CSV_HEADER = (
     "N,method,depth_logical,depth_basis,size_logical,size_basis,ancilla,build_time_ms"
 )
 
+# Sweep subjects that are a direction of their own; the rest are methods of edick-to-binary.
+_SUBJECT_DIRECTIONS = {"onehot": Direction.EDICK_TO_ONEHOT, "cnot-stair": Direction.CNOT_STAIR}
 # Buildable subjects of a sweep: the three staircase-to-binary methods,
 # the staircase-to-one-hot converter, and its quadratic baseline.
-SWEEP_SUBJECTS = (
-    "recursion",
-    "expand-n-plus-1",
-    "expand-pow2",
-    "onehot",
-    "cnot-stair",
-)
+SWEEP_SUBJECTS = tuple(m.value for m in EvenMethod) + tuple(_SUBJECT_DIRECTIONS)
 
 
 @dataclass(frozen=True)
@@ -110,10 +106,6 @@ def edick_to_onehot_size(num_levels: int) -> int:
     if num_levels % 2 == 0:
         return edick_to_onehot_size(num_levels // 2) + num_levels - 1
     return edick_to_onehot_size(num_levels - 1) + 1
-
-
-# Sweep subjects that are a direction of their own; the rest are methods of edick-to-binary.
-_SUBJECT_DIRECTIONS = {"onehot": Direction.EDICK_TO_ONEHOT, "cnot-stair": Direction.CNOT_STAIR}
 
 
 def _build_subject(subject: str, num_levels: int) -> tuple[Circuit, int]:

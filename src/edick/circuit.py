@@ -65,7 +65,10 @@ class Gate:
     angle: float | None = None
 
     def __init__(self, kind, target, controls=(), angle=None) -> None:
-        arity, angled = _RULES[kind]
+        try:
+            arity, angled = _RULES[kind]
+        except (KeyError, TypeError):  # not a member, or unhashable
+            raise ValueError(f"gate kind must be a GateKind, got {kind!r}") from None
         if type(controls) is not tuple:
             raise ValueError(f"controls must be a tuple of qubit indices, got {controls!r}")
         count = len(controls)
@@ -78,7 +81,10 @@ class Gate:
             if type(angle) is not float and angle is not None:
                 if isinstance(angle, bool) or not isinstance(angle, numbers.Real):
                     raise ValueError(f"{kind.value} takes a real angle, got {angle!r}")
-                angle = float(angle)
+                try:
+                    angle = float(angle)
+                except OverflowError:  # an integer or fraction past the float range
+                    raise ValueError(f"{kind.value} needs a finite angle") from None
             if angle is None or not math.isfinite(angle):
                 raise ValueError(f"{kind.value} needs a finite angle")
         elif angle is not None:

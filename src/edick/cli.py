@@ -21,7 +21,7 @@ from .converters import Direction, EvenMethod, build_converter
 from .decompose import decompose_to_basis
 from .dicke import BinomialSpec, build_binomial_pipeline
 from .encodings import EncodingKind, random_vector
-from .qasm import emit_text
+from .qasm import _NAMES, emit_text
 from .statevector import Statevector, _check_width, run, run_batch, zero_state
 
 _FIDELITY_TOL = 1e-9
@@ -29,17 +29,11 @@ _FIDELITY_TOL = 1e-9
 _DIRECTION_CHOICES = [d.value for d in Direction]
 _METHOD_CHOICES = [m.value for m in EvenMethod]
 
-_NEEDS_LOWERING = {GateKind.CRY, GateKind.CCRY, GateKind.MCX}
-
-
-def _resolve(direction: str, num_levels: int, method: EvenMethod):
-    """Circuit, register width and the level -> basis-index maps of its input and output."""
-    circuit, plan = build_converter(Direction(direction), num_levels, method)
-    return circuit, plan.total_qubits, plan.input_index, plan.output_index
+_NEEDS_LOWERING = {kind for kind in GateKind if kind not in _NAMES}  # no QASM line
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    circuit, _, _, _ = _resolve(args.direction, args.n, EvenMethod(args.method))
+    circuit, _ = build_converter(Direction(args.direction), args.n, EvenMethod(args.method))
     if any(g.kind in _NEEDS_LOWERING for g in circuit.gates):
         circuit = decompose_to_basis(circuit)
     _write(emit_text(circuit), args.out)
@@ -50,11 +44,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 0:
         raise ValueError("--trials must be non-negative")
     _check_width(args.n - 1)  # every direction needs at least n - 1 qubits
-    circuit, total, level_in, level_out = _resolve(
-        args.direction, args.n, EvenMethod(args.method)
-    )
-    inputs = [level_in(level) for level in range(args.n)]
-    outputs = [level_out(level) for level in range(args.n)]
+    circuit, plan = build_converter(Direction(args.direction), args.n, EvenMethod(args.method))
+    total = plan.total_qubits
+    inputs = [plan.input_index(level) for level in range(args.n)]
+    outputs = [plan.output_index(level) for level in range(args.n)]
     rng = np.random.default_rng(args.seed)
     # Every basis level, then the seeded trials, as level amplitudes.
     vectors = list(np.eye(args.n))
@@ -129,9 +122,8 @@ def _write(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _add_common(sub: argparse.ArgumentParser, with_direction: bool = True) -> None:
-    if with_direction:
-        sub.add_argument("--direction", required=True, choices=_DIRECTION_CHOICES)
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--direction", required=True, choices=_DIRECTION_CHOICES)
     sub.add_argument("--n", required=True, type=int, help="number of levels")
     sub.add_argument(
         "--method",

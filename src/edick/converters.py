@@ -364,8 +364,8 @@ def build_onehot_to_binary(
     which leaves a staircase next to a lone |1> flag, then compresses the
     staircase. The flag qubit stays |1> at the far right.
     """
-    binary, sub_plan = build_edick_to_binary(num_levels, method)
-    anc = sub_plan.ancilla
+    binary, inner = build_edick_to_binary(num_levels, method)
+    anc = inner.ancilla
     total = anc + num_levels
     # The unfolding is all CNOTs, so its inverse is its reversal.
     gates = _onehot_gates(tuple(range(anc, total)))[::-1]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from .circuit import Circuit, Gate, GateKind, _derived
+from .circuit import _RULES, Circuit, Gate, GateKind, _derived
 
 _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -74,8 +74,8 @@ def _parse_operands(text: str) -> tuple[int, ...]:
 
 
 _KINDS = {name: kind for kind, name in _NAMES.items()}
-_ARITY = {"x": 1, "h": 1, "ry": 1, "u1": 1, "cx": 2, "cu1": 2, "ccx": 3}
-_TAKES_ANGLE = {"ry", "u1", "cu1"}
+_ARITY = {name: _RULES[kind][0] + 1 for kind, name in _NAMES.items()}
+_TAKES_ANGLE = {name for kind, name in _NAMES.items() if _RULES[kind][1]}
 
 
 def _parse_gate(line: str, num_qubits: int) -> Gate:

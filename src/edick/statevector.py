@@ -14,8 +14,7 @@ gathers the (G, B) blocks of the pairs it meets, adding zero rows for partners
 outside the union, and applies the dense kernel's elementwise formulas, so every
 amplitude is bit-identical to dense simulation. A verifier's inputs share N of
 2**n indices. Once the union is too wide for this to pay, each state goes on
-densely; in a chunk of several states, every run of consecutive permutation
-gates is then fused into one gather.
+alone, densely and gate by gate.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -139,25 +137,6 @@ def apply(state: Statevector, gate: Gate) -> Statevector:
     return Statevector(state.num_qubits, amps)
 
 
-def _plan(circuit: Circuit, fuse: bool) -> list[tuple[int, object, Gate | np.ndarray]]:
-    """The dense path as (first gate, label, step): a lone gate or, with `fuse`,
-    the index array of a run of two or more permutation gates."""
-    if not fuse:
-        return [(k, gate, gate) for k, gate in enumerate(circuit.gates)]
-    n, plan, start = circuit.num_qubits, [], 0
-    for permutes, group in groupby(circuit.gates, lambda g: g.kind in _PERMUTATIONS):
-        gates = list(group)
-        if permutes and len(gates) > 1:
-            index = np.arange(2**n, dtype=np.int32)
-            for gate in gates:
-                _apply_inplace(index.reshape([2] * n), gate, n)
-            plan.append((start, f"the gather of gates {start}..{start + len(gates) - 1}", index))
-        else:
-            plan.extend((start + i, gate, gate) for i, gate in enumerate(gates))
-        start += len(gates)
-    return plan
-
-
 def _sparse_pays(rows: int, states: int, size: int) -> bool:
     """Whether an arithmetic step on `rows` union rows of `states` states beats dense passes.
 
@@ -258,17 +237,12 @@ def _sparse(chunk: list, circuit: Circuit):
     return idx, block[:rows], None
 
 
-def _dense(amps: np.ndarray, plan: list, num_qubits: int) -> Statevector:
-    """Run `plan` steps on one dense state, checking its norm after each."""
-    tensor, spare = amps.reshape([2] * num_qubits), None
-    for _, label, step in plan:
-        if isinstance(step, Gate):
-            _apply_inplace(tensor, step, num_qubits)
-        else:  # indices are in range; "clip" writes `out` without a buffered copy
-            spare = np.empty_like(amps) if spare is None else spare
-            amps, spare = np.take(amps, step, out=spare, mode="clip"), amps
-            tensor = amps.reshape([2] * num_qubits)
-        _check(_norm_drift(amps), label)
+def _dense(amps: np.ndarray, gates: tuple[Gate, ...], num_qubits: int) -> Statevector:
+    """Apply `gates` one by one to a dense state, checking its norm after each."""
+    tensor = amps.reshape([2] * num_qubits)
+    for gate in gates:
+        _apply_inplace(tensor, gate, num_qubits)
+        _check(_norm_drift(amps), gate)
     return Statevector(num_qubits, amps)
 
 
@@ -279,31 +253,25 @@ def run_batch(states: Iterable[Statevector], circuit: Circuit) -> Iterator[State
     is taken, so a caller may refill one amplitude buffer between states. A
     chunk is held as the rows of its union support (see the module docstring)
     while the arithmetic steps pay (`_sparse_pays`); from the first that does
-    not, each state goes on alone through the dense plan, fused when the chunk
-    holds several states and built once per call. The norm of every state is
-    checked after every step that changes amplitudes; a drift names the gate
-    or gather.
+    not, each state goes on alone through the rest of the circuit, densely and
+    gate by gate. The norm of every state is checked after every gate that
+    changes amplitudes; a drift names the gate.
     """
     n, size = circuit.num_qubits, 1 << circuit.num_qubits
-    plans: dict[bool, list] = {}
     for chunk in _chunks(states, n):
         idx, block, dense_from = _sparse(chunk, circuit)
-        if dense_from is not None:
-            fuse = block.shape[1] > 1  # a gather repays building its index over several states
-            plans[fuse] = plans.get(fuse) or _plan(circuit, fuse)
-            rest = [step for step in plans[fuse] if step[0] >= dense_from]
+        rest = None if dense_from is None else circuit.gates[dense_from:]
         for j in range(block.shape[1]):
             amps = np.zeros(size, dtype=np.complex128)
             amps[idx] = block[:, j]
-            yield Statevector(n, amps) if dense_from is None else _dense(amps, rest, n)
+            yield Statevector(n, amps) if rest is None else _dense(amps, rest, n)
 
 
 def run(state: Statevector, circuit: Circuit) -> Statevector:
-    """Apply a whole circuit, checking the norm after every step: `run_batch` of one state.
+    """Apply a whole circuit, checking the norm after every gate: `run_batch` of one state.
 
-    A step is one gate, or on the dense path one gather of a fused run of
-    permutation gates; a drift names it. The result is bit-identical to
-    dense gate-by-gate simulation.
+    A drift names the gate. The result is bit-identical to dense gate-by-gate
+    simulation.
     """
     return next(run_batch((state,), circuit))
 

@@ -78,6 +78,11 @@ def test_gate_rejects_bad_operands() -> None:
         ((GateKind.CPHASE, 0, (1,), math.nan), "cphase needs a finite angle"),
         ((GateKind.MCX, 5, (0, 1)), "MCX needs at least 3 controls; use CNOT or TOFFOLI below that"),
         ((GateKind.CCRY, 5, (0,), 0.1), "ccry takes 2 control(s), got 1"),
+        (("x", 0), "gate kind must be a GateKind, got 'x'"),
+        (([1], 0), "gate kind must be a GateKind, got [1]"),
+        ((None, 0), "gate kind must be a GateKind, got None"),
+        ((GateKind.RY, 0, (), 10**400), "ry needs a finite angle"),
+        ((GateKind.CPHASE, 0, (1,), -(10**400)), "cphase needs a finite angle"),
     ],
 )
 def test_gate_messages_are_exact(args, message: str) -> None:

@@ -44,16 +44,16 @@ def _contract(direction: Direction, n: int, method: EvenMethod):
 def test_run_batch_equals_per_state_runs_bit_for_bit(
     direction: Direction, method: EvenMethod, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    plans: list[bool] = []
-    make_plan = statevector._plan
+    dense: list[int] = []  # the gates each dense state has left
+    go_dense = statevector._dense
 
-    def recording(circuit, fuse):
-        plans.append(fuse)
-        return make_plan(circuit, fuse)
+    def recording(amps, gates, num_qubits):
+        dense.append(len(gates))
+        return go_dense(amps, gates, num_qubits)
 
     for n in range(2, 13):
         circuit, inputs, scores = _contract(direction, n, method)
-        arithmetic = any(g.kind not in statevector._PERMUTATIONS for g in circuit.gates)
+        arithmetic = [k for k, g in enumerate(circuit.gates) if g.kind not in statevector._PERMUTATIONS]
         reference = [_dense_reference(s, circuit) for s in inputs]
         fidelities = [score(amps).hex() for score, amps in zip(scores, reference)]
         for i, state in enumerate(inputs):
@@ -62,19 +62,18 @@ def test_run_batch_equals_per_state_runs_bit_for_bit(
             for chunk in (statevector._CHUNK, 1):
                 monkeypatch.setattr(statevector, "_sparse_pays", _RULES[rule])
                 monkeypatch.setattr(statevector, "_CHUNK", chunk)
-                monkeypatch.setattr(statevector, "_plan", recording)
+                monkeypatch.setattr(statevector, "_dense", recording)
                 outputs = [o.amplitudes for o in statevector.run_batch(inputs, circuit)]
                 monkeypatch.undo()
                 assert len(outputs) == len(inputs)
                 for i, amps in enumerate(outputs):
                     assert np.array_equal(amps, reference[i]), (n, rule, chunk, i)
                     assert scores[i](amps).hex() == fidelities[i], (n, rule, chunk, i)
-                # Gone dense, a chunk of several states takes the fused plan and a single
-                # state does not; each is built once per call. Permutation gates alone
-                # never leave the union.
-                fused = chunk > 1
-                assert plans == ([fused] if rule == "dense" and arithmetic else []), (n, rule)
-                plans.clear()
+                # Under the dense rule each state leaves the union at the first arithmetic
+                # gate, and goes on alone. Permutation gates alone never leave the union.
+                left = [len(circuit.gates) - arithmetic[0]] * len(inputs) if arithmetic else []
+                assert dense == (left if rule == "dense" else []), (n, rule, chunk)
+                dense.clear()
 
 
 def test_inputs_are_read_when_taken_so_one_buffer_serves_every_state() -> None:
