@@ -136,6 +136,16 @@ def _index(q: object) -> int:
     return operator.index(q)
 
 
+def _width(n: object) -> int:
+    """A register width, checked like a qubit index, and at least 1."""
+    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+        raise ValueError(f"register width must be an integer, got {n!r}")
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError("a circuit needs at least one qubit")
+    return n
+
+
 def x(q: int) -> Gate:
     return Gate(GateKind.X, q)
 
@@ -193,8 +203,7 @@ class Circuit:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.num_qubits < 1:
-            raise ValueError("a circuit needs at least one qubit")
+        object.__setattr__(self, "num_qubits", _width(self.num_qubits))
         object.__setattr__(self, "gates", tuple(self.gates))
         n = self.num_qubits
         for g in self.gates:
@@ -241,8 +250,7 @@ def remap(
     indexed by old qubit. It must cover every qubit of the circuit
     injectively, into qubits 0..num_qubits-1.
     """
-    if num_qubits < 1:
-        raise ValueError("a circuit needs at least one qubit")
+    num_qubits = _width(num_qubits)
     if isinstance(mapping, dict):
         table = dict(mapping)
     else:

@@ -22,7 +22,7 @@ from .decompose import decompose_to_basis
 from .dicke import BinomialSpec, build_binomial_pipeline
 from .encodings import EncodingKind, random_vector
 from .qasm import _NAMES, emit_text
-from .statevector import Statevector, _check_width, run, run_batch, zero_state
+from .statevector import _check_width, run, run_batch, zero_state
 
 _FIDELITY_TOL = 1e-9
 
@@ -45,7 +45,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--trials must be non-negative")
     _check_width(args.n - 1)  # every direction needs at least n - 1 qubits
     circuit, plan = build_converter(Direction(args.direction), args.n, EvenMethod(args.method))
-    total = plan.total_qubits
     inputs = [plan.input_index(level) for level in range(args.n)]
     outputs = [plan.output_index(level) for level in range(args.n)]
     rng = np.random.default_rng(args.seed)
@@ -53,17 +52,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     vectors = list(np.eye(args.n))
     vectors += [random_vector(args.n, rng).alphas for _ in range(args.trials)]
 
-    def sources():
-        # `run_batch` reads each state as it takes it, and every state sets the
-        # same N entries, so one buffer serves them all.
-        source = np.zeros(1 << total, dtype=np.complex128)
-        for alphas in vectors:
-            source[inputs] = alphas
-            yield Statevector(total, source)
-
-    expected = np.zeros(1 << total, dtype=np.complex128)
+    expected = np.zeros(1 << plan.total_qubits, dtype=np.complex128)
     worst, worst_label = 2.0, ""
-    for k, output in enumerate(run_batch(sources(), circuit)):
+    for k, output in enumerate(run_batch(inputs, np.array(vectors).T, circuit)):
         if k < args.n:
             value, label = float(abs(output.amplitudes[outputs[k]])), f"level {k}"
         else:

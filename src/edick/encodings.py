@@ -26,9 +26,8 @@ from typing import Union
 
 import numpy as np
 
-from .statevector import Statevector, _check_width
+from .statevector import _NORM_TOL, Statevector, _check_width
 
-_NORM_TOL = 1e-10
 _STRAY_TOL = 1e-9
 
 

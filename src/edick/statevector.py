@@ -6,15 +6,15 @@ permutation gates (X, CNOT, Toffoli, MCX) only move amplitudes, never do
 matrix arithmetic, so they are float-exact.
 
 `run_batch` simulates many states in one pass over a circuit, and `run` is its
-one-state case. A batch is held as the rows of its union support: the basis
-indices that may be nonzero in any of its states, and an (S, B) block of their
-amplitudes, one column per state. A permutation gate rewrites the indices with
-bit operations. An arithmetic gate (H, RY, PHASE and their controlled forms)
-gathers the (G, B) blocks of the pairs it meets, adding zero rows for partners
-outside the union, and applies the dense kernel's elementwise formulas, so every
-amplitude is bit-identical to dense simulation. A verifier's inputs share N of
-2**n indices. Once the union is too wide for this to pay, each state goes on
-alone, densely and gate by gate.
+one-state case. A batch is given as basis rows that hold every nonzero input
+amplitude and an (S, B) block of the amplitudes at those rows, one column per
+state. A permutation gate rewrites the rows with bit operations. An arithmetic
+gate (H, RY, PHASE and their controlled forms) gathers the (G, B) blocks of the
+pairs it meets, adding zero rows for partners outside the held rows, and
+applies the dense kernel's elementwise formulas, so every amplitude is
+bit-identical to dense simulation. A verifier's inputs share N of 2**n indices.
+Once the held rows are too many for this to pay, each state goes on alone,
+densely and gate by gate.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -42,9 +42,12 @@ _BLOCK_MAX = 1 << 19  # amplitudes: 8 MiB
 _PIECE = 1 << 15  # amplitudes of a block that one gather of pairs may hold
 
 
-def _check_width(num_qubits: int) -> None:
+def _check_width(num_qubits: object) -> int:
+    if isinstance(num_qubits, bool) or not isinstance(num_qubits, numbers.Integral):
+        raise ValueError(f"register width must be an integer, not {num_qubits!r}")
     if not 1 <= num_qubits <= _MAX_QUBITS:
         raise ValueError(f"register width must be in 1..{_MAX_QUBITS}")
+    return int(num_qubits)
 
 
 def _norm_drift(amps: np.ndarray) -> float:
@@ -59,7 +62,7 @@ class Statevector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_width(self.num_qubits)
+        object.__setattr__(self, "num_qubits", _check_width(self.num_qubits))
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         if amps.shape != (2**self.num_qubits,):
             raise ValueError("amplitude count must be 2**num_qubits")
@@ -73,7 +76,7 @@ def zero_state(num_qubits: int) -> Statevector:
 
 
 def basis_state(num_qubits: int, index: int) -> Statevector:
-    _check_width(num_qubits)
+    num_qubits = _check_width(num_qubits)
     if isinstance(index, bool) or not isinstance(index, numbers.Integral):
         raise ValueError(f"basis index must be an integer, not {index!r}")
     if not 0 <= index < 2**num_qubits:
@@ -130,17 +133,13 @@ def _mixed(kind: GateKind, angle: float | None, a, b):
 
 def apply(state: Statevector, gate: Gate) -> Statevector:
     """Apply one gate, returning a fresh statevector."""
-    if max(gate.qubits) >= state.num_qubits:
-        raise ValueError("gate acts outside the register")
-    amps = state.amplitudes.copy()
-    _apply_inplace(amps.reshape([2] * state.num_qubits), gate, state.num_qubits)
-    return Statevector(state.num_qubits, amps)
+    return run(state, Circuit(state.num_qubits, (gate,)))
 
 
 def _sparse_pays(rows: int, states: int, size: int) -> bool:
-    """Whether an arithmetic step on `rows` union rows of `states` states beats dense passes.
+    """Whether an arithmetic step on `rows` held rows of `states` states beats dense passes.
 
-    In amplitudes of a dense pass, a union row costs about one per state and
+    In amplitudes of a dense pass, a held row costs about one per state and
     `_SPARSE_ROW` for its index, and the step about `_SPARSE_STEP` more; the
     block also stays within `_BLOCK_MAX` amplitudes.
     """
@@ -150,49 +149,23 @@ def _sparse_pays(rows: int, states: int, size: int) -> bool:
     )
 
 
-def _support(state: Statevector, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the nonzero amplitudes of `state`, and those amplitudes."""
-    if state.num_qubits != num_qubits:
-        raise ValueError(f"circuit width {num_qubits} does not match state width {state.num_qubits}")
-    amps = state.amplitudes
-    # An amplitude is nonzero when either of its two bytes of flags is.
-    index = np.flatnonzero((amps.view(np.float64) != 0).view(np.uint16))
-    return index, amps[index]
-
-
-def _chunks(states: Iterable[Statevector], num_qubits: int) -> Iterator[list]:
-    """The supports of `states`, up to `_CHUNK` states or `_BLOCK_MAX` amplitudes at a time."""
-    chunk, held = [], 0
-    for state in states:
-        chunk.append(_support(state, num_qubits))
-        held += chunk[-1][0].size
-        if len(chunk) == _CHUNK or held >= _BLOCK_MAX:
-            yield chunk
-            chunk, held = [], 0
-    if chunk:
-        yield chunk
-
-
 def _check(drift: float, label: object) -> None:
     if not drift <= _NORM_TOL:  # NaN fails too
         raise AssertionError(f"norm drifted past 1e-10 after {label}")
 
 
-def _sparse(chunk: list, circuit: Circuit):
-    """Walk one chunk through the circuit as far as the sparse steps pay.
+def _sparse(idx: np.ndarray, columns: np.ndarray, circuit: Circuit):
+    """Walk the states of `columns`, held at rows `idx`, through the circuit while sparse steps pay.
 
-    Returns the union's indices, the block of its amplitudes (a column per
-    state) and the first gate left for the dense path, or None.
+    Returns the held rows, the block of their amplitudes (a column per state)
+    and the first gate left for the dense path, or None.
     """
-    n, count, size = circuit.num_qubits, len(chunk), 1 << circuit.num_qubits
-    idx = chunk[0][0] if count == 1 else np.unique(np.concatenate([i for i, _ in chunk]))
-    rows = idx.size
+    n, (rows, count), size = circuit.num_qubits, columns.shape, 1 << circuit.num_qubits
     pos = np.full(size, -1, dtype=np.int32)  # the row of each index, or -1
     pos[idx] = np.arange(rows, dtype=np.int32)
     synced = idx  # the indices `pos` holds
     block = np.zeros((2 * rows, count), np.complex128)
-    for j, (index, values) in enumerate(chunk):
-        block[pos[index], j] = values
+    block[:rows] = columns
     for k, gate in enumerate(circuit.gates):
         kind, bit = gate.kind, 1 << (n - 1 - gate.target)
         cmask = sum(1 << (n - 1 - c) for c in gate.controls)
@@ -215,7 +188,7 @@ def _sparse(chunk: list, circuit: Circuit):
             partner = pos[sub ^ bit]
             missing = partner < 0
             added = np.count_nonzero(missing)
-            if added:  # zero rows for the partners outside the union
+            if added:  # zero rows for the partners outside the held rows
                 joined = sub[missing] ^ bit
                 partner[missing] = pos[joined] = np.arange(rows, rows + added, dtype=np.int32)
                 idx = synced = np.concatenate((idx, joined))
@@ -246,34 +219,51 @@ def _dense(amps: np.ndarray, gates: tuple[Gate, ...], num_qubits: int) -> Statev
     return Statevector(num_qubits, amps)
 
 
-def run_batch(states: Iterable[Statevector], circuit: Circuit) -> Iterator[Statevector]:
-    """Yield `run(state, circuit)` for each state, in order, from one pass over the circuit.
+def run_batch(rows, amplitudes, circuit: Circuit) -> Iterator[Statevector]:
+    """Yield `circuit` applied to each column of `amplitudes`, in order, from one pass.
 
-    States are taken in chunks of at most `_CHUNK`, and each is read when it
-    is taken, so a caller may refill one amplitude buffer between states. A
-    chunk is held as the rows of its union support (see the module docstring)
-    while the arithmetic steps pay (`_sparse_pays`); from the first that does
-    not, each state goes on alone through the rest of the circuit, densely and
-    gate by gate. The norm of every state is checked after every gate that
-    changes amplitudes; a drift names the gate.
+    Column j of the (len(rows), B) block holds state j's amplitudes at the
+    distinct basis indices `rows`; every other amplitude is zero. Columns go
+    through in chunks of at most `_CHUNK` and of at most `_BLOCK_MAX` held
+    amplitudes, held as their rows (see the module docstring) while the
+    arithmetic steps pay (`_sparse_pays`); from the first that does not, each
+    state goes on alone, densely and gate by gate. The norm of every state is
+    checked after every gate that changes amplitudes; a drift names the gate.
     """
-    n, size = circuit.num_qubits, 1 << circuit.num_qubits
-    for chunk in _chunks(states, n):
-        idx, block, dense_from = _sparse(chunk, circuit)
+    n, size = _check_width(circuit.num_qubits), 1 << circuit.num_qubits
+    idx = np.asarray(rows)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ValueError("rows must be a 1-D array of integers")
+    idx = idx.astype(np.int64)
+    block = np.asarray(amplitudes, dtype=np.complex128)
+    if block.ndim != 2 or block.shape[0] != idx.size:
+        raise ValueError(f"amplitudes must be a ({idx.size}, B) block, one row per basis row")
+    if np.unique(idx).size < idx.size or np.any((idx < 0) | (idx >= size)):
+        raise ValueError(f"rows must be distinct basis indices in 0..{size - 1}")
+    if not np.all(np.abs(np.linalg.norm(block, axis=0) - 1.0) <= _NORM_TOL):  # NaN fails too
+        raise ValueError("every column must be normalized to 1 within 1e-10")
+    per = max(1, min(_CHUNK, _BLOCK_MAX // max(1, idx.size)))
+    for start in range(0, block.shape[1], per):
+        held, columns, dense_from = _sparse(idx, block[:, start : start + per], circuit)
         rest = None if dense_from is None else circuit.gates[dense_from:]
-        for j in range(block.shape[1]):
+        for j in range(columns.shape[1]):
             amps = np.zeros(size, dtype=np.complex128)
-            amps[idx] = block[:, j]
+            amps[held] = columns[:, j]
             yield Statevector(n, amps) if rest is None else _dense(amps, rest, n)
 
 
 def run(state: Statevector, circuit: Circuit) -> Statevector:
-    """Apply a whole circuit, checking the norm after every gate: `run_batch` of one state.
+    """Apply a whole circuit, checking the norm after every gate: `run_batch` on the nonzero rows.
 
     A drift names the gate. The result is bit-identical to dense gate-by-gate
     simulation.
     """
-    return next(run_batch((state,), circuit))
+    if state.num_qubits != circuit.num_qubits:
+        raise ValueError(f"circuit width {circuit.num_qubits} does not match state width {state.num_qubits}")
+    amps = state.amplitudes
+    # An amplitude is nonzero when either of its two bytes of flags is.
+    index = np.flatnonzero((amps.view(np.float64) != 0).view(np.uint16))
+    return next(run_batch(index, amps[index, None], circuit))
 
 
 def fidelity(a: Statevector, b: Statevector) -> float:

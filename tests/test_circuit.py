@@ -215,6 +215,23 @@ def test_remap_rejects_partial_or_colliding_mappings() -> None:
         remap(c, {0: 0, 1: 5}, 3)  # lands outside the new register
 
 
+@pytest.mark.parametrize("width", [True, 2.0, 3.0, "3", None])
+def test_register_widths_must_be_integers(width: object) -> None:
+    c = Circuit(2, (cnot(0, 1),))
+    with pytest.raises(ValueError, match="register width must be an integer"):
+        Circuit(width, (x(0),))
+    with pytest.raises(ValueError, match="register width must be an integer"):
+        remap(c, [0, 1], width)
+
+
+def test_numpy_integer_register_widths_are_stored_as_int() -> None:
+    c = Circuit(np.int64(2), (cnot(0, 1),))
+    moved = remap(c, [1, 0], np.int32(3))
+    assert type(c.num_qubits) is int and type(moved.num_qubits) is int
+    assert (c.num_qubits, moved.num_qubits) == (2, 3)
+    assert cost(moved).depth == 1
+
+
 def test_depth_counts_greedy_layers() -> None:
     # Disjoint pairs share a layer; a gate waits on every qubit it touches.
     c = Circuit(4, (cnot(0, 1), cnot(2, 3), cnot(0, 2), cnot(1, 2)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import edick.cli
-from edick import parse_text
+from edick import Direction, EvenMethod, parse_text
 from edick.cli import main
 
 
@@ -107,6 +108,23 @@ def test_verify_without_trials_is_byte_identical_to_the_recorded_output(case, ca
     )
 
 
+# sha256, in order, over f"{exit code}\n{stdout}" of `verify` with 3 trials at
+# seed 1, over every direction, then every even-count method, then N = 2..11.
+# Recorded before the simulator took a batch as rows and amplitude columns.
+_VERIFY_DIGEST = "aebe3cc2da69afa22ac8c0d085a2bf72991d8217fa3cace32d765518fc718930"
+
+
+def test_verify_output_over_every_small_case_matches_its_recorded_digest(capsys) -> None:
+    digest = hashlib.sha256()
+    for direction in Direction:
+        for method in EvenMethod:
+            for n in range(2, 12):
+                code = main(["verify", "--direction", direction.value, "--n", str(n),
+                             "--method", method.value, "--trials", "3", "--seed", "1"])
+                digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == _VERIFY_DIGEST
+
+
 class _Output:
     """Stands in for a statevector that `run_batch` would never yield: it is not normalized."""
 
@@ -118,8 +136,8 @@ class _Output:
 def test_verify_fails_on_a_nan_fidelity(bad: int, monkeypatch, capsys) -> None:
     real = edick.cli.run_batch
 
-    def with_nan(states, circuit):
-        for k, output in enumerate(real(states, circuit)):
+    def with_nan(rows, amplitudes, circuit):
+        for k, output in enumerate(real(rows, amplitudes, circuit)):
             yield _Output(np.full_like(output.amplitudes, np.nan)) if k == bad else output
 
     monkeypatch.setattr(edick.cli, "run_batch", with_nan)

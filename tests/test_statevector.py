@@ -65,6 +65,19 @@ def test_basis_index_must_be_an_integer(index: object) -> None:
         basis_state(2, index)
 
 
+@pytest.mark.parametrize("width", [True, 2.0, "2", None])
+def test_register_width_must_be_an_integer(width: object) -> None:
+    with pytest.raises(ValueError, match="register width must be an integer"):
+        zero_state(width)
+    with pytest.raises(ValueError, match="register width must be an integer"):
+        Statevector(width, np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+def test_numpy_integer_register_width_is_stored_as_int() -> None:
+    assert type(zero_state(np.int64(2)).num_qubits) is int
+    assert type(Statevector(np.int32(1), np.array([1.0, 0.0])).num_qubits) is int
+
+
 def test_numpy_integer_basis_index_is_accepted() -> None:
     assert basis_state(2, np.int64(3)).amplitudes[3] == 1.0
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from edick import Circuit, Direction, EvenMethod, Statevector, basis_state, build_converter, run
+from edick import Circuit, Direction, EvenMethod, Statevector, basis_state, build_converter, h, run, x
 from edick import statevector
 from edick.encodings import random_vector
 
@@ -39,6 +41,12 @@ def _contract(direction: Direction, n: int, method: EvenMethod):
     return circuit, inputs, scores
 
 
+def _run_batch(states: list[Statevector], circuit: Circuit):
+    """`run_batch` on the union of the states' nonzero rows, with a column per state."""
+    rows = np.unique(np.concatenate([np.flatnonzero(s.amplitudes) for s in states]))
+    return statevector.run_batch(rows, np.array([s.amplitudes[rows] for s in states]).T, circuit)
+
+
 @pytest.mark.parametrize("method", list(EvenMethod), ids=lambda m: m.value)
 @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
 def test_run_batch_equals_per_state_runs_bit_for_bit(
@@ -63,7 +71,7 @@ def test_run_batch_equals_per_state_runs_bit_for_bit(
                 monkeypatch.setattr(statevector, "_sparse_pays", _RULES[rule])
                 monkeypatch.setattr(statevector, "_CHUNK", chunk)
                 monkeypatch.setattr(statevector, "_dense", recording)
-                outputs = [o.amplitudes for o in statevector.run_batch(inputs, circuit)]
+                outputs = [o.amplitudes for o in _run_batch(inputs, circuit)]
                 monkeypatch.undo()
                 assert len(outputs) == len(inputs)
                 for i, amps in enumerate(outputs):
@@ -76,35 +84,56 @@ def test_run_batch_equals_per_state_runs_bit_for_bit(
                 dense.clear()
 
 
-def test_inputs_are_read_when_taken_so_one_buffer_serves_every_state() -> None:
-    circuit, inputs, _ = _contract(Direction.ONEHOT_TO_BINARY, 9, EvenMethod.RECURSION)
-    expected = [run(s, circuit).amplitudes for s in inputs]
-
-    def refilled():
-        buffer = np.zeros_like(inputs[0].amplitudes)
-        for state in inputs:
-            buffer[:] = state.amplitudes
-            yield Statevector(state.num_qubits, buffer)
-
-    outputs = statevector.run_batch(refilled(), circuit)
-    assert all(np.array_equal(o.amplitudes, e) for o, e in zip(outputs, expected, strict=True))
-
-
 def test_run_batch_checks_every_width_and_yields_nothing_for_no_states() -> None:
     circuit = Circuit(3, ())
-    assert list(statevector.run_batch([], circuit)) == []
-    with pytest.raises(ValueError, match="does not match"):
-        list(statevector.run_batch([basis_state(3, 1), basis_state(2, 1)], circuit))
+    assert list(statevector.run_batch([1, 2], np.zeros((2, 0)), circuit)) == []
+    with pytest.raises(ValueError, match="register width"):
+        list(statevector.run_batch([0], np.ones((1, 1)), Circuit(25, ())))
+
+
+_HALF = np.full((2, 1), math.sqrt(0.5))
+
+
+@pytest.mark.parametrize(
+    "rows, amplitudes, match",
+    [
+        ([[0, 1]], _HALF, "1-D array of integers"),
+        ([0.0, 1.0], _HALF, "1-D array of integers"),
+        ([True, False], _HALF, "1-D array of integers"),
+        ([1, 1], _HALF, "distinct"),
+        ([-1, 1], _HALF, "in 0..7"),
+        ([0, 8], _HALF, "in 0..7"),
+        ([0, 1, 2], _HALF, r"\(3, B\) block"),
+        ([0, 1], _HALF[:, 0], r"\(2, B\) block"),
+        ([0, 1], _HALF * 1.001, "normalized"),
+        ([0, 1], np.hstack([_HALF, np.full((2, 1), np.nan)]), "normalized"),
+    ],
+    ids=["2-d", "float", "bool", "duplicate", "negative", "too-high", "row-count", "1-d-block",
+         "unnormalized", "nan"],
+)
+def test_run_batch_rejects_a_bad_batch_before_simulating(rows, amplitudes, match: str) -> None:
+    with pytest.raises(ValueError, match=match):
+        next(statevector.run_batch(rows, amplitudes, Circuit(3, (x(0),))))
 
 
 def test_chunks_are_capped_by_state_count_and_by_held_amplitudes(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    monkeypatch.setattr(statevector, "_BLOCK_MAX", 19)
-    states = [basis_state(4, k) for k in range(3)] + [Statevector(4, np.full(16, 0.25))]
-    states += [basis_state(4, k) for k in range(3, 5)]
-    sizes = [[index.size for index, _ in chunk] for chunk in statevector._chunks(states, 4)]
-    assert sizes == [[1, 1, 1, 16], [1, 1]]
-    monkeypatch.setattr(statevector, "_CHUNK", 2)
-    sizes = [[index.size for index, _ in chunk] for chunk in statevector._chunks(states, 4)]
-    assert sizes == [[1, 1], [1, 16], [1, 1]]
+    """`_sparse` takes at most `_CHUNK` columns and `_BLOCK_MAX` held amplitudes, and one at least."""
+    counts: list[int] = []
+    sparse = statevector._sparse
+
+    def recording(idx, columns, circuit):
+        counts.append(columns.shape[1])
+        return sparse(idx, columns, circuit)
+
+    monkeypatch.setattr(statevector, "_sparse", recording)
+    rows, block = np.arange(4), np.eye(4, 10)  # 4 rows, 10 columns, all normalized
+    block[0, 4:] = 1.0
+    for chunk, held, expected in [(64, 1 << 19, [10]), (64, 19, [4, 4, 2]), (3, 19, [3, 3, 3, 1]),
+                                  (64, 3, [1] * 10)]:
+        monkeypatch.setattr(statevector, "_CHUNK", chunk)
+        monkeypatch.setattr(statevector, "_BLOCK_MAX", held)
+        outputs = list(statevector.run_batch(rows, block, Circuit(2, (h(0),))))
+        assert len(outputs) == 10 and counts == expected, (chunk, held)
+        counts.clear()

@@ -9,7 +9,6 @@ import pytest
 
 from edick import Circuit, Gate, GateKind, Statevector, basis_state, cnot, h, run, toffoli, x
 from edick import statevector
-from edick.statevector import run_batch
 
 _ARITHMETIC = [GateKind.H, GateKind.RY, GateKind.PHASE, GateKind.CRY, GateKind.CPHASE, GateKind.CCRY]
 _CONTROLS = {GateKind.CRY: 1, GateKind.CPHASE: 1, GateKind.CCRY: 2, GateKind.CNOT: 1, GateKind.TOFFOLI: 2}
@@ -26,6 +25,12 @@ def sparse_steps(monkeypatch: pytest.MonkeyPatch) -> list[tuple[int, int, int]]:
 
     monkeypatch.setattr(statevector, "_sparse_pays", always)
     return asked
+
+
+def _run_batch(states: list[Statevector], circuit: Circuit):
+    """`statevector.run_batch` on the union of the states' nonzero rows, with a column per state."""
+    rows = np.unique(np.concatenate([np.flatnonzero(s.amplitudes) for s in states]))
+    return statevector.run_batch(rows, np.array([s.amplitudes[rows] for s in states]).T, circuit)
 
 
 def _random_gate(rng: np.random.Generator, num_qubits: int) -> Gate:
@@ -65,7 +70,7 @@ def test_sparse_steps_equal_the_dense_kernel_on_random_sparse_batches(
                             met[int(amps[low] != 0) + int(amps[low | bit] != 0)] += 1
                 statevector._apply_inplace(amps.reshape([2] * n), gate, n)
             expected.append(amps)
-        outputs = list(run_batch(states, Circuit(n, gates)))
+        outputs = list(_run_batch(states, Circuit(n, gates)))
         assert all(np.array_equal(o.amplitudes, e) for o, e in zip(outputs, expected, strict=True))
     assert min(met.values()) > 0, met
     assert sparse_steps
@@ -93,7 +98,7 @@ def test_default_rule_goes_dense_once_and_for_good_when_the_union_is_too_wide(
         for gate in circuit.gates:
             statevector._apply_inplace(expected.reshape([2] * n), gate, n)
         assert np.count_nonzero(expected) == 8
-        assert all(np.array_equal(o.amplitudes, expected) for o in run_batch(inputs, circuit))
+        assert all(np.array_equal(o.amplitudes, expected) for o in _run_batch(inputs, circuit))
         # One state: rows 1 .. 4096 pay (4 * 4096 + 2048 < 32768) and 8192 does not.
         # Two states share the fixed cost and pay for 8192 rows too. After the first
         # refusal the rule is not asked again: every later step is dense.
@@ -118,7 +123,7 @@ def test_norm_drift_names_the_arithmetic_gate(
     circuit = Circuit(3, (x(0), cnot(0, 1), gate, cnot(1, 2), toffoli(0, 1, 2)))
     for states in (1, 3):
         with pytest.raises(AssertionError, match=re.escape(f"after {gate}")):
-            list(run_batch([basis_state(3, 0)] * states, circuit))
+            list(_run_batch([basis_state(3, 0)] * states, circuit))
 
 
 @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
