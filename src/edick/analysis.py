@@ -5,9 +5,10 @@ gate count. Both are reported at two granularities: the logical gate set
 as built, and the {single-qubit, CNOT} basis after exact lowering.
 
 Sweeps need no simulation, so level counts in the hundreds are cheap at
-logical granularity. Basis granularity of the recursion method grows
-exponentially in log2(N) through its ancilla-free multi-controlled X, so
-keep basis sweeps of that method to moderate N.
+either granularity. Lowering borrows idle register qubits for the recursion
+method's multi-controlled X and restores them exactly, so its basis cost
+stays polylogarithmic in depth: at N=1024, edick-to-binary by recursion has
+basis depth 2,921 and size 87,411.
 """
 
 from __future__ import annotations

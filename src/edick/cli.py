@@ -8,6 +8,7 @@ uses repr floats, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -124,6 +125,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edick",

@@ -2,8 +2,15 @@
 
 Every rewrite here is an exact unitary identity (no global-phase slack):
 controlled phases split over two CNOTs, controlled rotations use the
-conjugate-by-X trick, Toffoli uses the fixed 6-CNOT realization, and MCX
-recurses through controlled powers of X, where X**s = H . Phase(pi*s) . H.
+conjugate-by-X trick, and Toffoli uses the fixed 6-CNOT realization. A
+k-control MCX (k >= 3) inside a circuit is 4(k-2) Toffolis over k-2 idle
+qubits that it borrows from the register and restores exactly, whatever
+their state (Barenco et al. 1995, Lemma 7.2). It takes the idle qubits
+strictly between its lowest and highest qubit nearest the target first,
+then the nearest ones outside that span. The choice depends only on the
+gate and the register width. A lone gate (decompose_gate) or a register
+with too few idle qubits recurses through controlled powers of X instead,
+where X**s = H . Phase(pi*s) . H, at about 3^k gates.
 
 decompose_to_basis expands each distinct gate once per call and reuses that
 expansion for its repeats. Equal gates may differ in the sign of a zero angle,
@@ -82,19 +89,43 @@ def _cxpow_basis(s: float, c: int, t: int, cx: _Cnots) -> list[Gate]:
     return [ht] + _cphase_basis(math.pi * s, c, t, cx) + [ht]
 
 
-def _mcx_basis(controls: tuple[int, ...], t: int, cx: _Cnots) -> list[Gate]:
-    if len(controls) == 1:
+def _borrowed(controls: tuple[int, ...], t: int, width: int) -> list[int]:
+    # Idle qubits inside the gate's span nearest the target first, then the
+    # nearest ones outside it; ties go to the lower index. A lone gate
+    # (width 0) has no register to borrow from.
+    busy = {*controls, t}
+    lo, hi = min(busy), max(busy)
+    if hi >= width:
+        return []
+    idle = [q for q in range(lo + 1, hi) if q not in busy]
+    need = len(controls) - 2
+    if len(idle) < need:
+        idle += [*range(lo), *range(hi + 1, width)]
+    return sorted(idle, key=lambda q: (not lo < q < hi, abs(q - t), q))[:need]
+
+
+def _mcx_basis(controls: tuple[int, ...], t: int, cx: _Cnots, width: int) -> list[Gate]:
+    k = len(controls)
+    if k == 1:
         return [cx[controls[0], t]]
-    if len(controls) == 2:
+    if k == 2:
         return _toffoli_basis(controls[0], controls[1], t, cx)
-    return _mcxpow_basis(1.0, controls, t, cx)
+    b = _borrowed(controls, t, width)
+    if len(b) < k - 2:
+        return _mcxpow_basis(1.0, controls, t, cx)
+    # Barenco et al. 1995, Lemma 7.2: 4(k-2) Toffolis that restore b exactly.
+    c = controls
+    down = [(c[k - 1], b[k - 3], t)] + [(c[j], b[j - 2], b[j - 1]) for j in range(k - 2, 1, -1)]
+    core = [(c[0], c[1], b[0])]
+    chain = down + core + down[::-1] + down[1:] + core + down[:0:-1]
+    return [g for c0, c1, tt in chain for g in _toffoli_basis(c0, c1, tt, cx)]
 
 
 def _mcxpow_basis(s: float, controls: tuple[int, ...], t: int, cx: _Cnots) -> list[Gate]:
     if len(controls) == 1:
         return _cxpow_basis(s, controls[0], t, cx)
     body, last = controls[:-1], controls[-1]
-    inner = _mcx_basis(body, last, cx)
+    inner = _mcx_basis(body, last, cx, 0)
     return (
         _cxpow_basis(s / 2.0, last, t, cx)
         + inner
@@ -108,10 +139,10 @@ def decompose_gate(gate: Gate) -> list[Gate]:
     """Exact expansion of one gate into {X, H, RY, Phase, CNOT}."""
     if gate.kind in _PRIMITIVE:
         return [gate]
-    return _expand(gate, _Cnots())
+    return _expand(gate, _Cnots(), 0)
 
 
-def _expand(gate: Gate, cx: _Cnots) -> list[Gate]:
+def _expand(gate: Gate, cx: _Cnots, width: int) -> list[Gate]:
     kind = gate.kind
     if kind is GateKind.CPHASE:
         return _cphase_basis(gate.angle, gate.controls[0], gate.target, cx)
@@ -122,7 +153,7 @@ def _expand(gate: Gate, cx: _Cnots) -> list[Gate]:
     if kind is GateKind.TOFFOLI:
         return _toffoli_basis(gate.controls[0], gate.controls[1], gate.target, cx)
     if kind is GateKind.MCX:
-        return _mcx_basis(gate.controls, gate.target, cx)
+        return _mcx_basis(gate.controls, gate.target, cx, width)
     raise ValueError(f"unsupported gate kind {kind}")  # pragma: no cover
 
 
@@ -140,7 +171,7 @@ def decompose_to_basis(circuit: Circuit) -> Circuit:
         key = (gate.kind, gate.target, gate.controls, angle, sign)
         expansion = expansions.get(key)
         if expansion is None:
-            expansion = expansions[key] = _expand(gate, cx)
+            expansion = expansions[key] = _expand(gate, cx, circuit.num_qubits)
         gates.extend(expansion)
     if not expansions:
         return circuit

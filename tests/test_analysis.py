@@ -127,9 +127,10 @@ def test_sweep_times_default_to_zero_for_reproducibility() -> None:
 
 
 # sha256 of the sweep CSV over every subject at N = 2..40, recorded when each
-# subject was still built by its own builder call.
+# subject was still built by its own builder call. The basis digest was
+# re-recorded when lowering began to borrow idle qubits for multi-controlled X.
 _SWEEP_DIGESTS = {
-    Granularity.TWO_QUBIT_BASIS: "b5a9422bd6f5f4adf11c557d122ec0196a0bad01ecd7a2eb978f5e21f7dc166c",
+    Granularity.TWO_QUBIT_BASIS: "0657284edad7b0e8b6cd0ae31793d3c06ed28a41485607bb8140afb0c28c04f5",
     Granularity.LOGICAL: "0b5fb28459946a80ea6cc0ad0fc682dee266c916e2646b5e658ba8c2bbb43a1e",
 }
 

@@ -225,6 +225,34 @@ def test_usage_errors_exit_two(capsys, tmp_path) -> None:
     capsys.readouterr()
 
 
+def test_calls_share_the_parser_but_no_parsed_state(capsys, tmp_path) -> None:
+    verify = ["verify", "--direction", "edick-to-binary", "--n", "5"]
+    assert main([*verify, "--method", "recursion", "--trials", "1", "--seed", "9"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert main(verify) == 0
+    second = capsys.readouterr().out.splitlines()[0]
+    assert first.endswith("method=recursion trials=1 seed=9")
+    assert second.endswith("method=expand-pow2 trials=20 seed=0")
+    timed, plain = tmp_path / "timed.csv", tmp_path / "plain.csv"
+    sweep = ["sweep", "--n-min", "4", "--n-max", "4", "--methods", "recursion"]
+    assert main([*sweep, "--timings", "--out", str(timed)]) == 0
+    assert main([*sweep, "--out", str(plain)]) == 0
+    assert not timed.read_text().splitlines()[1].endswith(",0.0")
+    assert plain.read_text().splitlines()[1].endswith(",0.0")
+    assert edick.cli._build_parser() is edick.cli._build_parser()
+
+
+def test_help_and_usage_errors_repeat_byte_for_byte(capsys) -> None:
+    outputs = []
+    for _ in range(2):
+        for argv in (["--help"], ["verify", "--help"], ["build", "--n", "4"], ["sweep", "--n-min", "x"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            outputs.append((code, captured.out, captured.err))
+    assert outputs[:4] == outputs[4:]
+    assert [code for code, _, _ in outputs[:4]] == [0, 0, 2, 2]
+
+
 def test_verify_rejects_negative_trials(capsys) -> None:
     argv = ["verify", "--direction", "edick-to-binary", "--n", "5", "--trials", "-3"]
     assert main(argv) == 2

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from edick import (
     Circuit,
+    Direction,
+    EvenMethod,
     GateKind,
+    Granularity,
     Statevector,
+    build_converter,
     ccry,
     cnot,
+    cost,
     cphase,
     cry,
     decompose_gate,
@@ -19,11 +26,12 @@ from edick import (
     h,
     mcx,
     run,
+    run_batch,
     ry,
     toffoli,
     x,
 )
-from edick.decompose import _PRIMITIVE
+from edick.decompose import _PRIMITIVE, _borrowed
 
 ANGLES = [0.3, 1.1, -0.8, np.pi / 2]
 
@@ -156,3 +164,83 @@ def test_repeated_gates_lower_like_their_first_copy() -> None:
 def test_a_circuit_with_nothing_to_lower_is_returned_as_it_is() -> None:
     source = Circuit(2, (h(0), cnot(0, 1), x(1)), label="basis")
     assert decompose_to_basis(source) is source
+
+
+def _random_state(width: int, rng: np.random.Generator) -> Statevector:
+    amps = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
+    return Statevector(width, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_borrowed_qubit_mcx_matches_the_dense_mcx(k: int) -> None:
+    # k controls, a target, the k-2 qubits to borrow and one spare, shuffled;
+    # every qubit of the random states, borrowed ones included, is in superposition.
+    rng = np.random.default_rng(k)
+    width = 2 * k
+    order = [int(q) for q in rng.permutation(width)]
+    gate = mcx(order[:k], order[k])
+    source = Circuit(width, (gate,))
+    lowered = decompose_to_basis(source)
+    assert len(lowered.gates) == 4 * (k - 2) * 15
+    touched = {q for g in lowered.gates for q in g.qubits}
+    assert touched == {*gate.qubits, *_borrowed(gate.controls, gate.target, width)}
+    for _ in range(3):
+        state = _random_state(width, rng)
+        np.testing.assert_allclose(
+            run(state, lowered).amplitudes, run(state, source).amplitudes, rtol=0, atol=1e-13
+        )
+
+
+def test_borrowed_qubits_are_the_idle_ones_nearest_the_target() -> None:
+    # Inside the span 2..12, by distance to 5, ties to the lower index.
+    assert _borrowed((2, 9, 11, 12), 5, 14) == [4, 6]
+    assert _borrowed((2, 9, 11, 12, 13), 5, 14) == [4, 6, 3]
+    # Too few inside: then the nearest outside the span.
+    assert _borrowed((3, 4, 5, 6), 2, 9) == [1, 0]
+    assert _borrowed((1, 3, 4, 5, 6), 7, 10) == [2, 8, 9]
+    # What the register cannot supply is left short; a lone gate borrows nothing.
+    assert _borrowed((0, 1, 2, 3, 4), 5, 7) == [6]
+    assert _borrowed((0, 2, 4), 6, 0) == []
+
+
+def test_too_few_idle_qubits_keep_the_controlled_power_recursion() -> None:
+    for k, width in ((3, 4), (4, 6), (5, 7), (6, 10)):
+        gate = mcx(list(range(1, k + 1)), 0)
+        lowered = decompose_to_basis(Circuit(width, (gate,)))
+        assert lowered.gates == tuple(decompose_gate(gate))
+
+
+def test_lone_mcx_lowering_is_unchanged() -> None:
+    # decompose_gate sees no register, so it borrows nothing.
+    digest = hashlib.sha256()
+    for k in range(3, 7):
+        for gate in (mcx(list(range(k)), k), mcx(list(range(k, 0, -1)), 0)):
+            digest.update(emit_text(Circuit(k + 1, tuple(decompose_gate(gate)))).encode())
+    assert digest.hexdigest() == "0a8ad5ce8f31efbed0e913e8e2a0ad80b0e64bc6104a1f3f5ccb6e2dbd90d8be"
+
+
+RECURSION_DIRECTIONS = ("edick-to-binary", "onehot-to-binary", "binary-to-onehot")
+
+
+@pytest.mark.parametrize("direction", RECURSION_DIRECTIONS)
+def test_lowered_recursion_maps_every_level_up_to_17_qubits(direction: str) -> None:
+    n = 4
+    while True:
+        circuit, plan = build_converter(Direction(direction), n, EvenMethod.RECURSION)
+        if plan.total_qubits > 17:
+            break
+        lowered = decompose_to_basis(circuit)
+        inputs = [plan.input_index(level) for level in range(n)]
+        for level, out in enumerate(run_batch(inputs, np.eye(n), lowered)):
+            amps = np.asarray(out.amplitudes)
+            assert abs(amps[plan.output_index(level)] - 1.0) < 1e-9, (n, level)
+        n += 1
+    assert n >= 18
+
+
+@pytest.mark.parametrize("direction", RECURSION_DIRECTIONS)
+def test_lowered_recursion_keeps_log_depth_at_1024_levels(direction: str) -> None:
+    circuit, _ = build_converter(Direction(direction), 1024, EvenMethod.RECURSION)
+    report = cost(circuit, Granularity.TWO_QUBIT_BASIS)
+    assert report.depth <= 3000
+    assert report.size <= 90000

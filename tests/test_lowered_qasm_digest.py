@@ -2,8 +2,10 @@
 
 Each digest is the sha256 over emit_text(decompose_to_basis(circuit)) of a
 family of circuits, taken in order, recorded before lowering and parsing
-began to share work between repeated gates. Every lowered circuit must
-also survive a QASM round trip gate for gate.
+began to share work between repeated gates. The recursion entries, which
+hold every multi-controlled X, were re-recorded when lowering began to
+borrow idle qubits for them. Every lowered circuit must also survive a QASM
+round trip gate for gate.
 """
 
 from __future__ import annotations
@@ -40,19 +42,19 @@ CONVERTER_DIGESTS = {
     ("cnot-stair", None):
         "58a709c09077c164f81fd85002ddd2d17183bb638c15ed719c53a14060cb3d5b",
     ("edick-to-binary", "recursion"):
-        "20f66ed9331bf891d6866e2457b8bb9db864ee1b9d53c34f7d919adaa6a14f92",
+        "97445c1f658d0d3c2164d46b292e5dac0e6d3e040bdd646b1f678b21bccfe8a5",
     ("edick-to-binary", "expand-n-plus-1"):
         "97606e961a8c8052c16ef3ec675abc9ffb92149d5b32317d8490eb9f12d226c9",
     ("edick-to-binary", "expand-pow2"):
         "c3fb92cdf7769ac6ab10a13158583cbc6c3ca7a01ec6a82528f631e7f142e89a",
     ("onehot-to-binary", "recursion"):
-        "b532dc84f46b150a4d659eed325507e0bed5a5cff01ba91c7a6d918e3b088cff",
+        "2629a05caaac765305484b3445ab938a4a4580bb9ef0adb7c5d8025b73a62743",
     ("onehot-to-binary", "expand-n-plus-1"):
         "d0f0ef10e5515d1c4fb68c4f43a7842a8fb6ddd54838f1fa4d60fa9cbd68a926",
     ("onehot-to-binary", "expand-pow2"):
         "b98a20ab7dea047f61a36055c99e2364edc8f8c9e8e933568708dca85dd02ed8",
     ("binary-to-onehot", "recursion"):
-        "89dde1468f7c53805ab2b5ce4600d1ece5fa90aa404d86e019ec9cf93aa5f417",
+        "ed0e03799e83054261b278b91fb5f0eead6ea7b55f4be07260355192d6b14a2e",
     ("binary-to-onehot", "expand-n-plus-1"):
         "cb960e582d601da691e3e6d5b92eea6195dab45757938c86669f014033747624",
     ("binary-to-onehot", "expand-pow2"):
@@ -73,7 +75,7 @@ BINOMIAL_DIGESTS = {
     ("onehot", "expand-pow2"):
         "cd2399eaedfa73b6637b6c7f6b6568ae021a76e382d1ba469fee43bc20357ff4",
     ("binary", "recursion"):
-        "e06a7ed51761cb77527ce15ea201731166dfb930e80c2ef8ba704b14ccfd315c",
+        "1b53c3224fedda1b45868f78fda4c906127f44e512cbeb30af12ee1080791889",
     ("binary", "expand-n-plus-1"):
         "23f5343e8b5fd423e4f269bb45042f09221fc1ccd751f070c03b48ce0f0036eb",
     ("binary", "expand-pow2"):
