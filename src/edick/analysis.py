@@ -7,8 +7,8 @@ as built, and the {single-qubit, CNOT} basis after exact lowering.
 Sweeps need no simulation, so level counts in the hundreds are cheap at
 either granularity. Lowering borrows idle register qubits for the recursion
 method's multi-controlled X and restores them exactly, so its basis cost
-stays polylogarithmic in depth: at N=1024, edick-to-binary by recursion has
-basis depth 2,921 and size 87,411.
+no longer grows exponentially in log2(N): at N=1024, edick-to-binary by
+recursion has basis depth 2,921 and size 87,411.
 """
 
 from __future__ import annotations
