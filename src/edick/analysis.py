@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 from .circuit import Circuit, Granularity, cost
 from .converters import Direction, EvenMethod, binary_width, build_converter
+from .encodings import _levels
 
 SWEEP_CSV_HEADER = (
     "N,method,depth_logical,depth_basis,size_logical,size_basis,ancilla,build_time_ms"
@@ -54,8 +55,8 @@ class SweepRow:
             self.ancilla,
             self.build_time_ms,
         ):
-            if field < 0:
-                raise ValueError("sweep metrics are non-negative")
+            if not 0 <= field < math.inf:  # NaN fails too
+                raise ValueError("sweep metrics are finite and non-negative")
         if self.depth_logical > self.size_logical or self.depth_basis > self.size_basis:
             raise ValueError("depth cannot exceed size")
 
@@ -84,8 +85,7 @@ def measured_edick_to_onehot_depth(num_levels: int) -> int:
     highest bit of N is set. Agrees with the 2*ceil(log2 N) - 1 claim
     exactly when N is a power of two.
     """
-    if num_levels < 2:
-        raise ValueError("need at least two levels")
+    num_levels = _levels(num_levels)
     if num_levels == 2:
         return 1
     bits = num_levels.bit_length()
@@ -100,8 +100,7 @@ def edick_to_onehot_size_bound(num_levels: int) -> float:
 
 def edick_to_onehot_size(num_levels: int) -> int:
     """Gate-count recurrence of the unfolding: s(2N)=s(N)+2N-1, s(N+1)=s(N)+1."""
-    if num_levels < 2:
-        raise ValueError("need at least two levels")
+    num_levels = _levels(num_levels)
     if num_levels == 2:
         return 1
     if num_levels % 2 == 0:
@@ -128,6 +127,8 @@ def run_sweep(
     default to 0.0 so repeated runs are byte-identical; pass measure_time
     to record wall-clock milliseconds instead.
     """
+    if type(granularity) is not Granularity:
+        raise ValueError(f"granularity must be a Granularity, got {granularity!r}")
     for subject in subjects:
         if subject not in SWEEP_SUBJECTS:
             raise ValueError(f"unknown sweep subject {subject!r}; choose from {SWEEP_SUBJECTS}")
@@ -183,8 +184,8 @@ def fit_scaling(
     else:
         basis = [math.log2(n) ** 2 for n, _ in points]
     values = [float(y) for _, y in points]
-    if any(y <= 0 for y in values):
-        raise ValueError("scaling fits need positive values")
+    if not all(0 < y < math.inf for y in values):  # NaN fails too
+        raise ValueError("scaling fits need positive, finite values")
     coefficient = sum(g * y for g, y in zip(basis, values)) / sum(g * g for g in basis)
     worst = max(abs(y - coefficient * g) / y for g, y in zip(basis, values))
     return coefficient, worst

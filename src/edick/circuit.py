@@ -130,17 +130,20 @@ _set_kind, _set_target = Gate.kind.__set__, Gate.target.__set__
 _set_controls, _set_angle = Gate.controls.__set__, Gate.angle.__set__
 
 
+def _integer(value: object, message: str) -> int:
+    """`value` as an int; bools and values without __index__ raise ValueError(message)."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{message}, got {value!r}")
+    return operator.index(value)
+
+
 def _index(q: object) -> int:
-    if isinstance(q, bool) or not hasattr(type(q), "__index__"):
-        raise ValueError(f"qubit indices must be integers, got {q!r}")
-    return operator.index(q)
+    return _integer(q, "qubit indices must be integers")
 
 
 def _width(n: object) -> int:
     """A register width, checked like a qubit index, and at least 1."""
-    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
-        raise ValueError(f"register width must be an integer, got {n!r}")
-    n = operator.index(n)
+    n = _integer(n, "register width must be an integer")
     if n < 1:
         raise ValueError("a circuit needs at least one qubit")
     return n
@@ -307,6 +310,8 @@ def cost(circuit: Circuit, granularity: Granularity = Granularity.LOGICAL, ancil
 
     `ancilla` is pass-through bookkeeping supplied by the caller; nothing is inferred.
     """
+    if type(granularity) is not Granularity:
+        raise ValueError(f"granularity must be a Granularity, got {granularity!r}")
     if granularity is Granularity.TWO_QUBIT_BASIS:
         from .decompose import decompose_to_basis
 

@@ -14,8 +14,8 @@ Conventions used throughout:
   positions and start and end in |0>.
 
 Builders emit physical qubit ids: the staircase -> binary compression
-computes its peak ancilla count first, so its pool hands out the leftmost
-qubits directly and no second pass relabels the gates.
+computes its peak ancilla count first and hands the leftmost qubits out
+from a free list, so no second pass relabels the gates.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .circuit import Circuit, Gate, cnot, cphase, h, mcx, phase, toffoli, x
-from .circuit import _derived, inverse
-from .encodings import EncodingKind, level_to_basis
+from .circuit import _derived, _integer, _width, inverse
+from .encodings import EncodingKind, _levels, level_to_basis
 
 
 class EvenMethod(Enum):
@@ -85,8 +85,9 @@ class ConverterPlan:
     direction: Direction | None
 
     def __post_init__(self) -> None:
-        if self.num_levels < 2:
-            raise ValueError("need at least two levels")
+        object.__setattr__(self, "num_levels", _levels(self.num_levels))
+        for key in ("total_qubits", "ancilla"):
+            object.__setattr__(self, key, _integer(getattr(self, key), f"{key} must be an integer"))
         if self.total_qubits < 1:
             raise ValueError("empty register")
         if not 0 <= self.ancilla <= self.total_qubits:
@@ -99,6 +100,7 @@ class ConverterPlan:
         return self._index(level, *_LAYOUTS[self.direction][1])
 
     def _index(self, level: int, kind: EncodingKind, flag: int) -> int:
+        level = _integer(level, "level must be an integer")
         if not 0 <= level < self.num_levels:
             raise ValueError(f"level {level} outside 0..{self.num_levels - 1}")
         return (level_to_basis(kind, level, self.total_qubits - flag) << flag) | flag
@@ -106,9 +108,7 @@ class ConverterPlan:
 
 def binary_width(num_levels: int) -> int:
     """Qubits needed to hold level indices 0..num_levels-1 in binary."""
-    if num_levels < 2:
-        raise ValueError("need at least two levels")
-    return (num_levels - 1).bit_length()
+    return (_levels(num_levels) - 1).bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +136,7 @@ def build_edick_to_onehot(num_levels: int) -> Circuit:
     Output: a single 1 at right-offset i. Depth is logarithmic in the
     level count; sizes follow s(2N) = s(N) + 2N - 1 and s(N+1) = s(N) + 1.
     """
-    if num_levels < 2:
-        raise ValueError("need at least two levels")
+    num_levels = _levels(num_levels)
     gates = _onehot_gates(tuple(range(num_levels)))
     return Circuit(num_levels, tuple(gates), label=f"edick_to_onehot_{num_levels}")
 
@@ -150,8 +149,7 @@ def build_cnot_stair(num_levels: int) -> Circuit:
     Exactly N(N-1)/2 gates and greedy depth 2N-3: the quadratic baseline
     the logarithmic converter is measured against.
     """
-    if num_levels < 2:
-        raise ValueError("need at least two levels")
+    num_levels = _levels(num_levels)
     gates = [
         cnot(c, t)
         for c in range(num_levels - 1)
@@ -164,33 +162,6 @@ def build_cnot_stair(num_levels: int) -> Circuit:
 # staircase -> binary
 
 
-class _AncillaPool:
-    """Hands out the ancilla qubits below `top`, rightmost first, with reuse.
-
-    A sub-build that finishes returns its ancillas to |0>, so a sibling
-    sub-build may take the same physical qubits; `total` is therefore the
-    peak simultaneous need, not the sum.
-    """
-
-    def __init__(self, top: int) -> None:
-        self._top = top
-        self._free: list[int] = []
-        self.total = 0
-
-    def alloc(self, count: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(count):
-            if self._free:
-                out.append(self._free.pop())
-            else:
-                self.total += 1
-                out.append(self._top - self.total)
-        return tuple(out)
-
-    def release(self, qubits: tuple[int, ...]) -> None:
-        self._free.extend(qubits)
-
-
 def _expansion(levels: int, method: EvenMethod) -> int:
     """Fresh |0> qubits an expansion method adds to an even level count."""
     if method is EvenMethod.EXPAND_TO_N_PLUS_1:
@@ -200,12 +171,10 @@ def _expansion(levels: int, method: EvenMethod) -> int:
 
 def _peak_ancilla(levels: int, method: EvenMethod) -> int:
     """The most ancillas _binary_gates holds at once for `levels` levels."""
-    if levels <= 3:
+    if levels <= 3 or method is EvenMethod.RECURSION:
         return 0
     if levels % 2:
         return _peak_ancilla((levels - 1) // 2 + 1, method)
-    if method is EvenMethod.RECURSION:
-        return _peak_ancilla(levels - 1, method)
     extra = _expansion(levels, method)
     return extra + _peak_ancilla(levels + extra, method)
 
@@ -232,25 +201,33 @@ def _adder_gates(qubits: tuple[int, ...], shift: int) -> list[Gate]:
 
 def build_adder(num_qubits: int, shift: int) -> Circuit:
     """Modular adder on a binary register; shift is reduced mod 2**n."""
-    if num_qubits < 1:
-        raise ValueError("need at least one qubit")
+    num_qubits = _width(num_qubits)
+    shift = _integer(shift, "shift must be an integer")
     gates = _adder_gates(tuple(range(num_qubits)), shift)
     return Circuit(num_qubits, tuple(gates), label=f"adder_{num_qubits}_plus_{shift}")
 
 
-def _binary_gates(view: tuple[int, ...], method: EvenMethod, pool: _AncillaPool) -> list[Gate]:
-    """Compress a staircase of len(view)+1 levels into its binary register."""
+def _binary_gates(view: tuple[int, ...], method: EvenMethod, free: list[int]) -> list[Gate]:
+    """Compress a staircase of len(view)+1 levels into its binary register.
+
+    `free` is the stack of idle |0> ancillas; see `_compression`.
+    """
     levels = len(view) + 1
     if levels == 2:
         return []
     if levels == 3:
         return [cnot(view[0], view[1])]
-    if levels % 2 == 0:
-        return _even_gates(view, method, pool)
-    return _odd_gates(view, method, pool)
+    if levels % 2:
+        return _odd_gates(view, method, free)
+    if method is EvenMethod.RECURSION:
+        return _recursion_gates(view)
+    extra = tuple(free.pop() for _ in range(_expansion(levels, method)))
+    gates = _binary_gates(extra + view, method, free)
+    free.extend(extra)
+    return gates
 
 
-def _odd_gates(view: tuple[int, ...], method: EvenMethod, pool: _AncillaPool) -> list[Gate]:
+def _odd_gates(view: tuple[int, ...], method: EvenMethod, free: list[int]) -> list[Gate]:
     # Split into halves of `half` qubits, each a staircase of half+1 levels.
     levels = len(view) + 1
     half = (levels - 1) // 2
@@ -258,8 +235,8 @@ def _odd_gates(view: tuple[int, ...], method: EvenMethod, pool: _AncillaPool) ->
     m = (half - 1).bit_length()
     d = (1 << m) - half
 
-    gates = _binary_gates(first, method, pool)
-    gates += _binary_gates(second, method, pool)
+    gates = _binary_gates(first, method, free)
+    gates += _binary_gates(second, method, free)
 
     # Offset the second half's value by d so its 2**m bit flags "second
     # half saturated", i.e. the level spilled into the first half.
@@ -290,23 +267,13 @@ def _odd_gates(view: tuple[int, ...], method: EvenMethod, pool: _AncillaPool) ->
     return gates
 
 
-def _even_gates(view: tuple[int, ...], method: EvenMethod, pool: _AncillaPool) -> list[Gate]:
-    levels = len(view) + 1
-    if method is EvenMethod.RECURSION:
-        return _recursion_gates(view, method, pool)
-    extra = pool.alloc(_expansion(levels, method))
-    gates = _binary_gates(extra + view, method, pool)
-    pool.release(extra)
-    return gates
-
-
-def _recursion_gates(view: tuple[int, ...], method: EvenMethod, pool: _AncillaPool) -> list[Gate]:
+def _recursion_gates(view: tuple[int, ...]) -> list[Gate]:
     # Peel the leftmost qubit: the remaining staircase has an odd level
     # count. Only the top level sets the peeled qubit, so patching the
     # binary register from value N-2 to N-1 is a classically known XOR,
     # undone on the peeled qubit by one multi-controlled X.
     levels = len(view) + 1
-    gates = _binary_gates(view[1:], method, pool)
+    gates = _binary_gates(view[1:], EvenMethod.RECURSION, [])
     width = binary_width(levels)
     register = view[-width:]
     flips = (levels - 1) ^ (levels - 2)
@@ -323,11 +290,26 @@ def _recursion_gates(view: tuple[int, ...], method: EvenMethod, pool: _AncillaPo
 
 def build_recursion_step(num_levels: int) -> Circuit:
     """The ancilla-free even-level reduction, exposed on its own register."""
+    num_levels = _integer(num_levels, "level count must be an integer")
     if num_levels < 4 or num_levels % 2:
         raise ValueError("recursion step applies to even level counts >= 4")
-    pool = _AncillaPool(top=0)  # the recursion allocates nothing
-    gates = _recursion_gates(tuple(range(num_levels - 1)), EvenMethod.RECURSION, pool)
+    gates = _recursion_gates(tuple(range(num_levels - 1)))
     return Circuit(num_levels - 1, tuple(gates), label=f"recursion_step_{num_levels}")
+
+
+def _compression(num_levels: int, method: EvenMethod) -> tuple[int, list[Gate]]:
+    """Ancilla count and gates that compress a staircase on qubits anc..anc+num_levels-2.
+
+    The ancillas are qubits 0..anc-1, held on a free list used as a stack:
+    an expansion pops from the end and pushes back what it took, so a
+    sibling half gets the qubits just returned, in the order they were
+    taken, before any fresh one, and fresh ones come from the highest index
+    down. It must stay LIFO because the gate lists depend on that order: a
+    counter would hand a reused block back reversed and change them.
+    """
+    anc = _peak_ancilla(num_levels, method)
+    view = tuple(range(anc, anc + num_levels - 1))
+    return anc, _binary_gates(view, method, list(range(anc)))
 
 
 def build_edick_to_binary(
@@ -340,11 +322,9 @@ def build_edick_to_binary(
     leftmost |0> ancillas when the method adds them). Output: |i> on the
     rightmost binary_width(num_levels) qubits, |0> everywhere else.
     """
-    if num_levels < 2:
-        raise ValueError("need at least two levels")
-    anc = _peak_ancilla(num_levels, method)
+    num_levels = _levels(num_levels)
+    anc, gates = _compression(num_levels, method)
     total = anc + num_levels - 1
-    gates = _binary_gates(tuple(range(anc, total)), method, _AncillaPool(top=anc))
     circuit = Circuit(total, tuple(gates), label=f"edick_to_binary_{num_levels}")
     plan = ConverterPlan(num_levels, method, total, anc, Direction.EDICK_TO_BINARY)
     return circuit, plan
@@ -364,12 +344,11 @@ def build_onehot_to_binary(
     which leaves a staircase next to a lone |1> flag, then compresses the
     staircase. The flag qubit stays |1> at the far right.
     """
-    binary, inner = build_edick_to_binary(num_levels, method)
-    anc = inner.ancilla
+    num_levels = _levels(num_levels)
+    anc, compress = _compression(num_levels, method)
     total = anc + num_levels
     # The unfolding is all CNOTs, so its inverse is its reversal.
-    gates = _onehot_gates(tuple(range(anc, total)))[::-1]
-    gates += binary.gates
+    gates = _onehot_gates(tuple(range(anc, total)))[::-1] + compress
     circuit = Circuit(total, tuple(gates), label=f"onehot_to_binary_{num_levels}")
     plan = ConverterPlan(num_levels, method, total, anc, Direction.ONEHOT_TO_BINARY)
     return circuit, plan
@@ -398,7 +377,8 @@ def build_converter(
     """Uniform entry point over every direction, the cnot-stair baseline included."""
     if direction is Direction.EDICK_TO_ONEHOT or direction is Direction.CNOT_STAIR:
         unfold = build_cnot_stair if direction is Direction.CNOT_STAIR else build_edick_to_onehot
-        return unfold(num_levels), ConverterPlan(num_levels, None, num_levels, 0, direction)
+        circuit = unfold(num_levels)
+        return circuit, ConverterPlan(num_levels, None, circuit.num_qubits, 0, direction)
     if direction is Direction.EDICK_TO_BINARY:
         return build_edick_to_binary(num_levels, method)
     if direction is Direction.ONEHOT_TO_BINARY:

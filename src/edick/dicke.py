@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, ccry, cnot, cry, ry, x
+from .circuit import Circuit, Gate, _integer, ccry, cnot, cry, ry, x
 from .converters import ConverterPlan, Direction, EvenMethod, build_converter
 from .encodings import EncodingKind
 
@@ -65,6 +65,7 @@ def build_scs(n: int, k: int) -> Circuit:
     the all-zeros and all-ones strings. Built from one two-qubit block and
     k-1 three-qubit blocks with angles 2*arccos(sqrt(l/n)).
     """
+    n, k = _integer(n, "n must be an integer"), _integer(k, "k must be an integer")
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     return Circuit(k + 1, tuple(_scs_gates(n, k, 0, invert=False)), label=f"scs_{n}_{k}")
@@ -76,6 +77,7 @@ def build_dicke_unitary(num_qubits: int) -> Circuit:
     One full-width split block, then progressively narrower ones on the
     leftmost qubits. Size grows quadratically, depth linearly.
     """
+    num_qubits = _integer(num_qubits, "register width must be an integer")
     if num_qubits < 2:
         raise ValueError("need at least two qubits")
     gates: list[Gate] = []
@@ -95,6 +97,7 @@ class BinomialSpec:
     method: EvenMethod
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "trials", _integer(self.trials, "trial count must be an integer"))
         if self.trials < 2:
             raise ValueError("need at least two trials")
         if not 0.0 <= self.p <= 1.0:

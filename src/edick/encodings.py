@@ -26,6 +26,7 @@ from typing import Union
 
 import numpy as np
 
+from .circuit import _integer
 from .statevector import _NORM_TOL, Statevector, _check_width
 
 _STRAY_TOL = 1e-9
@@ -46,6 +47,7 @@ class Dicke:
     weight: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "weight", _integer(self.weight, "Dicke weight must be an integer"))
         if self.weight < 0:
             raise ValueError("Dicke weight must be non-negative")
 
@@ -81,9 +83,17 @@ class AmplitudeVector:
         return AmplitudeVector(tuple(a / norm for a in alphas))
 
 
+def _levels(num_levels: object) -> int:
+    """A level count: an integer of at least two, as an int."""
+    num_levels = _integer(num_levels, "level count must be an integer")
+    if num_levels < 2:
+        raise ValueError("need at least two levels")
+    return num_levels
+
+
 def random_vector(num_levels: int, rng: np.random.Generator) -> AmplitudeVector:
     """Reproducible real test vector: normalized standard-normal draws."""
-    values = rng.standard_normal(num_levels)
+    values = rng.standard_normal(_levels(num_levels))
     return AmplitudeVector.normalized(values)
 
 
@@ -93,6 +103,8 @@ def level_to_basis(kind: EncodingKind, level: int, width: int) -> int:
     Extra qubits beyond the minimum are left padding (|0>), so any
     sufficiently wide register is accepted.
     """
+    level = _integer(level, "level must be an integer")
+    width = _integer(width, "width must be an integer")
     if width < 1:
         raise ValueError("width must be at least 1")
     if level < 0:
@@ -154,8 +166,7 @@ def read_state(kind: EncodingKind, state: Statevector, num_levels: int) -> Ampli
     converter and raises. The extracted vector is renormalized (the stray
     tolerance is looser than the AmplitudeVector norm invariant).
     """
-    if num_levels < 2:
-        raise ValueError("need at least two levels")
+    num_levels = _levels(num_levels)
     indices = [level_to_basis(kind, i, state.num_qubits) for i in range(num_levels)]
     extracted = state.amplitudes[indices]
     kept = float(np.sum(np.abs(extracted) ** 2))

@@ -20,13 +20,12 @@ densely and gate by gate.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit, Gate, GateKind, _integer
 
 _NORM_TOL = 1e-10
 _MAX_QUBITS = 24  # dense float64 memory wall; acceptance needs no more than 17
@@ -43,11 +42,10 @@ _PIECE = 1 << 15  # amplitudes of a block that one gather of pairs may hold
 
 
 def _check_width(num_qubits: object) -> int:
-    if isinstance(num_qubits, bool) or not isinstance(num_qubits, numbers.Integral):
-        raise ValueError(f"register width must be an integer, not {num_qubits!r}")
+    num_qubits = _integer(num_qubits, "register width must be an integer")
     if not 1 <= num_qubits <= _MAX_QUBITS:
         raise ValueError(f"register width must be in 1..{_MAX_QUBITS}")
-    return int(num_qubits)
+    return num_qubits
 
 
 def _norm_drift(amps: np.ndarray) -> float:
@@ -77,8 +75,7 @@ def zero_state(num_qubits: int) -> Statevector:
 
 def basis_state(num_qubits: int, index: int) -> Statevector:
     num_qubits = _check_width(num_qubits)
-    if isinstance(index, bool) or not isinstance(index, numbers.Integral):
-        raise ValueError(f"basis index must be an integer, not {index!r}")
+    index = _integer(index, "basis index must be an integer")
     if not 0 <= index < 2**num_qubits:
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     amps = np.zeros(2**num_qubits, dtype=np.complex128)

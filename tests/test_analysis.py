@@ -146,6 +146,15 @@ def test_sweep_rejects_unknown_subjects() -> None:
         run_sweep([4], subjects=("qft",))
 
 
+@pytest.mark.parametrize("granularity", ["two-qubit-basis", "logical", None])
+def test_cost_and_sweep_refuse_a_granularity_that_is_not_one(granularity: object) -> None:
+    circuit, _ = build_edick_to_binary(5, EvenMethod.RECURSION)
+    with pytest.raises(ValueError, match="granularity must be a Granularity"):
+        cost(circuit, granularity)
+    with pytest.raises(ValueError, match="granularity must be a Granularity"):
+        run_sweep([5], granularity=granularity)
+
+
 def test_sweep_csv_shape() -> None:
     rows = run_sweep([3], subjects=("cnot-stair",), granularity=Granularity.LOGICAL)
     text = rows_to_csv(rows)
@@ -169,6 +178,9 @@ def test_sweep_row_validation() -> None:
         SweepRow(4, "recursion", 5, 0, 3, 0, 0, 0.0)  # depth above size
     with pytest.raises(ValueError):
         SweepRow(4, "recursion", -1, 0, 3, 0, 0, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SweepRow(4, "recursion", 3, 0, 3, 0, 0, bad)
 
 
 # -- frozen cost curves at the self-similar sizes -------------------------------
@@ -235,3 +247,6 @@ def test_fit_rejects_thin_or_degenerate_input() -> None:
         fit_scaling([(3, 1.0)] * 4, ScalingModel.LINEAR)
     with pytest.raises(ValueError):
         fit_scaling([(3, 1.0), (5, 2.0), (9, 0.0), (17, 4.0), (33, 5.0)], ScalingModel.LINEAR)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fit_scaling([(3, 1.0), (5, 2.0), (9, bad), (17, 4.0), (33, 5.0)], ScalingModel.LINEAR)

@@ -271,6 +271,34 @@ def test_build_converter_dispatch() -> None:
     assert plan.ancilla == 0
 
 
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("direction", list(Direction))
+def test_each_converter_checks_one_circuit(
+    direction: Direction, method: EvenMethod, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    checked = []
+    post_init = Circuit.__post_init__
+
+    def counting(self: Circuit) -> None:
+        checked.append(self.label)
+        post_init(self)
+
+    monkeypatch.setattr(Circuit, "__post_init__", counting)
+    for num_levels in (2, 5, 8, 11, 20):
+        checked.clear()
+        build_converter(direction, num_levels, method)
+        assert len(checked) == 1, checked
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_compression_touches_every_ancilla_it_sizes(method: EvenMethod) -> None:
+    # Too few ancillas would empty the free list; one too many would sit idle.
+    for num_levels in range(2, 130):
+        circuit, plan = build_edick_to_binary(num_levels, method)
+        touched = {q for g in circuit.gates for q in g.qubits}
+        assert set(range(plan.ancilla)) <= touched, num_levels
+
+
 def test_builders_reject_tiny_level_counts() -> None:
     for builder in (build_edick_to_onehot, build_cnot_stair):
         with pytest.raises(ValueError):

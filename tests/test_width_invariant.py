@@ -1,9 +1,10 @@
 """Every circuit's gates fit its register, checked here rather than by Circuit.
 
-Derived circuits (compose, inverse, remap, lowering) and the in-place
-binomial pipeline are built without rescanning their gates, so this test
-scans them: each gate's qubits lie in [0, num_qubits), and its controls are
-distinct and differ from its target.
+Derived circuits (compose, inverse, remap, lowering, and binary-to-onehot,
+the inverse of onehot-to-binary) are built without rescanning their gates,
+so this test scans them: each gate's qubits lie in [0, num_qubits), and its
+controls are distinct and differ from its target. The builders and the
+binomial pipeline, which Circuit checks once, are scanned too.
 """
 
 from __future__ import annotations
