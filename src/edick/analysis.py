@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .circuit import Circuit, Granularity, cost
+from .circuit import Circuit, Granularity, _integer, cost
 from .converters import Direction, EvenMethod, binary_width, build_converter
 from .encodings import _levels
 
@@ -46,17 +46,14 @@ class SweepRow:
     build_time_ms: float
 
     def __post_init__(self) -> None:
-        for field in (
-            self.num_levels,
-            self.depth_logical,
-            self.depth_basis,
-            self.size_logical,
-            self.size_basis,
-            self.ancilla,
-            self.build_time_ms,
-        ):
-            if not 0 <= field < math.inf:  # NaN fails too
+        for key in ("num_levels", "depth_logical", "depth_basis", "size_logical",
+                    "size_basis", "ancilla"):
+            value = _integer(getattr(self, key), f"{key} must be an integer")
+            if value < 0:
                 raise ValueError("sweep metrics are finite and non-negative")
+            object.__setattr__(self, key, value)
+        if not 0 <= self.build_time_ms < math.inf:  # NaN fails too
+            raise ValueError("sweep metrics are finite and non-negative")
         if self.depth_logical > self.size_logical or self.depth_basis > self.size_basis:
             raise ValueError("depth cannot exceed size")
 
@@ -95,6 +92,7 @@ def measured_edick_to_onehot_depth(num_levels: int) -> int:
 
 def edick_to_onehot_size_bound(num_levels: int) -> float:
     """Analytic size bound claim for the one-hot unfolding: 1 + N + log2 N."""
+    num_levels = _levels(num_levels)
     return 1.0 + num_levels + math.log2(num_levels)
 
 
@@ -138,9 +136,9 @@ def run_sweep(
             start = time.perf_counter()
             circuit, ancilla = _build_subject(subject, num_levels)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
-            logical = cost(circuit, Granularity.LOGICAL, ancilla)
+            logical = cost(circuit, Granularity.LOGICAL)
             if granularity is Granularity.TWO_QUBIT_BASIS:
-                basis = cost(circuit, Granularity.TWO_QUBIT_BASIS, ancilla)
+                basis = cost(circuit, Granularity.TWO_QUBIT_BASIS)
                 depth_basis, size_basis = basis.depth, basis.size
             else:
                 depth_basis, size_basis = 0, 0

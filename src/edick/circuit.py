@@ -279,7 +279,6 @@ class Granularity(enum.Enum):
 class CostReport:
     depth: int
     size: int
-    ancilla: int
     granularity: Granularity
 
     def __post_init__(self) -> None:
@@ -305,15 +304,12 @@ def depth_of(gates: tuple[Gate, ...], num_qubits: int) -> int:
     return max(free)
 
 
-def cost(circuit: Circuit, granularity: Granularity = Granularity.LOGICAL, ancilla: int = 0) -> CostReport:
-    """Depth (greedy layering) and gate count, at logical or two-qubit-basis granularity.
-
-    `ancilla` is pass-through bookkeeping supplied by the caller; nothing is inferred.
-    """
+def cost(circuit: Circuit, granularity: Granularity = Granularity.LOGICAL) -> CostReport:
+    """Depth (greedy layering) and gate count, at logical or two-qubit-basis granularity."""
     if type(granularity) is not Granularity:
         raise ValueError(f"granularity must be a Granularity, got {granularity!r}")
     if granularity is Granularity.TWO_QUBIT_BASIS:
         from .decompose import decompose_to_basis
 
         circuit = decompose_to_basis(circuit)
-    return CostReport(depth_of(circuit.gates, circuit.num_qubits), len(circuit.gates), ancilla, granularity)
+    return CostReport(depth_of(circuit.gates, circuit.num_qubits), len(circuit.gates), granularity)

@@ -1,21 +1,13 @@
 """Circuits that move a level-encoded amplitude vector between encodings.
 
-The staircase (edick) form is the hub: one converter unfolds it into the
-one-hot form, another compresses it into the binary form, and composing
-them (Theorem-1 style) links one-hot and binary directly.
-
-Conventions used throughout:
-
-* qubit 0 is the leftmost ket position and carries the most significant
-  bit of any binary register;
-* binary registers sit on the rightmost qubits of their block, with every
-  other qubit returned to |0>;
-* ancilla qubits, when a method needs them, occupy the leftmost physical
-  positions and start and end in |0>.
-
-Builders emit physical qubit ids: the staircase -> binary compression
-computes its peak ancilla count first and hands the leftmost qubits out
-from a free list, so no second pass relabels the gates.
+The staircase (edick) form is the hub: the unfolding turns it into one-hot
+and the compression turns it into binary. One-hot -> binary runs the
+unfolding backwards, then the compression; binary -> one-hot is its inverse.
+`_converter` builds the gates and plan of every direction from those two,
+and `build_converter` checks them as one Circuit; its docstring holds each
+direction's contract. The named builders are `build_converter` with a fixed
+direction. Qubit 0 is the leftmost ket position and carries the most
+significant bit of any binary register.
 """
 
 from __future__ import annotations
@@ -25,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .circuit import Circuit, Gate, cnot, cphase, h, mcx, phase, toffoli, x
-from .circuit import _derived, _integer, _width, inverse
+from .circuit import _integer, _width
 from .encodings import EncodingKind, _levels, level_to_basis
 
 
@@ -53,10 +45,10 @@ class Direction(Enum):
     CNOT_STAIR = "cnot-stair"  # quadratic baseline of edick-to-onehot
 
 
-# Where each end of a converter keeps level i: an encoding, plus 1 when a |1>
-# flag qubit sits at the far right. The unfolding reads the staircase joined
-# with that flag, (2 << i) - 1; one-hot <-> binary keeps the binary register left
-# of it, (i << 1) | 1. No direction (the edick-target binomial plan) is edick to edick.
+# Where each end of a converter keeps level i (see build_converter): an encoding,
+# plus 1 when a |1> flag qubit sits at the far right, so the unfolding reads
+# (2 << i) - 1 and one-hot <-> binary (i << 1) | 1. The None plan (the
+# edick-target binomial pipeline) is edick to edick.
 _EDICK, _ONEHOT, _BINARY = EncodingKind.EDICK, EncodingKind.ONE_HOT, EncodingKind.BINARY
 _LAYOUTS = {
     Direction.EDICK_TO_ONEHOT: ((_EDICK, 1), (_ONEHOT, 0)),
@@ -136,9 +128,7 @@ def build_edick_to_onehot(num_levels: int) -> Circuit:
     Output: a single 1 at right-offset i. Depth is logarithmic in the
     level count; sizes follow s(2N) = s(N) + 2N - 1 and s(N+1) = s(N) + 1.
     """
-    num_levels = _levels(num_levels)
-    gates = _onehot_gates(tuple(range(num_levels)))
-    return Circuit(num_levels, tuple(gates), label=f"edick_to_onehot_{num_levels}")
+    return build_converter(Direction.EDICK_TO_ONEHOT, num_levels)[0]
 
 
 def build_cnot_stair(num_levels: int) -> Circuit:
@@ -149,13 +139,7 @@ def build_cnot_stair(num_levels: int) -> Circuit:
     Exactly N(N-1)/2 gates and greedy depth 2N-3: the quadratic baseline
     the logarithmic converter is measured against.
     """
-    num_levels = _levels(num_levels)
-    gates = [
-        cnot(c, t)
-        for c in range(num_levels - 1)
-        for t in range(c + 1, num_levels)
-    ]
-    return Circuit(num_levels, tuple(gates), label=f"cnot_stair_{num_levels}")
+    return build_converter(Direction.CNOT_STAIR, num_levels)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +180,7 @@ def _adder_gates(qubits: tuple[int, ...], shift: int) -> list[Gate]:
     for q in range(n):
         turns = (d << q) % (1 << n)
         shifts.append(phase(2.0 * math.pi * turns / (1 << n), qubits[q]))
-    return qft + shifts + [g.inverse() for g in reversed(qft)]
+    return qft + shifts + list(map(Gate.inverse, reversed(qft)))
 
 
 def build_adder(num_qubits: int, shift: int) -> Circuit:
@@ -210,7 +194,8 @@ def build_adder(num_qubits: int, shift: int) -> Circuit:
 def _binary_gates(view: tuple[int, ...], method: EvenMethod, free: list[int]) -> list[Gate]:
     """Compress a staircase of len(view)+1 levels into its binary register.
 
-    `free` is the stack of idle |0> ancillas; see `_compression`.
+    `free` is the stack of idle |0> ancillas. It must stay LIFO, or a sibling
+    half gets the qubits an expansion gave back in another order.
     """
     levels = len(view) + 1
     if levels == 2:
@@ -297,24 +282,8 @@ def build_recursion_step(num_levels: int) -> Circuit:
     return Circuit(num_levels - 1, tuple(gates), label=f"recursion_step_{num_levels}")
 
 
-def _compression(num_levels: int, method: EvenMethod) -> tuple[int, list[Gate]]:
-    """Ancilla count and gates that compress a staircase on qubits anc..anc+num_levels-2.
-
-    The ancillas are qubits 0..anc-1, held on a free list used as a stack:
-    an expansion pops from the end and pushes back what it took, so a
-    sibling half gets the qubits just returned, in the order they were
-    taken, before any fresh one, and fresh ones come from the highest index
-    down. It must stay LIFO because the gate lists depend on that order: a
-    counter would hand a reused block back reversed and change them.
-    """
-    anc = _peak_ancilla(num_levels, method)
-    view = tuple(range(anc, anc + num_levels - 1))
-    return anc, _binary_gates(view, method, list(range(anc)))
-
-
 def build_edick_to_binary(
-    num_levels: int,
-    method: EvenMethod = EvenMethod.EXPAND_TO_POW2,
+    num_levels: int, method: EvenMethod = EvenMethod.EXPAND_TO_POW2
 ) -> tuple[Circuit, ConverterPlan]:
     """Compress a staircase state into its binary register.
 
@@ -322,21 +291,11 @@ def build_edick_to_binary(
     leftmost |0> ancillas when the method adds them). Output: |i> on the
     rightmost binary_width(num_levels) qubits, |0> everywhere else.
     """
-    num_levels = _levels(num_levels)
-    anc, gates = _compression(num_levels, method)
-    total = anc + num_levels - 1
-    circuit = Circuit(total, tuple(gates), label=f"edick_to_binary_{num_levels}")
-    plan = ConverterPlan(num_levels, method, total, anc, Direction.EDICK_TO_BINARY)
-    return circuit, plan
-
-
-# ---------------------------------------------------------------------------
-# one-hot <-> binary, by composition through the staircase
+    return build_converter(Direction.EDICK_TO_BINARY, num_levels, method)
 
 
 def build_onehot_to_binary(
-    num_levels: int,
-    method: EvenMethod = EvenMethod.EXPAND_TO_POW2,
+    num_levels: int, method: EvenMethod = EvenMethod.EXPAND_TO_POW2
 ) -> tuple[Circuit, ConverterPlan]:
     """One-hot in, |0...0>|binary>|1> out.
 
@@ -344,45 +303,66 @@ def build_onehot_to_binary(
     which leaves a staircase next to a lone |1> flag, then compresses the
     staircase. The flag qubit stays |1> at the far right.
     """
-    num_levels = _levels(num_levels)
-    anc, compress = _compression(num_levels, method)
-    total = anc + num_levels
-    # The unfolding is all CNOTs, so its inverse is its reversal.
-    gates = _onehot_gates(tuple(range(anc, total)))[::-1] + compress
-    circuit = Circuit(total, tuple(gates), label=f"onehot_to_binary_{num_levels}")
-    plan = ConverterPlan(num_levels, method, total, anc, Direction.ONEHOT_TO_BINARY)
-    return circuit, plan
+    return build_converter(Direction.ONEHOT_TO_BINARY, num_levels, method)
 
 
 def build_binary_to_onehot(
-    num_levels: int,
-    method: EvenMethod = EvenMethod.EXPAND_TO_POW2,
+    num_levels: int, method: EvenMethod = EvenMethod.EXPAND_TO_POW2
 ) -> tuple[Circuit, ConverterPlan]:
     """|0...0>|binary>|1> in, one-hot on the rightmost num_levels qubits out."""
-    forward, fplan = build_onehot_to_binary(num_levels, method)
-    label = f"binary_to_onehot_{num_levels}"
-    circuit = _derived(forward.num_qubits, inverse(forward).gates, label)
-    ancilla = fplan.total_qubits - binary_width(num_levels)
-    plan = ConverterPlan(
-        num_levels, method, fplan.total_qubits, ancilla, Direction.BINARY_TO_ONEHOT
-    )
-    return circuit, plan
+    return build_converter(Direction.BINARY_TO_ONEHOT, num_levels, method)
+
+
+# ---------------------------------------------------------------------------
+# every direction, from the unfolding and the compression
+
+
+def _converter(
+    direction: Direction, num_levels: int, method: EvenMethod
+) -> tuple[list[Gate], ConverterPlan]:
+    """Gates and plan of one converter, unchecked; see `build_converter`."""
+    if type(direction) is not Direction:
+        raise ValueError(f"unknown direction {direction!r}")
+    if type(method) is not EvenMethod:
+        raise ValueError(f"method must be an EvenMethod, got {method!r}")
+    num_levels = _levels(num_levels)
+    if direction is Direction.CNOT_STAIR:
+        stair = [cnot(c, t) for c in range(num_levels - 1) for t in range(c + 1, num_levels)]
+        return stair, ConverterPlan(num_levels, None, num_levels, 0, direction)
+    if direction is Direction.EDICK_TO_ONEHOT:
+        unfold = _onehot_gates(tuple(range(num_levels)))
+        return unfold, ConverterPlan(num_levels, None, num_levels, 0, direction)
+    anc = _peak_ancilla(num_levels, method)
+    total = anc + num_levels - 1
+    gates = _binary_gates(tuple(range(anc, total)), method, list(range(anc)))
+    if direction is not Direction.EDICK_TO_BINARY:
+        # One-hot -> binary: the unfolding backwards (all CNOTs, so its
+        # reversal), then the compression; binary -> one-hot inverts that.
+        total += 1
+        gates = _onehot_gates(tuple(range(anc, total)))[::-1] + gates
+    if direction is Direction.BINARY_TO_ONEHOT:
+        gates = list(map(Gate.inverse, reversed(gates)))
+        anc = total - binary_width(num_levels)
+    return gates, ConverterPlan(num_levels, method, total, anc, direction)
 
 
 def build_converter(
-    direction: Direction,
-    num_levels: int,
-    method: EvenMethod = EvenMethod.EXPAND_TO_POW2,
+    direction: Direction, num_levels: int, method: EvenMethod = EvenMethod.EXPAND_TO_POW2
 ) -> tuple[Circuit, ConverterPlan]:
-    """Uniform entry point over every direction, the cnot-stair baseline included."""
-    if direction is Direction.EDICK_TO_ONEHOT or direction is Direction.CNOT_STAIR:
-        unfold = build_cnot_stair if direction is Direction.CNOT_STAIR else build_edick_to_onehot
-        circuit = unfold(num_levels)
-        return circuit, ConverterPlan(num_levels, None, circuit.num_qubits, 0, direction)
-    if direction is Direction.EDICK_TO_BINARY:
-        return build_edick_to_binary(num_levels, method)
-    if direction is Direction.ONEHOT_TO_BINARY:
-        return build_onehot_to_binary(num_levels, method)
-    if direction is Direction.BINARY_TO_ONEHOT:
-        return build_binary_to_onehot(num_levels, method)
-    raise ValueError(f"unknown direction {direction!r}")
+    """One checked circuit for any direction, the cnot-stair baseline included.
+
+    Level i of N (b = binary_width(N)) goes from input to output as:
+
+    * edick-to-onehot, cnot-stair: i+1 right-aligned ones -> a 1 at right-offset i;
+    * edick-to-binary: i right-aligned ones -> |i> on the rightmost b qubits;
+    * onehot-to-binary: a 1 at right-offset i -> |i> left of a rightmost |1> flag;
+    * binary-to-onehot: the inverse of onehot-to-binary.
+
+    The `plan.ancilla` leftmost qubits, and every qubit not named above, start
+    and end in |0>; `plan.input_index(i)` and `plan.output_index(i)` are the
+    basis indices. A direction that is not a `Direction`, or a method that is
+    not an `EvenMethod` (unused by the unfoldings, but checked), raises ValueError.
+    """
+    gates, plan = _converter(direction, num_levels, method)
+    label = f"{direction.value.replace('-', '_')}_{plan.num_levels}"
+    return Circuit(plan.total_qubits, tuple(gates), label=label), plan

@@ -7,8 +7,9 @@ after which the staircase converters can re-encode the distribution as
 one-hot or binary. The amplitudes are exact at every stage.
 
 The pipeline is emitted in place: the Y rotations and the inverse Dicke
-unitary are built once, on the physical qubits of the final register, with
-the converter's gates appended, and checked once as one circuit.
+unitary are built on the physical qubits of the final register, followed
+by the conversion stage's gates, which come unchecked from the converters'
+own routine. The whole pipeline is checked once, as one circuit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, _integer, ccry, cnot, cry, ry, x
-from .converters import ConverterPlan, Direction, EvenMethod, build_converter
+from .converters import ConverterPlan, Direction, EvenMethod, _converter
 from .encodings import EncodingKind
 
 _P_TOL = 1e-12
@@ -98,6 +99,10 @@ class BinomialSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trials", _integer(self.trials, "trial count must be an integer"))
+        if type(self.target) is not EncodingKind:
+            raise ValueError(f"target must be an EncodingKind, got {self.target!r}")
+        if type(self.method) is not EvenMethod:
+            raise ValueError(f"method must be an EvenMethod, got {self.method!r}")
         if self.trials < 2:
             raise ValueError("need at least two trials")
         if not 0.0 <= self.p <= 1.0:
@@ -133,16 +138,12 @@ def build_binomial_pipeline(spec: BinomialSpec) -> tuple[Circuit, ConverterPlan]
     """
     n = spec.trials
     if spec.target is EncodingKind.EDICK:
-        plan = ConverterPlan(n + 1, None, n, 0, None)
-        converter: tuple[Gate, ...] = ()
+        converter, plan = [], ConverterPlan(n + 1, None, n, 0, None)
     elif spec.target is EncodingKind.ONE_HOT:
-        unfold, plan = build_converter(Direction.EDICK_TO_ONEHOT, n + 1)
-        converter = (x(n),) + unfold.gates
-    elif spec.target is EncodingKind.BINARY:
-        compress, plan = build_converter(Direction.EDICK_TO_BINARY, n + 1, spec.method)
-        converter = compress.gates
+        unfold, plan = _converter(Direction.EDICK_TO_ONEHOT, n + 1, spec.method)
+        converter = [x(n)] + unfold
     else:
-        raise ValueError(f"unsupported target {spec.target!r}")
+        converter, plan = _converter(Direction.EDICK_TO_BINARY, n + 1, spec.method)
     gates = _staircase_gates(n, spec.theta, plan.ancilla)
     gates += converter
     label = f"binomial_pipeline_{n}_{spec.target.value}"

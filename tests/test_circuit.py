@@ -248,9 +248,9 @@ def test_empty_circuit_has_zero_cost() -> None:
 
 def test_cost_report_validation() -> None:
     with pytest.raises(ValueError):
-        CostReport(5, 3, 0, Granularity.LOGICAL)  # depth above size
+        CostReport(5, 3, Granularity.LOGICAL)  # depth above size
     with pytest.raises(ValueError):
-        CostReport(0, 3, 0, Granularity.LOGICAL)
+        CostReport(0, 3, Granularity.LOGICAL)
 
 
 def test_basis_granularity_counts_decomposed_gates() -> None:
@@ -260,11 +260,6 @@ def test_basis_granularity_counts_decomposed_gates() -> None:
     assert logical.size == 1
     assert basis.size == 15
     assert basis.depth <= basis.size
-
-
-def test_cost_carries_ancilla_through() -> None:
-    report = cost(Circuit(4, (cnot(0, 1),)), ancilla=2)
-    assert report.ancilla == 2
 
 
 def test_basis_depth_equals_logical_depth_for_basis_circuits() -> None:

@@ -288,6 +288,12 @@ def test_too_wide_registers_are_refused_before_anything_is_built(
     assert "register width" in capsys.readouterr().err
 
 
+def test_sweep_naming_no_subject_exits_two_and_writes_nothing(capsys) -> None:
+    assert main(["sweep", "--n-min", "3", "--n-max", "4", "--methods", ","]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "names no sweep subject" in err
+
+
 def test_sweep_names_the_known_subjects_for_an_unknown_one(capsys) -> None:
     assert main(["sweep", "--n-min", "3", "--n-max", "4", "--methods", "onehot,qft"]) == 2
     err = capsys.readouterr().err

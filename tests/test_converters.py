@@ -290,6 +290,31 @@ def test_each_converter_checks_one_circuit(
         assert len(checked) == 1, checked
 
 
+NAMED_BUILDERS = {
+    Direction.EDICK_TO_ONEHOT: lambda n, m: build_edick_to_onehot(n),
+    Direction.CNOT_STAIR: lambda n, m: build_cnot_stair(n),
+    Direction.EDICK_TO_BINARY: build_edick_to_binary,
+    Direction.ONEHOT_TO_BINARY: build_onehot_to_binary,
+    Direction.BINARY_TO_ONEHOT: build_binary_to_onehot,
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("direction", list(Direction))
+def test_each_named_builder_is_build_converter_for_its_direction(
+    direction: Direction, method: EvenMethod
+) -> None:
+    for num_levels in (2, 5, 8, 11, 20):
+        circuit, plan = build_converter(direction, num_levels, method)
+        named = NAMED_BUILDERS[direction](num_levels, method)
+        if direction in (Direction.EDICK_TO_ONEHOT, Direction.CNOT_STAIR):
+            named = (named, plan)  # these two return the circuit alone
+        assert named[0].gates == circuit.gates
+        assert named[0].num_qubits == circuit.num_qubits
+        assert named[0].label == circuit.label
+        assert named[1] == plan
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_compression_touches_every_ancilla_it_sizes(method: EvenMethod) -> None:
     # Too few ancillas would empty the free list; one too many would sit idle.

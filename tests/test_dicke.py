@@ -9,6 +9,7 @@ import pytest
 
 from edick import (
     BinomialSpec,
+    Circuit,
     Direction,
     EncodingKind,
     EvenMethod,
@@ -194,3 +195,22 @@ def test_onehot_target_widens_by_one_qubit() -> None:
     circuit, plan = build_binomial_pipeline(spec)
     assert circuit.num_qubits == 6
     assert plan.direction is Direction.EDICK_TO_ONEHOT
+
+
+@pytest.mark.parametrize("method", list(EvenMethod))
+@pytest.mark.parametrize("target", list(EncodingKind))
+def test_pipeline_checks_one_circuit(
+    target: EncodingKind, method: EvenMethod, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    checked = []
+    post_init = Circuit.__post_init__
+
+    def counting(self: Circuit) -> None:
+        checked.append(self.label)
+        post_init(self)
+
+    monkeypatch.setattr(Circuit, "__post_init__", counting)
+    for trials in (2, 4, 7, 10, 19):
+        checked.clear()
+        build_binomial_pipeline(BinomialSpec.from_probability(trials, 0.3, target, method))
+        assert checked == [f"binomial_pipeline_{trials}_{target.value}"]

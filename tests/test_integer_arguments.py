@@ -6,6 +6,8 @@ are refused, and numpy integers are accepted and come back as `int`.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from edick import (
     Direction,
     EncodingKind,
     EvenMethod,
+    SweepRow,
     basis_state,
     binary_width,
     build_adder,
@@ -27,6 +30,7 @@ from edick import (
     build_recursion_step,
     build_scs,
     edick_to_onehot_size,
+    edick_to_onehot_size_bound,
     level_to_basis,
     measured_edick_to_onehot_depth,
     random_vector,
@@ -34,6 +38,7 @@ from edick import (
 )
 
 _PLAN = build_converter(Direction.EDICK_TO_BINARY, 6)[1]
+_ROW = SweepRow(4, "recursion", 4, 4, 4, 4, 4, 0.0)
 
 # Each entry point as a function of the one argument under test.
 ENTRY_POINTS = {
@@ -57,6 +62,12 @@ ENTRY_POINTS = {
     "from_probability": lambda v: BinomialSpec.from_probability(v, 0.3),
     "measured_edick_to_onehot_depth": measured_edick_to_onehot_depth,
     "edick_to_onehot_size": edick_to_onehot_size,
+    "edick_to_onehot_size_bound": edick_to_onehot_size_bound,
+    **{
+        f"SweepRow[{key}]": lambda v, key=key: replace(_ROW, **{key: v})
+        for key in ("num_levels", "depth_logical", "depth_basis", "size_logical", "size_basis",
+                    "ancilla")
+    },
     "ConverterPlan[num_levels]": lambda v: ConverterPlan(v, None, 6, 0, None),
     "ConverterPlan[total_qubits]": lambda v: ConverterPlan(4, None, v, 0, None),
     "ConverterPlan[ancilla]": lambda v: ConverterPlan(4, None, 6, v, None),
@@ -96,7 +107,8 @@ def _ints(result: object) -> list[int]:
         return [v for part in result for v in _ints(part)]
     if isinstance(result, (int, np.integer)):
         return [result]
-    fields = ("num_levels", "total_qubits", "ancilla", "num_qubits", "trials", "weight")
+    fields = ("num_levels", "total_qubits", "ancilla", "num_qubits", "trials", "weight",
+              "depth_logical", "depth_basis", "size_logical", "size_basis")
     return [getattr(result, f) for f in fields if hasattr(result, f)]
 
 

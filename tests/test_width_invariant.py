@@ -1,9 +1,9 @@
 """Every circuit's gates fit its register, checked here rather than by Circuit.
 
-Derived circuits (compose, inverse, remap, lowering, and binary-to-onehot,
-the inverse of onehot-to-binary) are built without rescanning their gates,
-so this test scans them: each gate's qubits lie in [0, num_qubits), and its
-controls are distinct and differ from its target. The builders and the
+Derived circuits (compose, inverse, remap and lowering) are built without
+rescanning their gates, so this test scans them: each gate's qubits lie in
+[0, num_qubits), and its controls are distinct and differ from its target.
+The converters of every direction, binary-to-onehot included, and the
 binomial pipeline, which Circuit checks once, are scanned too.
 """
 
