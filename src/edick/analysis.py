@@ -127,6 +127,8 @@ def run_sweep(
     """
     if type(granularity) is not Granularity:
         raise ValueError(f"granularity must be a Granularity, got {granularity!r}")
+    if not subjects:
+        raise ValueError("the subject list names no sweep subject")
     for subject in subjects:
         if subject not in SWEEP_SUBJECTS:
             raise ValueError(f"unknown sweep subject {subject!r}; choose from {SWEEP_SUBJECTS}")

@@ -76,8 +76,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     subjects = [s.strip() for s in args.methods.split(",") if s.strip()]
-    if not subjects:
-        raise ValueError("--methods names no sweep subject")
     if not 2 <= args.n_min <= args.n_max:
         raise ValueError("need 2 <= n-min <= n-max")
     granularity = (

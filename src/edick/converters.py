@@ -84,6 +84,10 @@ class ConverterPlan:
             raise ValueError("empty register")
         if not 0 <= self.ancilla <= self.total_qubits:
             raise ValueError("ancilla count out of range")
+        if self.method is not None and type(self.method) is not EvenMethod:
+            raise ValueError(f"method must be an EvenMethod or None, got {self.method!r}")
+        if self.direction is not None and type(self.direction) is not Direction:
+            raise ValueError(f"direction must be a Direction or None, got {self.direction!r}")
 
     def input_index(self, level: int) -> int:
         return self._index(level, *_LAYOUTS[self.direction][0])

@@ -121,7 +121,7 @@ def level_to_basis(kind: EncodingKind, level: int, width: int) -> int:
         if level > width:
             raise ValueError(f"edick level {level} needs more than {width} qubits")
         return (1 << level) - 1
-    raise TypeError(f"no single-basis-state levels for {kind!r}")
+    raise ValueError(f"kind must be an EncodingKind, got {kind!r}")
 
 
 def build_state(
@@ -140,6 +140,8 @@ def build_state(
         if amplitudes is not None:
             raise ValueError("Dicke states take no amplitude vector")
         return _dicke_state(width, kind.weight)
+    if type(kind) is not EncodingKind:
+        raise ValueError(f"kind must be an EncodingKind or a Dicke, got {kind!r}")
     if amplitudes is None:
         raise ValueError(f"{kind.value} encoding requires an amplitude vector")
     vec = np.zeros(1 << width, dtype=np.complex128)

@@ -8,17 +8,20 @@ them with :func:`edick.decompose.decompose_to_basis` before emitting.
 Angles are printed with ``repr``, so parse_text(emit_text(c)) reproduces
 the text byte for byte. emit_text formats each gate object once (by object,
 as equal gates may print differently: ``u1(0.0)`` and ``u1(-0.0)``).
-parse_text reads each distinct line once and reuses its gate for repeats. A
-line in emitted form takes one pattern match; other lines are split into
-operands, which accepts extra blanks and names what is wrong. The Gate
-constructor validates every parsed gate.
+Text exactly in emitted form, on under 10**5 qubits, is checked and read in
+one numpy pass into columns; its Circuit builds the gates on first access.
+Other text goes line by line: each distinct line is split into operands,
+which accepts extra blanks and names what is wrong, and becomes one Gate.
+parse_text raises every error itself, naming the first bad line.
 """
 
 from __future__ import annotations
 
 import re
 
-from .circuit import _RULES, Circuit, Gate, GateKind, _derived
+import numpy as np
+
+from .circuit import _KIND_CODES, _RULES, Circuit, Gate, GateKind, _derived, _from_columns
 
 _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -26,7 +29,6 @@ _QREG_RE = re.compile(r"^qreg q\[(\d+)\];$")
 _HEAD = r"(x|h|cx|ccx|ry|u1|cu1)(?:\(([^)]+)\))?"  # gate name and optional angle
 _GATE_RE = re.compile(rf"^{_HEAD} ([^;]+);$")
 _QUBIT_RE = re.compile(r"^q\[(\d+)\]$")
-_LINE_RE = re.compile(rf"{_HEAD} q\[(\d+)\](?:,q\[(\d+)\])?(?:,q\[(\d+)\])?;")
 
 
 _NAMES = {
@@ -77,17 +79,20 @@ _KINDS = {name: kind for kind, name in _NAMES.items()}
 _ARITY = {name: _RULES[kind][0] + 1 for kind, name in _NAMES.items()}
 _TAKES_ANGLE = {name for kind, name in _NAMES.items() if _RULES[kind][1]}
 
+# Registers of under 10**5 qubits keep the row keys of Circuit.gates inside int64.
+_CANONICAL_HEAD = re.compile(r'OPENQASM 2\.0;\ninclude "qelib1\.inc";\nqreg q\[([1-9][0-9]{0,4})\];\n')
+# The bulk pass tells names apart by a line's first three bytes. Per name, in the order of those
+# bytes as a little-endian int: the int, kind code, name length, the byte after the name,
+# operand count and whether it takes an angle.
+_HEADS = np.array(sorted(
+    (int.from_bytes(lead[:3].encode(), "little"), _KIND_CODES.index(_KINDS[name]), len(name),
+     ord(lead[len(name)]), _ARITY[name], name in _TAKES_ANGLE)
+    for name, lead in ((name, name + ("(" if name in _TAKES_ANGLE else " q[")) for name in _KINDS)
+), np.int32).T
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # the low k bytes of a word
+
 
 def _parse_gate(line: str, num_qubits: int) -> Gate:
-    # One match for a canonical line. Other lines, and lines failing a check, go on to
-    # the operand splitting, which gives the same messages and accepts the same spacing.
-    if (match := _LINE_RE.fullmatch(line)) is not None:
-        name, angle_text, a, b, c = match.groups()
-        qubits = (int(a),) if b is None else (int(a), int(b)) if c is None else (int(a), int(b), int(c))
-        if (angle_text is not None) == (name in _TAKES_ANGLE) and len(qubits) == _ARITY[name]:
-            if max(qubits) < num_qubits:
-                angle = float(angle_text) if angle_text is not None else None
-                return Gate(_KINDS[name], qubits[-1], qubits[:-1], angle)
     match = _GATE_RE.match(line)
     if match is None:
         raise ValueError(f"unsupported statement {line!r}")
@@ -112,12 +117,81 @@ def _next_statement(lines: list[str], start: int) -> tuple[int, str | None]:
     return len(lines), None
 
 
+def _bulk(text: str) -> Circuit | None:
+    """The circuit of text in emitted form, or None to leave the text to the line path.
+
+    Byte-length arrays stay uint8 or bool; index arrays are sized by line or bracket count."""
+    head = _CANONICAL_HEAD.match(text) if isinstance(text, str) else None
+    body = text[head.end() :] if head is not None else ""
+    raw = body.encode() if body.endswith("\n") and body.isascii() else b""
+    data = np.frombuffer(raw, np.uint8)
+    ends, spaces, opens, closes = (np.flatnonzero(data == byte) for byte in b"\n []")
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # One space per line, not its first byte, and no control byte but the newlines.
+    if not (len(ends) == len(spaces) == np.count_nonzero(data < 32) and starts[-1] + 4 <= len(raw)
+            and np.all((starts < spaces) & (spaces < ends))):
+        return None
+    prefix = np.ndarray((len(raw) - 3,), "<u4", raw, strides=(1,))[starts] & 0xFFFFFF
+    slot = np.searchsorted(_HEADS[0], prefix) % len(_KINDS)  # past the last prefix wraps to 0
+    lead, kind, name_length, after_name, arity, angled = _HEADS[:, slot]
+    last = np.cumsum(arity) - 1
+    if not (np.array_equal(lead, prefix) and np.array_equal(data[starts + name_length], after_name)
+            and len(opens) == len(closes) == last[-1] + 1):
+        return None
+
+    # Operands: after the space, q[digits] joined by commas, then ";" and the newline.
+    first = last + 1 - arity
+    begin = np.concatenate(([0], closes[:-1] + 3))  # each "[" comes after "],q", or " q" if first
+    begin[first] = spaces + 2
+    separator = np.full(len(closes), 44, np.uint8)  # "," after a "]", or ";" if last
+    separator[last] = 59
+    length = closes - opens - 1
+    if not (np.array_equal(opens, begin) and np.array_equal(data[closes + 1], separator)
+            and np.array_equal(closes[last] + 2, ends) and np.all(data[opens - 1] == 113)
+            and 1 <= length.min() <= length.max() <= 9):
+        return None
+    value = np.zeros(len(opens), np.int32)
+    for j in range(length.max()):
+        digit, live = data[np.minimum(opens + j + 1, closes)] - 48, j < length  # wraps below "0"
+        if np.any(live & (digit > 9)):
+            return None
+        value = np.where(live, value * 10 + digit, value)
+    target = value[last]
+    c0 = np.where(arity > 1, value[first], -1)
+    c1 = np.where(arity > 2, value[np.minimum(first + 1, last)], -1)
+    if value.max() >= int(head[1]) or np.any((c0 == target) | (c1 == target) | (c0 == c1) & (arity > 2)):
+        return None
+
+    # Angles: float() of each distinct text in parentheses. A text of up to 24 bytes is three
+    # little-endian words, deduplicated by a hash of them that is then checked word by word.
+    rows = np.flatnonzero(angled)
+    low, high = starts[rows] + name_length[rows] + 1, spaces[rows] - 1
+    words = np.ndarray((len(raw) + 16,), "<u8", raw + bytes(23), strides=(1,))  # 8 bytes at each offset
+    parts = [words[low + i] & _MASKS[np.clip(high - low - i, 0, 8)] for i in (0, 8, 16)]
+    hashed = parts[0] ^ parts[1] * 0x9E3779B97F4A7C15 ^ parts[2] * 0xC2B2AE3D27D4EB4F
+    _, pick, inverse = np.unique(hashed, return_index=True, return_inverse=True)
+    if not (np.all(data[high] == 41) and np.all(high - low <= 24)
+            and all(np.array_equal(part[pick][inverse], part) for part in parts)):
+        return None
+    try:
+        values = np.array([float(body[i:j]) for i, j in zip(low[pick].tolist(), high[pick].tolist())])
+    except ValueError:
+        return None
+    angle = np.full(len(ends), np.nan)
+    angle[rows] = values[inverse]
+    if not np.all(np.isfinite(values)):
+        return None
+    return _from_columns(int(head[1]), kind.astype(np.int8), target, np.stack((c0, c1), 1), angle)
+
+
 def parse_text(text: str) -> Circuit:
     """Parse OPENQASM 2.0 source restricted to the emitted subset.
 
     Every error is a ValueError naming its source line (counting from 1,
     blanks and comments included), except for text that ends early.
     """
+    if (circuit := _bulk(text)) is not None:
+        return circuit
     lines = text.splitlines()
     pos, line = _next_statement(lines, 0)
     if line != "OPENQASM 2.0;":

@@ -119,6 +119,12 @@ def test_logical_granularity_leaves_basis_columns_zero() -> None:
     assert rows[0].depth_logical > 0
 
 
+@pytest.mark.parametrize("subjects", [(), []], ids=repr)
+def test_sweep_naming_no_subject_raises(subjects) -> None:
+    with pytest.raises(ValueError, match="names no sweep subject"):
+        run_sweep([5], subjects)
+
+
 def test_sweep_times_default_to_zero_for_reproducibility() -> None:
     rows = run_sweep([5], subjects=("expand-pow2",))
     assert rows[0].build_time_ms == 0.0

@@ -47,7 +47,7 @@ def test_level_to_basis_range_errors() -> None:
         level_to_basis(EncodingKind.EDICK, 4, 3)
     with pytest.raises(ValueError):
         level_to_basis(EncodingKind.BINARY, -1, 3)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="must be an EncodingKind"):
         level_to_basis(Dicke(2), 0, 4)
 
 

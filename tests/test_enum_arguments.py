@@ -1,18 +1,32 @@
-"""Directions, methods and targets are enum members: anything else raises ValueError.
+"""Directions, methods, targets and encoding kinds are enum members: anything else raises ValueError.
 
 A value string or a member of the wrong enum is refused before anything is
 built. Every direction checks its method, the unfoldings included, which do
-not use it.
+not use it. A converter plan takes None where no method or direction applies.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from edick import BinomialSpec, Direction, EncodingKind, EvenMethod, build_converter
+from edick import (
+    AmplitudeVector,
+    BinomialSpec,
+    ConverterPlan,
+    Dicke,
+    Direction,
+    EncodingKind,
+    EvenMethod,
+    build_converter,
+    build_state,
+    level_to_basis,
+    read_state,
+    zero_state,
+)
 
 NOT_METHODS = ["recursion", "expand-pow2", None, 0, EncodingKind.BINARY, Direction.EDICK_TO_BINARY]
 NOT_TARGETS = ["binary", "onehot", None, 0, EvenMethod.RECURSION, Direction.EDICK_TO_ONEHOT]
+NOT_KINDS = [*NOT_TARGETS, Dicke(2)]
 
 
 @pytest.mark.parametrize("method", NOT_METHODS, ids=repr)
@@ -43,3 +57,38 @@ def test_binomial_spec_refuses_a_method_that_is_not_an_even_method(
 def test_binomial_spec_refuses_a_target_that_is_not_an_encoding_kind(target: object) -> None:
     with pytest.raises(ValueError, match="target must be an EncodingKind"):
         BinomialSpec.from_probability(5, 0.3, target)
+
+
+@pytest.mark.parametrize("kind", NOT_KINDS, ids=repr)
+def test_level_maps_refuse_a_kind_that_is_not_an_encoding_kind(kind: object) -> None:
+    with pytest.raises(ValueError, match="kind must be an EncodingKind"):
+        level_to_basis(kind, 2, 3)
+    with pytest.raises(ValueError, match="kind must be an EncodingKind"):
+        read_state(kind, zero_state(3), 3)
+
+
+@pytest.mark.parametrize("kind", NOT_TARGETS, ids=repr)
+@pytest.mark.parametrize("amplitudes", [AmplitudeVector((0.6, 0.8)), None], ids=["vector", "none"])
+def test_build_state_refuses_a_kind_that_is_not_an_encoding_kind_or_dicke(kind, amplitudes) -> None:
+    with pytest.raises(ValueError, match="kind must be an EncodingKind or a Dicke"):
+        build_state(kind, amplitudes, 3)
+
+
+@pytest.mark.parametrize("method", ["recursion", 0, EncodingKind.BINARY, Direction.EDICK_TO_BINARY], ids=repr)
+def test_converter_plan_refuses_a_method_that_is_not_an_even_method(method: object) -> None:
+    with pytest.raises(ValueError, match="method must be an EvenMethod or None"):
+        ConverterPlan(4, method, 6, 0, Direction.EDICK_TO_BINARY)
+
+
+@pytest.mark.parametrize("direction", ["edick-to-binary", 0, EvenMethod.RECURSION], ids=repr)
+def test_converter_plan_refuses_a_direction_that_is_not_a_direction(direction: object) -> None:
+    with pytest.raises(ValueError, match="direction must be a Direction or None"):
+        ConverterPlan(4, EvenMethod.RECURSION, 6, 0, direction)
+
+
+@pytest.mark.parametrize("direction", [*Direction, None], ids=repr)
+@pytest.mark.parametrize("method", [*EvenMethod, None], ids=repr)
+def test_converter_plan_takes_members_or_none(method, direction) -> None:
+    plan = ConverterPlan(4, method, 6, 0, direction)
+    assert (plan.method, plan.direction) == (method, direction)
+    assert plan.input_index(3) >= 0

@@ -1,9 +1,11 @@
-"""parse_text against the operand-splitting gate parser it replaced.
+"""parse_text against the operand-splitting gate parser, and the bulk pass against the line path.
 
 `_reference_parse_gate` and `_reference_parse_operands` are the gate-line
 parser as it was before canonical lines took a single-pattern fast path.
-Each generated program is parsed twice, once with that parser swapped in, and
-both must give the same gates (signed zeros included) or the same error.
+Each generated program is parsed twice, once by that parser alone (the bulk
+pass switched off), and both must give the same gates (signed zeros
+included) or the same error. Near-canonical programs, which the bulk pass
+reads or hands on, are held against the line path the same way.
 """
 
 from __future__ import annotations
@@ -53,11 +55,22 @@ def _reference_parse_gate(line: str, num_qubits: int) -> Gate:
     return Gate(_KINDS[name], qubits[-1], qubits[:-1], angle)
 
 
+def _reference_outcome(text: str):
+    with mock.patch.object(edick.qasm, "_parse_gate", _reference_parse_gate):
+        return _line_path_outcome(text)
+
+
+def _line_path_outcome(text: str):
+    with mock.patch.object(edick.qasm, "_bulk", lambda text: None):
+        return _outcome(text)
+
+
 def _outcome(text: str):
     try:
         circuit = parse_text(text)
     except ValueError as exc:
         return "error", str(exc)
+    # Gates are read outside the try: an error raised by `.gates` fails the test.
     return "ok", circuit.num_qubits, [
         (g.kind, g.target, g.controls, None if g.angle is None else float.hex(g.angle))
         for g in circuit.gates
@@ -125,9 +138,7 @@ _FILLER = st.sampled_from(["", "  ", "// comment", "\t// x q[0];"])
 def test_parse_matches_the_operand_splitting_parser(num_qubits, head, odd, tail) -> None:
     body = head + ([] if odd is None else [odd]) + tail
     text = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{num_qubits}];\n' + "\n".join(body) + "\n"
-    with mock.patch.object(edick.qasm, "_parse_gate", _reference_parse_gate):
-        expected = _outcome(text)
-    assert _outcome(text) == expected
+    assert _outcome(text) == _reference_outcome(text)
 
 
 @settings(max_examples=300, deadline=None)
@@ -142,6 +153,45 @@ def test_canonical_lines_match_the_operand_splitting_parser(name, indices, with_
     operands = ",".join(f"q[{q}]" for q in indices)
     head = f"{name}({angle!r})" if with_angle else name
     text = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\n{head} {operands};\n'
-    with mock.patch.object(edick.qasm, "_parse_gate", _reference_parse_gate):
-        expected = _outcome(text)
-    assert _outcome(text) == expected
+    assert _outcome(text) == _reference_outcome(text)
+
+
+# Near-canonical programs: emitted-form lines, each of which may carry one of the
+# departures below. The bulk pass must read the canonical ones and give any other
+# body to the line path, with the same gates or the same message and line number.
+_NEAR_ANGLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "1_0", " 1.0", "1.0 ", "-0.0", "0", "1e999", "+2.5", "", "1)"]),
+)
+_NEAR_INDICES = st.one_of(
+    st.integers(0, 5).map(str),
+    st.sampled_from(["01", "007", "12345678901234567890", "999999999", "1234567890", "4", "9"]),
+)
+
+
+@st.composite
+def _near_line(draw) -> str:
+    name = draw(st.sampled_from(sorted(_ARITY)))
+    arity = draw(st.sampled_from([_ARITY[name]] * 4 + [_ARITY[name] - 1, _ARITY[name] + 1]))
+    indices = [draw(_NEAR_INDICES) for _ in range(arity)]
+    if draw(st.integers(0, 3)) == 0 and len(indices) > 1:  # a repeated operand
+        indices[-1] = indices[0]
+    head = name
+    if (name in _TAKES_ANGLE) != (draw(st.integers(0, 9)) == 0):
+        head += f"({draw(_NEAR_ANGLES)})"
+    return head + " " + ",".join(f"q[{i}]" for i in indices) + ";"
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    num_qubits=st.integers(1, 6),
+    lines=st.lists(_near_line(), min_size=1, max_size=8),
+    end=st.sampled_from(["\n", "\n", "\n", "\r\n", ""]),
+    comment=st.one_of(st.none(), st.integers(0, 8)),
+)
+def test_near_canonical_programs_match_the_line_path(num_qubits, lines, end, comment) -> None:
+    if comment is not None:
+        lines = lines[:comment] + ["// a comment"] + lines[comment:]
+    text = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{num_qubits}];\n' + "\n".join(lines)
+    text = text + end if end != "\r\n" else text.replace("\n", end) + end
+    assert _outcome(text) == _line_path_outcome(text)
