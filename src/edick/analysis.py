@@ -127,6 +127,7 @@ def run_sweep(
     """
     if type(granularity) is not Granularity:
         raise ValueError(f"granularity must be a Granularity, got {granularity!r}")
+    subjects = tuple(subjects)  # read twice below, so an iterator must not run dry
     if not subjects:
         raise ValueError("the subject list names no sweep subject")
     for subject in subjects:

@@ -243,6 +243,7 @@ class Circuit(_Columns):
         keys = qubits * width + target, angle.view(np.int64)
         ids = [np.unique(key, return_inverse=True)[1] for key in keys]
         inverse = np.unique(ids[0] * len(kind) + ids[1], return_inverse=True)[1]
+        del qubits, keys, ids  # before the gates, which set the peak memory
         rows = np.empty(inverse.max(initial=-1) + 1, np.int64)
         rows[inverse] = np.arange(len(kind))  # a row holding each distinct key
         distinct = np.empty(len(rows), object)

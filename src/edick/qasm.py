@@ -82,13 +82,14 @@ _TAKES_ANGLE = {name for kind, name in _NAMES.items() if _RULES[kind][1]}
 # Registers of under 10**5 qubits keep the row keys of Circuit.gates inside int64.
 _CANONICAL_HEAD = re.compile(r'OPENQASM 2\.0;\ninclude "qelib1\.inc";\nqreg q\[([1-9][0-9]{0,4})\];\n')
 # The bulk pass tells names apart by a line's first three bytes. Per name, in the order of those
-# bytes as a little-endian int: the int, kind code, name length, the byte after the name,
-# operand count and whether it takes an angle.
+# bytes as a little-endian int: the int (in _LEADS), then kind code, name length, the byte after
+# the name, operand count and whether it takes an angle (in _HEADS).
 _HEADS = np.array(sorted(
     (int.from_bytes(lead[:3].encode(), "little"), _KIND_CODES.index(_KINDS[name]), len(name),
      ord(lead[len(name)]), _ARITY[name], name in _TAKES_ANGLE)
     for name, lead in ((name, name + ("(" if name in _TAKES_ANGLE else " q[")) for name in _KINDS)
-), np.int32).T
+)).T
+_LEADS, _HEADS = _HEADS[0].astype(np.uint32), _HEADS[1:].astype(np.int8)
 _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # the low k bytes of a word
 
 
@@ -122,26 +123,26 @@ def _bulk(text: str) -> Circuit | None:
 
     Byte-length arrays stay uint8 or bool; index arrays are sized by line or bracket count."""
     head = _CANONICAL_HEAD.match(text) if isinstance(text, str) else None
-    body = text[head.end() :] if head is not None else ""
-    raw = body.encode() if body.endswith("\n") and body.isascii() else b""
-    data = np.frombuffer(raw, np.uint8)
-    ends, spaces, opens, closes = (np.flatnonzero(data == byte) for byte in b"\n []")
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    raw = text.encode() if head is not None and text.endswith("\n") and text.isascii() else b""
+    skip = head.end() if 0 < len(raw) < 2**31 else len(raw)  # where the body starts; int32 positions
+    data = np.frombuffer(raw, np.uint8, offset=skip)
+    ends, spaces, opens, closes = (np.flatnonzero(data == byte).astype(np.int32) for byte in b"\n []")
+    starts = np.insert(ends[:-1] + 1, 0, 0)
     # One space per line, not its first byte, and no control byte but the newlines.
-    if not (len(ends) == len(spaces) == np.count_nonzero(data < 32) and starts[-1] + 4 <= len(raw)
+    if not (len(ends) == len(spaces) == np.count_nonzero(data < 32) and starts[-1] + 4 <= len(data)
             and np.all((starts < spaces) & (spaces < ends))):
         return None
-    prefix = np.ndarray((len(raw) - 3,), "<u4", raw, strides=(1,))[starts] & 0xFFFFFF
-    slot = np.searchsorted(_HEADS[0], prefix) % len(_KINDS)  # past the last prefix wraps to 0
-    lead, kind, name_length, after_name, arity, angled = _HEADS[:, slot]
-    last = np.cumsum(arity) - 1
-    if not (np.array_equal(lead, prefix) and np.array_equal(data[starts + name_length], after_name)
-            and len(opens) == len(closes) == last[-1] + 1):
+    prefix = np.ndarray((len(data) - 3,), "<u4", raw, skip, (1,))[starts] & 0xFFFFFF
+    slot = np.searchsorted(_LEADS, prefix) % len(_KINDS)  # past the last prefix wraps to 0
+    kind, name_length, after_name, arity, angled = _HEADS[:, slot]
+    last = np.cumsum(arity, dtype=np.int32) - 1
+    if not (np.array_equal(_LEADS[slot], prefix) and len(opens) == len(closes) == last[-1] + 1
+            and np.array_equal(data[starts + name_length], after_name)):
         return None
 
     # Operands: after the space, q[digits] joined by commas, then ";" and the newline.
     first = last + 1 - arity
-    begin = np.concatenate(([0], closes[:-1] + 3))  # each "[" comes after "],q", or " q" if first
+    begin = np.insert(closes[:-1] + 3, 0, 0)  # each "[" comes after "],q", or " q" if first
     begin[first] = spaces + 2
     separator = np.full(len(closes), 44, np.uint8)  # "," after a "]", or ";" if last
     separator[last] = 59
@@ -166,15 +167,18 @@ def _bulk(text: str) -> Circuit | None:
     # little-endian words, deduplicated by a hash of them that is then checked word by word.
     rows = np.flatnonzero(angled)
     low, high = starts[rows] + name_length[rows] + 1, spaces[rows] - 1
-    words = np.ndarray((len(raw) + 16,), "<u8", raw + bytes(23), strides=(1,))  # 8 bytes at each offset
-    parts = [words[low + i] & _MASKS[np.clip(high - low - i, 0, 8)] for i in (0, 8, 16)]
+    # A word that starts within 8 bytes of the end holds no byte of an angle: the end is " q[0];\n".
+    words = np.ndarray((len(data) - 7,), "<u8", raw, skip, (1,))  # 8 bytes from each offset
+    size, last_word = high - low, len(data) - 8
+    parts = [words[np.minimum(low + i, last_word)] & _MASKS[np.clip(size - i, 0, 8)] for i in (0, 8, 16)]
     hashed = parts[0] ^ parts[1] * 0x9E3779B97F4A7C15 ^ parts[2] * 0xC2B2AE3D27D4EB4F
     _, pick, inverse = np.unique(hashed, return_index=True, return_inverse=True)
-    if not (np.all(data[high] == 41) and np.all(high - low <= 24)
+    if not (np.all(data[high] == 41) and np.all(size <= 24)
             and all(np.array_equal(part[pick][inverse], part) for part in parts)):
         return None
+    spans = zip((low[pick] + skip).tolist(), (high[pick] + skip).tolist())
     try:
-        values = np.array([float(body[i:j]) for i, j in zip(low[pick].tolist(), high[pick].tolist())])
+        values = np.array([float(text[i:j]) for i, j in spans])
     except ValueError:
         return None
     angle = np.full(len(ends), np.nan)

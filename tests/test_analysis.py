@@ -119,10 +119,15 @@ def test_logical_granularity_leaves_basis_columns_zero() -> None:
     assert rows[0].depth_logical > 0
 
 
-@pytest.mark.parametrize("subjects", [(), []], ids=repr)
+@pytest.mark.parametrize("subjects", [(), [], iter(())], ids=repr)
 def test_sweep_naming_no_subject_raises(subjects) -> None:
     with pytest.raises(ValueError, match="names no sweep subject"):
         run_sweep([5], subjects)
+
+
+def test_sweep_takes_its_subjects_from_an_iterator() -> None:
+    rows = run_sweep([5], iter(["recursion", "onehot"]), Granularity.LOGICAL)
+    assert [r.method for r in rows] == ["recursion", "onehot"]
 
 
 def test_sweep_times_default_to_zero_for_reproducibility() -> None:

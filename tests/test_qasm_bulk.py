@@ -37,6 +37,22 @@ def _line_path(text: str):
         return parse_text(text)
 
 
+def _same_as_line_path(text: str) -> None:
+    """parse_text gives the line path's gates, signed zeros included, or raises its error."""
+    try:
+        expected = _line_path(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            parse_text(text)
+        assert str(raised.value) == str(exc)
+    else:
+        assert _signed(parse_text(text).gates) == _signed(expected.gates)
+
+
+def _signed(gates) -> list:
+    return [(g, None if g.angle is None else g.angle.hex()) for g in gates]
+
+
 def _gates_built(circuit: Circuit) -> bool:
     try:
         Circuit.gates.__get__(circuit)
@@ -172,28 +188,7 @@ _BAD_LINES = [
 def test_a_bad_line_raises_from_parse_text_with_the_line_path_message(line: str, where: str) -> None:
     good = ["h q[0];", "cx q[0],q[1];", "u1(0.25) q[2];"]
     body = {"first": [line, *good], "middle": [*good, line, *good], "last": [*good, line]}[where]
-    text = _PREFIX + "\n".join(body) + "\n"
-    try:
-        expected = _line_path(text)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as raised:
-            parse_text(text)
-        assert str(raised.value) == str(exc)
-    else:  # the line path accepts it: equal gates, built without error
-        assert parse_text(text).gates == expected.gates
-
-
-def _same_as_line_path(text: str) -> None:
-    try:
-        expected = _line_path(text)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as raised:
-            parse_text(text)
-        assert str(raised.value) == str(exc)
-    else:
-        assert [(g, g.angle and g.angle.hex()) for g in parse_text(text).gates] == [
-            (g, g.angle and g.angle.hex()) for g in expected.gates
-        ]
+    _same_as_line_path(_PREFIX + "\n".join(body) + "\n")
 
 
 @pytest.mark.parametrize("line", ["x q[:];", "x q[1:];", "cx q[0],q[?];", "cx q[2/],q[1];"])
