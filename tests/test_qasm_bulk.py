@@ -8,7 +8,10 @@ included, and every error must come from parse_text itself.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import gc
+import pickle
 from unittest import mock
 
 import pytest
@@ -123,9 +126,25 @@ def test_gates_are_built_once_and_repeated_rows_share_one_gate() -> None:
     parsed = parse_text(_PREFIX + "\n".join(body * 3) + "\n")
     gates = parsed.gates
     assert _gates_built(parsed) and parsed.gates is gates
+    # A second build, as from a thread that missed the cached tuple, returns that tuple.
+    assert Circuit.__getattr__(parsed, "gates") is gates
     assert gates == _line_path(_PREFIX + "\n".join(body * 3) + "\n").gates
     assert [id(g) for g in gates] == [id(g) for g in gates[: len(body)]] * 3
     assert len({id(g) for g in gates}) == len(body)
+
+
+def test_a_parsed_circuit_is_a_plain_circuit() -> None:
+    built = decompose_to_basis(build_converter(Direction.EDICK_TO_BINARY, 9, EvenMethod.RECURSION)[0])
+    text = emit_text(built)
+    reference = Circuit(built.num_qubits, built.gates)
+    parsed = parse_text(text)
+    assert type(parsed) is Circuit and not _gates_built(parsed)
+    assert repr(parsed) == repr(reference) and parsed == reference and hash(parsed) == hash(reference)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        parsed.gates = ()
+    assert pickle.loads(pickle.dumps(parse_text(text))) == reference
+    assert copy.deepcopy(parse_text(text)) == reference
+    assert dataclasses.replace(parse_text(text), label="x") == dataclasses.replace(reference, label="x")
 
 
 def test_an_empty_body_and_a_circuit_from_gates_are_unaffected() -> None:
