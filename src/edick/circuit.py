@@ -12,8 +12,6 @@ checks that every gate fits the register. A circuit derived from checked
 ones does not rescan its gates: `compose` needs equal widths, `inverse`
 keeps the width, `remap` checks that its mapping's image lies in the new
 register, and lowering expands each gate on that gate's own qubits.
-A circuit parsed from QASM holds checked int8 kind, int32 qubit and float64
-angle columns instead; its `gates` are built and cached on first access.
 """
 
 from __future__ import annotations
@@ -22,11 +20,7 @@ import enum
 import math
 import numbers
 import operator
-from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
-
-import numpy as np
 
 
 class GateKind(enum.Enum):
@@ -203,12 +197,8 @@ def mcx(controls: tuple[int, ...] | list[int], target: int) -> Gate:
     return Gate(GateKind.MCX, target, controls)
 
 
-class _Columns:
-    __slots__ = ("_columns",)  # (kind, target, controls, angle) until `gates` is built
-
-
 @dataclass(frozen=True, slots=True)
-class Circuit(_Columns):
+class Circuit:
     """An ordered gate list over a fixed-width qubit register."""
 
     num_qubits: int
@@ -224,53 +214,7 @@ class Circuit(_Columns):
                 raise ValueError(f"gate {g} exceeds register width {n}")
 
     def __len__(self) -> int:
-        try:
-            return len(Circuit.gates.__get__(self))
-        except AttributeError:  # columns whose gates are not built yet
-            return len(self._columns[0])
-
-    def __getattr__(self, name: str):
-        # Called only when normal lookup fails, as for `gates` of a circuit from _from_columns.
-        if name != "gates":
-            raise AttributeError(f"'Circuit' object has no attribute {name!r}")
-        if (columns := self._columns) is None:  # built meanwhile, in another thread
-            return self.gates
-        kind, target, controls, angle = columns
-        # One Gate per distinct row. Angles count by their bits, so 0.0 and -0.0 get gates that
-        # print apart; qubit keys stay inside int64 for registers of under 10**5 qubits.
-        width = int(max(target.max(initial=0), controls.max(initial=0))) + 2
-        qubits = (kind.astype(np.int64) * width + controls[:, 0] + 1) * width + controls[:, 1] + 1
-        keys = qubits * width + target, angle.view(np.int64)
-        ids = [np.unique(key, return_inverse=True)[1] for key in keys]
-        inverse = np.unique(ids[0] * len(kind) + ids[1], return_inverse=True)[1]
-        del qubits, keys, ids  # before the gates, which set the peak memory
-        rows = np.empty(inverse.max(initial=-1) + 1, np.int64)
-        rows[inverse] = np.arange(len(kind))  # a row holding each distinct key
-        distinct = np.empty(len(rows), object)
-        for code in np.unique(kind[rows]).tolist():
-            group = np.flatnonzero(kind[rows] == code)
-            at, (arity, angled) = rows[group], _RULES[_KIND_CODES[code]]
-            # The rows were checked, so slots are set group by group: twice as fast as Gate().
-            distinct[group] = gates = list(map(object.__new__, repeat(Gate, len(at))))
-            deque(map(_set_kind, gates, repeat(_KIND_CODES[code])), 0)
-            deque(map(_set_target, gates, target[at].tolist()), 0)
-            per_control = controls[at, :arity].T.tolist()  # zip then makes no list per gate
-            deque(map(_set_controls, gates, zip(*per_control) if arity else repeat(())), 0)
-            deque(map(_set_angle, gates, angle[at].tolist() if angled else repeat(None)), 0)
-        object.__setattr__(self, "gates", tuple(distinct[inverse].tolist()))
-        object.__setattr__(self, "_columns", None)  # after `gates`, which other threads then find
-        return self.gates
-
-
-_KIND_CODES = tuple(GateKind)  # column code -> kind
-
-
-def _from_columns(num_qubits: int, *columns: np.ndarray) -> Circuit:
-    """Checked columns: kind codes, targets, controls padded with -1, angles (NaN if none)."""
-    circuit = _derived(num_qubits, (), "")
-    object.__delattr__(circuit, "gates")
-    object.__setattr__(circuit, "_columns", columns)
-    return circuit
+        return len(self.gates)
 
 
 def _derived(num_qubits: int, gates: tuple[Gate, ...], label: str) -> Circuit:

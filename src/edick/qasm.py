@@ -18,10 +18,13 @@ parse_text raises every error itself, naming the first bad line.
 from __future__ import annotations
 
 import re
+from collections import deque
+from itertools import repeat
 
 import numpy as np
 
-from .circuit import _KIND_CODES, _RULES, Circuit, Gate, GateKind, _derived, _from_columns
+from .circuit import _RULES, Circuit, Gate, GateKind, _derived
+from .circuit import _set_angle, _set_controls, _set_kind, _set_target
 
 _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -76,20 +79,21 @@ def _parse_operands(text: str) -> tuple[int, ...]:
 
 
 _KINDS = {name: kind for kind, name in _NAMES.items()}
+_KIND_CODES = tuple(GateKind)  # column code -> kind
 _ARITY = {name: _RULES[kind][0] + 1 for kind, name in _NAMES.items()}
 _TAKES_ANGLE = {name for kind, name in _NAMES.items() if _RULES[kind][1]}
 
-# Registers of under 10**5 qubits keep the row keys of Circuit.gates inside int64.
-_CANONICAL_HEAD = re.compile(r'OPENQASM 2\.0;\ninclude "qelib1\.inc";\nqreg q\[([1-9][0-9]{0,4})\];\n')
-# The bulk pass tells names apart by a line's first three bytes. Per name, in the order of those
-# bytes as a little-endian int: the int (in _LEADS), then kind code, name length, the byte after
-# the name, operand count and whether it takes an angle (in _HEADS).
-_HEADS = np.array(sorted(
-    (int.from_bytes(lead[:3].encode(), "little"), _KIND_CODES.index(_KINDS[name]), len(name),
-     ord(lead[len(name)]), _ARITY[name], name in _TAKES_ANGLE)
-    for name, lead in ((name, name + ("(" if name in _TAKES_ANGLE else " q[")) for name in _KINDS)
+# Text in emitted form: each name with its own operand count, and an angle of up to 24 bytes
+# exactly where one belongs. Indices of up to 9 digits fit int32.
+_Q, _ANGLE = r"q\[[0-9]{1,9}\]", r"\([-+.0-9e]{1,24}\)"
+_CANONICAL_RE = re.compile(
+    r'OPENQASM 2\.0;\ninclude "qelib1\.inc";\nqreg q\[([1-9][0-9]{0,8})\];\n'
+    rf"((?:(?:[xh] {_Q}|cx {_Q},{_Q}|ccx {_Q},{_Q},{_Q}|(?:ry|u1){_ANGLE} {_Q}|cu1{_ANGLE} {_Q},{_Q});\n)+)"
+)
+# Names by their first two bytes as a little-endian int, in order, and the kind code of each.
+_LEADS, _LEAD_KINDS = np.array(sorted(
+    (int.from_bytes(f"{name} "[:2].encode(), "little"), _KIND_CODES.index(kind)) for name, kind in _KINDS.items()
 )).T
-_LEADS, _HEADS = _HEADS[0].astype(np.uint32), _HEADS[1:].astype(np.int8)
 _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # the low k bytes of a word
 
 
@@ -119,73 +123,60 @@ def _next_statement(lines: list[str], start: int) -> tuple[int, str | None]:
 
 
 def _bulk(text: str) -> Circuit | None:
-    """The circuit of text in emitted form, or None to leave the text to the line path.
-
-    Byte-length arrays stay uint8 or bool; index arrays are sized by line or bracket count."""
-    head = _CANONICAL_HEAD.match(text) if isinstance(text, str) else None
-    raw = text.encode() if head is not None and text.endswith("\n") and text.isascii() else b""
-    skip = head.end() if 0 < len(raw) < 2**31 else len(raw)  # where the body starts; int32 positions
+    """The circuit of text in emitted form, or None to leave the text to the line path."""
+    # Arrays as long as the body stay uint8; index arrays are sized by line or bracket count.
+    match = _CANONICAL_RE.fullmatch(text) if isinstance(text, str) and len(text) < 2**31 else None
+    if match is None:
+        return None
+    raw, skip = text.encode(), match.start(2)  # all ASCII, so byte and character offsets agree
     data = np.frombuffer(raw, np.uint8, offset=skip)
-    ends, spaces, opens, closes = (np.flatnonzero(data == byte).astype(np.int32) for byte in b"\n []")
+    ends, opens, closes, lefts, rights = (np.flatnonzero(data == b).astype(np.int32) for b in b"\n[]()")
     starts = np.insert(ends[:-1] + 1, 0, 0)
-    # One space per line, not its first byte, and no control byte but the newlines.
-    if not (len(ends) == len(spaces) == np.count_nonzero(data < 32) and starts[-1] + 4 <= len(data)
-            and np.all((starts < spaces) & (spaces < ends))):
-        return None
-    prefix = np.ndarray((len(data) - 3,), "<u4", raw, skip, (1,))[starts] & 0xFFFFFF
-    slot = np.searchsorted(_LEADS, prefix) % len(_KINDS)  # past the last prefix wraps to 0
-    kind, name_length, after_name, arity, angled = _HEADS[:, slot]
-    last = np.cumsum(arity, dtype=np.int32) - 1
-    if not (np.array_equal(_LEADS[slot], prefix) and len(opens) == len(closes) == last[-1] + 1
-            and np.array_equal(data[starts + name_length], after_name)):
-        return None
+    kind = _LEAD_KINDS[np.searchsorted(_LEADS, np.ndarray((len(data) - 1,), "<u2", raw, skip, (1,))[starts])]
 
-    # Operands: after the space, q[digits] joined by commas, then ";" and the newline.
-    first = last + 1 - arity
-    begin = np.insert(closes[:-1] + 3, 0, 0)  # each "[" comes after "],q", or " q" if first
-    begin[first] = spaces + 2
-    separator = np.full(len(closes), 44, np.uint8)  # "," after a "]", or ";" if last
-    separator[last] = 59
-    length = closes - opens - 1
-    if not (np.array_equal(opens, begin) and np.array_equal(data[closes + 1], separator)
-            and np.array_equal(closes[last] + 2, ends) and np.all(data[opens - 1] == 113)
-            and 1 <= length.min() <= length.max() <= 9):
-        return None
+    # Operands: per line the brackets up to its newline; the last one is the target.
+    last = np.searchsorted(opens, ends) - 1
+    first = np.insert(last[:-1] + 1, 0, 0)
     value = np.zeros(len(opens), np.int32)
-    for j in range(length.max()):
-        digit, live = data[np.minimum(opens + j + 1, closes)] - 48, j < length  # wraps below "0"
-        if np.any(live & (digit > 9)):
-            return None
-        value = np.where(live, value * 10 + digit, value)
-    target = value[last]
+    for j in range(1, (closes - opens).max()):
+        value = np.where(j < closes - opens, value * 10 + data[np.minimum(opens + j, closes)] - 48, value)
+    target, arity = value[last], last + 1 - first
     c0 = np.where(arity > 1, value[first], -1)
     c1 = np.where(arity > 2, value[np.minimum(first + 1, last)], -1)
-    if value.max() >= int(head[1]) or np.any((c0 == target) | (c1 == target) | (c0 == c1) & (arity > 2)):
+    if value.max() >= int(match[1]) or np.any((c0 == target) | (c1 == target) | (c0 == c1) & (arity > 2)):
         return None
 
-    # Angles: float() of each distinct text in parentheses. A text of up to 24 bytes is three
-    # little-endian words, deduplicated by a hash of them that is then checked word by word.
-    rows = np.flatnonzero(angled)
-    low, high = starts[rows] + name_length[rows] + 1, spaces[rows] - 1
+    # Angles: float() of each distinct text in parentheses, read as three words of 8 bytes.
+    rows, low, size = np.searchsorted(ends, lefts), lefts + 1, rights - lefts - 1
     # A word that starts within 8 bytes of the end holds no byte of an angle: the end is " q[0];\n".
     words = np.ndarray((len(data) - 7,), "<u8", raw, skip, (1,))  # 8 bytes from each offset
-    size, last_word = high - low, len(data) - 8
-    parts = [words[np.minimum(low + i, last_word)] & _MASKS[np.clip(size - i, 0, 8)] for i in (0, 8, 16)]
-    hashed = parts[0] ^ parts[1] * 0x9E3779B97F4A7C15 ^ parts[2] * 0xC2B2AE3D27D4EB4F
-    _, pick, inverse = np.unique(hashed, return_index=True, return_inverse=True)
-    if not (np.all(data[high] == 41) and np.all(size <= 24)
-            and all(np.array_equal(part[pick][inverse], part) for part in parts)):
-        return None
-    spans = zip((low[pick] + skip).tolist(), (high[pick] + skip).tolist())
+    parts = [words[np.minimum(low + i, len(data) - 8)] & _MASKS[np.clip(size - i, 0, 8)] for i in (0, 8, 16)]
+    _, pick, inverse = np.unique(np.stack(parts, 1).view("V24"), return_index=True, return_inverse=True)
+    spans = zip((low[pick] + skip).tolist(), (rights[pick] + skip).tolist())
     try:
-        values = np.array([float(text[i:j]) for i, j in spans])
+        angles = [None, *(float(text[i:j]) for i, j in spans)]
     except ValueError:
         return None
-    angle = np.full(len(ends), np.nan)
-    angle[rows] = values[inverse]
-    if not np.all(np.isfinite(values)):
+    width, qubits = int(value.max()) + 2, np.stack((c0, c1))
+    if not (np.all(np.isfinite(angles[1:])) and len(_KIND_CODES) * width**3 * len(angles) < 2**63):
         return None
-    return _from_columns(int(head[1]), kind.astype(np.int8), target, np.stack((c0, c1), 1), angle)
+
+    # One Gate per distinct row of kind, qubits and angle text (0 if none), told by one int64 key.
+    angle_id = np.zeros(len(ends), np.int64)
+    angle_id[rows] = inverse.ravel() + 1
+    key = (((kind.astype(np.int64) * width + target) * width + c0 + 1) * width + c1 + 1) * len(angles)
+    _, pick, inverse = np.unique(key + angle_id, return_index=True, return_inverse=True)
+    distinct = np.empty(len(pick), object)
+    for code in np.unique(kind[pick]).tolist():
+        at = pick[group := np.flatnonzero(kind[pick] == code)]
+        count = _RULES[gate_kind := _KIND_CODES[code]][0]  # of controls
+        # The rows were checked, so slots are set kind by kind: twice as fast as through Gate().
+        distinct[group] = gates = list(map(object.__new__, repeat(Gate, len(at))))
+        deque(map(_set_kind, gates, repeat(gate_kind)), 0)
+        deque(map(_set_target, gates, target[at].tolist()), 0)
+        deque(map(_set_controls, gates, zip(*qubits[:count, at].tolist()) if count else repeat(())), 0)
+        deque(map(_set_angle, gates, map(angles.__getitem__, angle_id[at].tolist())), 0)
+    return _derived(int(match[1]), tuple(distinct[inverse.ravel()].tolist()), "")
 
 
 def parse_text(text: str) -> Circuit:

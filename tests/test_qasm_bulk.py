@@ -1,16 +1,14 @@
-"""The bulk parse of emitted QASM: same circuits as the line path, gates built on first use.
+"""The bulk parse of emitted QASM: the same circuits as the line path.
 
-A body in emitted form is read in one numpy pass into columns, and the
-returned Circuit builds its gates when `.gates` is first read. Any other body
-goes through the line path. Both must give equal gates, signed zeros
-included, and every error must come from parse_text itself.
+A body in emitted form is checked by one pattern and read in one numpy pass,
+with one Gate per distinct row. Any other body goes through the line path.
+Both must give equal gates, signed zeros included, or the same error.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
-import gc
 import pickle
 from unittest import mock
 
@@ -56,23 +54,16 @@ def _signed(gates) -> list:
     return [(g, None if g.angle is None else g.angle.hex()) for g in gates]
 
 
-def _gates_built(circuit: Circuit) -> bool:
-    try:
-        Circuit.gates.__get__(circuit)
-    except AttributeError:
-        return False
-    return True
-
-
-def _live_gates() -> int:
-    return sum(type(o) is Gate for o in gc.get_objects())
+def _bulk_parse(text: str) -> Circuit:
+    """parse_text, failing if the text left the bulk pass: the line path calls Gate()."""
+    with mock.patch.object(Gate, "__init__", side_effect=AssertionError("the line path ran")):
+        return parse_text(text)
 
 
 def _check_round_trip(circuit: Circuit) -> None:
     text = emit_text(circuit)
-    parsed = parse_text(text)
+    parsed = _bulk_parse(text) if circuit.gates else parse_text(text)
     assert type(parsed) is Circuit
-    assert not _gates_built(parsed) or not circuit.gates, "a nonempty body took the line path"
     assert parsed.num_qubits == circuit.num_qubits and len(parsed) == len(circuit.gates)
     assert parsed.gates == circuit.gates
     # Equal gates may differ in the sign of a zero angle; the text tells them apart.
@@ -109,26 +100,11 @@ def test_signed_zeros_keep_their_sign_and_their_own_gates() -> None:
     assert len({id(g) for g in parsed.gates}) == len(body)
 
 
-def test_parse_builds_no_gate_and_len_and_width_do_not_either() -> None:
-    text = emit_text(decompose_to_basis(build_converter(Direction.ONEHOT_TO_BINARY, 30)[0]))
-    gc.collect()
-    before = _live_gates()
-    with mock.patch.object(Gate, "__init__", side_effect=AssertionError("Gate constructed")):
-        parsed = parse_text(text)
-    assert parsed.num_qubits > 0 and len(parsed) == text.count("\n") - 3
-    assert not _gates_built(parsed)
-    gc.collect()
-    assert _live_gates() == before
-
-
-def test_gates_are_built_once_and_repeated_rows_share_one_gate() -> None:
+def test_repeated_rows_share_one_gate() -> None:
     body = ["h q[0];", "cx q[0],q[1];", "ry(0.5) q[2];", "ccx q[0],q[1],q[3];", "cx q[1],q[0];"]
-    parsed = parse_text(_PREFIX + "\n".join(body * 3) + "\n")
-    gates = parsed.gates
-    assert _gates_built(parsed) and parsed.gates is gates
-    # A second build, as from a thread that missed the cached tuple, returns that tuple.
-    assert Circuit.__getattr__(parsed, "gates") is gates
-    assert gates == _line_path(_PREFIX + "\n".join(body * 3) + "\n").gates
+    text = _PREFIX + "\n".join(body * 3) + "\n"
+    gates = _bulk_parse(text).gates
+    assert gates == _line_path(text).gates
     assert [id(g) for g in gates] == [id(g) for g in gates[: len(body)]] * 3
     assert len({id(g) for g in gates}) == len(body)
 
@@ -137,23 +113,21 @@ def test_a_parsed_circuit_is_a_plain_circuit() -> None:
     built = decompose_to_basis(build_converter(Direction.EDICK_TO_BINARY, 9, EvenMethod.RECURSION)[0])
     text = emit_text(built)
     reference = Circuit(built.num_qubits, built.gates)
-    parsed = parse_text(text)
-    assert type(parsed) is Circuit and not _gates_built(parsed)
+    parsed = _bulk_parse(text)
+    assert type(parsed) is Circuit and type(parsed.gates) is tuple
     assert repr(parsed) == repr(reference) and parsed == reference and hash(parsed) == hash(reference)
     with pytest.raises(dataclasses.FrozenInstanceError):
         parsed.gates = ()
-    assert pickle.loads(pickle.dumps(parse_text(text))) == reference
-    assert copy.deepcopy(parse_text(text)) == reference
-    assert dataclasses.replace(parse_text(text), label="x") == dataclasses.replace(reference, label="x")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        parsed.gates[0].target = 0
+    assert pickle.loads(pickle.dumps(parsed)) == reference
+    assert copy.deepcopy(parsed) == reference
+    assert dataclasses.replace(parsed, label="x") == dataclasses.replace(reference, label="x")
 
 
-def test_an_empty_body_and_a_circuit_from_gates_are_unaffected() -> None:
+def test_an_empty_body_takes_the_line_path() -> None:
     empty = parse_text(_PREFIX)
-    assert empty.gates == () and len(empty) == 0
-    circuit = Circuit(2, (Gate(edick.GateKind.H, 0),))
-    assert _gates_built(circuit) and len(circuit) == 1
-    with pytest.raises(AttributeError, match="no attribute 'colour'"):
-        circuit.colour  # noqa: B018
+    assert empty.gates == () and len(empty) == 0 and empty.num_qubits == 4
 
 
 # Lines that are in emitted form up to one thing that the bulk pass must catch.
@@ -221,9 +195,25 @@ def test_an_index_that_is_not_digits_is_refused_in_a_wide_register(line: str) ->
     [
         ["0.1234567890123456789012345"],  # over 24 bytes: the line path reads it
         ["0.12345678901234567890123e5", "0.12345678901234567890123e6"],  # the same first 24 bytes
-        ["0.7853981633974483", "0.7853xL1633977483"],  # the same hash of their three words
+        ["0.7853981633974483", "0.7853981633977483"],  # one byte apart, in the second word
         ["0.7853981633974483", "0.7853981633974483", "-0.0", "0.0", "1e-320"],
     ],
 )
 def test_angle_texts_are_told_apart_byte_for_byte(angles: list[str]) -> None:
     _same_as_line_path(_PREFIX + "".join(f"ry({a}) q[{i % 4}];\n" for i, a in enumerate(angles)))
+
+
+@pytest.mark.parametrize(
+    ("width", "line", "bulk"),
+    [
+        (100000, "cx q[99999],q[0];", True),  # past the 5-digit registers of the emitted tests
+        (999999999, "ccx q[0],q[999999998],q[5];", False),  # row keys past int64: line path
+        (2000000, "cu1(0.5) q[1999999],q[0];", False),
+    ],
+)
+def test_wide_registers_parse_as_on_the_line_path(width: int, line: str, bulk: bool) -> None:
+    text = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{width}];\nh q[1];\n{line}\n'
+    parsed = _bulk_parse(text) if bulk else parse_text(text)
+    assert parsed.num_qubits == width and parsed.gates == _line_path(text).gates
+    if not bulk:
+        assert edick.qasm._bulk(text) is None
