@@ -8,11 +8,11 @@ them with :func:`edick.decompose.decompose_to_basis` before emitting.
 Angles are printed with ``repr``, so parse_text(emit_text(c)) reproduces
 the text byte for byte. emit_text formats each gate object once (by object,
 as equal gates may print differently: ``u1(0.0)`` and ``u1(-0.0)``).
-Text exactly in emitted form, on under 10**5 qubits, is checked and read in
-one numpy pass into columns; its Circuit builds the gates on first access.
-Other text goes line by line: each distinct line is split into operands,
-which accepts extra blanks and names what is wrong, and becomes one Gate.
-parse_text raises every error itself, naming the first bad line.
+parse_text reads each distinct line once and reuses its gate for repeats.
+Text wholly in emitted form is checked by one pattern and read in one numpy
+pass. Otherwise a line in emitted form takes one pattern match; other lines
+are split into operands, which accepts extra blanks and names what is wrong.
+The Gate constructor validates each gate that the line path parses.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ _QREG_RE = re.compile(r"^qreg q\[(\d+)\];$")
 _HEAD = r"(x|h|cx|ccx|ry|u1|cu1)(?:\(([^)]+)\))?"  # gate name and optional angle
 _GATE_RE = re.compile(rf"^{_HEAD} ([^;]+);$")
 _QUBIT_RE = re.compile(r"^q\[(\d+)\]$")
+_LINE_RE = re.compile(rf"{_HEAD} q\[(\d+)\](?:,q\[(\d+)\])?(?:,q\[(\d+)\])?;")
 
 
 _NAMES = {
@@ -79,25 +80,32 @@ def _parse_operands(text: str) -> tuple[int, ...]:
 
 
 _KINDS = {name: kind for kind, name in _NAMES.items()}
-_KIND_CODES = tuple(GateKind)  # column code -> kind
 _ARITY = {name: _RULES[kind][0] + 1 for kind, name in _NAMES.items()}
 _TAKES_ANGLE = {name for kind, name in _NAMES.items() if _RULES[kind][1]}
 
 # Text in emitted form: each name with its own operand count, and an angle of up to 24 bytes
 # exactly where one belongs. Indices of up to 9 digits fit int32.
-_Q, _ANGLE = r"q\[[0-9]{1,9}\]", r"\([-+.0-9e]{1,24}\)"
+_Q, _A = r"q\[[0-9]{1,9}\]", r"\([-+.0-9e]{1,24}\)"  # an operand and an angle
 _CANONICAL_RE = re.compile(
     r'OPENQASM 2\.0;\ninclude "qelib1\.inc";\nqreg q\[([1-9][0-9]{0,8})\];\n'
-    rf"((?:(?:[xh] {_Q}|cx {_Q},{_Q}|ccx {_Q},{_Q},{_Q}|(?:ry|u1){_ANGLE} {_Q}|cu1{_ANGLE} {_Q},{_Q});\n)+)"
+    rf"((?:(?:[xh] {_Q}|cx {_Q},{_Q}|ccx {_Q},{_Q},{_Q}|(?:ry|u1){_A} {_Q}|cu1{_A} {_Q},{_Q});\n)+)"
 )
-# Names by their first two bytes as a little-endian int, in order, and the kind code of each.
-_LEADS, _LEAD_KINDS = np.array(sorted(
-    (int.from_bytes(f"{name} "[:2].encode(), "little"), _KIND_CODES.index(kind)) for name, kind in _KINDS.items()
-)).T
+# Names by their first two bytes as a little-endian int, in order, and the kind of each.
+_LEADS, _LEAD_KINDS = zip(*sorted(
+    (int.from_bytes(f"{name} "[:2].encode(), "little"), kind) for name, kind in _KINDS.items()))
 _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # the low k bytes of a word
 
 
 def _parse_gate(line: str, num_qubits: int) -> Gate:
+    # One match for a canonical line. Other lines, and lines failing a check, go on to
+    # the operand splitting, which gives the same messages and accepts the same spacing.
+    if (match := _LINE_RE.fullmatch(line)) is not None:
+        name, angle_text, a, b, c = match.groups()
+        qubits = (int(a),) if b is None else (int(a), int(b)) if c is None else (int(a), int(b), int(c))
+        if (angle_text is not None) == (name in _TAKES_ANGLE) and len(qubits) == _ARITY[name]:
+            if max(qubits) < num_qubits:
+                angle = float(angle_text) if angle_text is not None else None
+                return Gate(_KINDS[name], qubits[-1], qubits[:-1], angle)
     match = _GATE_RE.match(line)
     if match is None:
         raise ValueError(f"unsupported statement {line!r}")
@@ -125,56 +133,61 @@ def _next_statement(lines: list[str], start: int) -> tuple[int, str | None]:
 def _bulk(text: str) -> Circuit | None:
     """The circuit of text in emitted form, or None to leave the text to the line path."""
     # Arrays as long as the body stay uint8; index arrays are sized by line or bracket count.
-    match = _CANONICAL_RE.fullmatch(text) if isinstance(text, str) and len(text) < 2**31 else None
+    match = _CANONICAL_RE.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         return None
     raw, skip = text.encode(), match.start(2)  # all ASCII, so byte and character offsets agree
     data = np.frombuffer(raw, np.uint8, offset=skip)
-    ends, opens, closes, lefts, rights = (np.flatnonzero(data == b).astype(np.int32) for b in b"\n[]()")
+    ends, opens, closes, lefts, rights = (np.flatnonzero(data == byte) for byte in b"\n[]()")
     starts = np.insert(ends[:-1] + 1, 0, 0)
-    kind = _LEAD_KINDS[np.searchsorted(_LEADS, np.ndarray((len(data) - 1,), "<u2", raw, skip, (1,))[starts])]
+    lead = np.ndarray((len(data) - 1,), "<u2", raw, skip, (1,))[starts]  # first two bytes
+    slot = np.searchsorted(_LEADS, lead)  # the name, as its index in _LEADS
 
     # Operands: per line the brackets up to its newline; the last one is the target.
     last = np.searchsorted(opens, ends) - 1
     first = np.insert(last[:-1] + 1, 0, 0)
-    value = np.zeros(len(opens), np.int32)
-    for j in range(1, (closes - opens).max()):
-        value = np.where(j < closes - opens, value * 10 + data[np.minimum(opens + j, closes)] - 48, value)
+    value, length = np.zeros(len(opens), np.int32), closes - opens  # digits plus one
+    for j in range(1, length.max()):
+        value = np.where(j < length, value * 10 + data[np.minimum(opens + j, closes)] - 48, value)
     target, arity = value[last], last + 1 - first
     c0 = np.where(arity > 1, value[first], -1)
     c1 = np.where(arity > 2, value[np.minimum(first + 1, last)], -1)
-    if value.max() >= int(match[1]) or np.any((c0 == target) | (c1 == target) | (c0 == c1) & (arity > 2)):
+    apart = (c0 != target) & (c1 != target) & ((c0 != c1) | (arity < 3))
+    if value.max() >= int(match[1]) or not np.all(apart):
         return None
 
     # Angles: float() of each distinct text in parentheses, read as three words of 8 bytes.
     rows, low, size = np.searchsorted(ends, lefts), lefts + 1, rights - lefts - 1
     # A word that starts within 8 bytes of the end holds no byte of an angle: the end is " q[0];\n".
     words = np.ndarray((len(data) - 7,), "<u8", raw, skip, (1,))  # 8 bytes from each offset
-    parts = [words[np.minimum(low + i, len(data) - 8)] & _MASKS[np.clip(size - i, 0, 8)] for i in (0, 8, 16)]
-    _, pick, inverse = np.unique(np.stack(parts, 1).view("V24"), return_index=True, return_inverse=True)
+    parts = [words[np.minimum(low + i, len(words) - 1)] & _MASKS[np.clip(size - i, 0, 8)]
+             for i in (0, 8, 16)]
+    texts = np.stack(parts, 1).view("V24")  # equal exactly when the angle texts are
+    _, pick, inverse = np.unique(texts, return_index=True, return_inverse=True)
     spans = zip((low[pick] + skip).tolist(), (rights[pick] + skip).tolist())
     try:
         angles = [None, *(float(text[i:j]) for i, j in spans)]
     except ValueError:
         return None
     width, qubits = int(value.max()) + 2, np.stack((c0, c1))
-    if not (np.all(np.isfinite(angles[1:])) and len(_KIND_CODES) * width**3 * len(angles) < 2**63):
+    if not (np.all(np.isfinite(angles[1:])) and len(_LEADS) * width**3 * len(angles) < 2**63):
         return None
 
     # One Gate per distinct row of kind, qubits and angle text (0 if none), told by one int64 key.
     angle_id = np.zeros(len(ends), np.int64)
     angle_id[rows] = inverse.ravel() + 1
-    key = (((kind.astype(np.int64) * width + target) * width + c0 + 1) * width + c1 + 1) * len(angles)
+    key = (((slot * width + target) * width + c0 + 1) * width + c1 + 1) * len(angles)
     _, pick, inverse = np.unique(key + angle_id, return_index=True, return_inverse=True)
     distinct = np.empty(len(pick), object)
-    for code in np.unique(kind[pick]).tolist():
-        at = pick[group := np.flatnonzero(kind[pick] == code)]
-        count = _RULES[gate_kind := _KIND_CODES[code]][0]  # of controls
+    for index in np.unique(slot[pick]).tolist():
+        at = pick[group := np.flatnonzero(slot[pick] == index)]
+        count = _RULES[kind := _LEAD_KINDS[index]][0]  # of controls
         # The rows were checked, so slots are set kind by kind: twice as fast as through Gate().
         distinct[group] = gates = list(map(object.__new__, repeat(Gate, len(at))))
-        deque(map(_set_kind, gates, repeat(gate_kind)), 0)
+        deque(map(_set_kind, gates, repeat(kind)), 0)
         deque(map(_set_target, gates, target[at].tolist()), 0)
-        deque(map(_set_controls, gates, zip(*qubits[:count, at].tolist()) if count else repeat(())), 0)
+        controls = zip(*qubits[:count, at].tolist()) if count else repeat(())
+        deque(map(_set_controls, gates, controls), 0)
         deque(map(_set_angle, gates, map(angles.__getitem__, angle_id[at].tolist())), 0)
     return _derived(int(match[1]), tuple(distinct[inverse.ravel()].tolist()), "")
 
