@@ -83,13 +83,13 @@ _KINDS = {name: kind for kind, name in _NAMES.items()}
 _ARITY = {name: _RULES[kind][0] + 1 for kind, name in _NAMES.items()}
 _TAKES_ANGLE = {name for kind, name in _NAMES.items() if _RULES[kind][1]}
 
-# Text in emitted form: each name with its own operand count, and an angle of up to 24 bytes
-# exactly where one belongs. Indices of up to 9 digits fit int32.
-_Q, _A = r"q\[[0-9]{1,9}\]", r"\([-+.0-9e]{1,24}\)"  # an operand and an angle
-_CANONICAL_RE = re.compile(
-    r'OPENQASM 2\.0;\ninclude "qelib1\.inc";\nqreg q\[([1-9][0-9]{0,8})\];\n'
-    rf"((?:(?:[xh] {_Q}|cx {_Q},{_Q}|ccx {_Q},{_Q},{_Q}|(?:ry|u1){_A} {_Q}|cu1{_A} {_Q},{_Q});\n)+)"
+# A line in emitted form: each name with its own operand count, and an angle exactly where one
+# belongs, of up to 24 bytes and two exponent digits, so that float() reads it as a finite value.
+_Q, _A = r"q\[[0-9]{1,9}\]", r"\((?=[^)]{1,24}\))-?[0-9]+(?:\.[0-9]+)?(?:e[-+]?[0-9]{1,2})?\)"
+_ODD_LINE_RE = re.compile(  # the start of a line in any other form
+    rf"^(?!(?:[xh] {_Q}|cx {_Q},{_Q}|ccx {_Q},{_Q},{_Q}|(?:ry|u1){_A} {_Q}|cu1{_A} {_Q},{_Q});$)", re.M
 )
+_HEAD_RE = re.compile(r'OPENQASM 2\.0;\ninclude "qelib1\.inc";\nqreg q\[([1-9][0-9]{0,8})\];\n')
 # Names by their first two bytes as a little-endian int, in order, and the kind of each.
 _LEADS, _LEAD_KINDS = zip(*sorted(
     (int.from_bytes(f"{name} "[:2].encode(), "little"), kind) for name, kind in _KINDS.items()))
@@ -132,13 +132,15 @@ def _next_statement(lines: list[str], start: int) -> tuple[int, str | None]:
 
 def _bulk(text: str) -> Circuit | None:
     """The circuit of text in emitted form, or None to leave the text to the line path."""
-    # Arrays as long as the body stay uint8; index arrays are sized by line or bracket count.
-    match = _CANONICAL_RE.fullmatch(text) if isinstance(text, str) else None
-    if match is None:
+    # Arrays as long as the body stay uint8 or bool; positions are int32 (a body of under 2 GB).
+    if not isinstance(text, str) or (match := _HEAD_RE.match(text)) is None:
         return None
-    raw, skip = text.encode(), match.start(2)  # all ASCII, so byte and character offsets agree
+    skip, end = match.end(), len(text) - 1  # the body, and its last newline
+    if not skip <= end < 2**31 or text[end] != "\n" or _ODD_LINE_RE.search(text, skip, end):
+        return None
+    raw = text.encode()  # all ASCII, so byte and character offsets agree
     data = np.frombuffer(raw, np.uint8, offset=skip)
-    ends, opens, closes, lefts, rights = (np.flatnonzero(data == byte) for byte in b"\n[]()")
+    ends, opens, closes, lefts, rights = (np.flatnonzero(data == b).astype(np.int32) for b in b"\n[]()")
     starts = np.insert(ends[:-1] + 1, 0, 0)
     lead = np.ndarray((len(data) - 1,), "<u2", raw, skip, (1,))[starts]  # first two bytes
     slot = np.searchsorted(_LEADS, lead)  # the name, as its index in _LEADS
@@ -165,16 +167,14 @@ def _bulk(text: str) -> Circuit | None:
     texts = np.stack(parts, 1).view("V24")  # equal exactly when the angle texts are
     _, pick, inverse = np.unique(texts, return_index=True, return_inverse=True)
     spans = zip((low[pick] + skip).tolist(), (rights[pick] + skip).tolist())
-    try:
-        angles = [None, *(float(text[i:j]) for i, j in spans)]
-    except ValueError:
-        return None
+    angles = [None, *(float(text[i:j]) for i, j in spans)]
     width, qubits = int(value.max()) + 2, np.stack((c0, c1))
-    if not (np.all(np.isfinite(angles[1:])) and len(_LEADS) * width**3 * len(angles) < 2**63):
+    if len(_LEADS) * width**3 * len(angles) >= 2**63:
         return None
+    del raw, data, words, ends, starts, opens, closes, last, first, value, length, arity, parts
 
     # One Gate per distinct row of kind, qubits and angle text (0 if none), told by one int64 key.
-    angle_id = np.zeros(len(ends), np.int64)
+    angle_id = np.zeros(len(slot), np.int64)
     angle_id[rows] = inverse.ravel() + 1
     key = (((slot * width + target) * width + c0 + 1) * width + c1 + 1) * len(angles)
     _, pick, inverse = np.unique(key + angle_id, return_index=True, return_inverse=True)

@@ -136,6 +136,7 @@ _BAD_LINES = [
     "cx q[1],q[1];",  # repeated operand
     "ccx q[0],q[2],q[0];",
     "ccx q[3],q[3],q[1];",
+    "ccx q[0],q[1],q[1];",
     "cx q[0];",  # wrong arity
     "x q[0],q[1];",
     "ccx q[0],q[1];",
@@ -161,6 +162,13 @@ _BAD_LINES = [
     "X q[0];",
     "cz q[0],q[1];",
     "ry(0.1234567890123456789012345) q[0];",  # over 24 bytes of angle
+    "ry(1e) q[0];",  # not a float literal of the emitted form, or one of 3 exponent digits
+    "ry(.5) q[0];",
+    "ry(5.) q[0];",
+    "ry(-) q[0];",
+    "ry(+1) q[0];",
+    "ry(1e+100) q[0];",
+    "u1(1e-300) q[0];",
     "ry(1.0\x0c) q[0];",  # a control byte that splits the line for the line path
     "u1(\x1c0.5) q[0];",
     "ccxx q[0],q[1],q[2];",  # a name that runs on, or an angle after a name that takes none
@@ -188,6 +196,24 @@ def test_a_bad_line_raises_from_parse_text_with_the_line_path_message(line: str,
 def test_an_index_that_is_not_digits_is_refused_in_a_wide_register(line: str) -> None:
     # ":" and "?" sit just past "9": read as digits, they would land inside q[99].
     _same_as_line_path('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[99];\n' + line + "\n")
+
+
+@pytest.mark.parametrize("ending", ["", ";", "\r", " ", "x", "\n\n", "\n "])
+def test_a_body_that_does_not_end_in_one_newline_takes_the_line_path(ending: str) -> None:
+    _same_as_line_path(_PREFIX + "h q[0];\nx q[1];" + ending)
+
+
+def test_many_distinct_angles_on_a_narrow_register() -> None:
+    # More distinct angles than the register is wide, on rows that differ only in the target.
+    text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+    text += "".join(f"ry({i / 7!r}) q[{i % 2}];\n" for i in range(1, 30))
+    assert _bulk_parse(text).gates == _line_path(text).gates
+
+
+def test_angles_in_emitted_form_take_the_bulk_pass() -> None:
+    angles = [0.5, -0.0, 1e-05, -2.5e16, 3.141592653589793, 1.2345678901234567e-17, 1e22]
+    text = _PREFIX + "".join(f"ry({a!r}) q[{i % 4}];\n" for i, a in enumerate(angles))
+    assert [g.angle for g in _bulk_parse(text).gates] == angles
 
 
 @pytest.mark.parametrize(

@@ -70,7 +70,6 @@ def _outcome(text: str):
         circuit = parse_text(text)
     except ValueError as exc:
         return "error", str(exc)
-    # Gates are read outside the try: an error raised by `.gates` fails the test.
     return "ok", circuit.num_qubits, [
         (g.kind, g.target, g.controls, None if g.angle is None else float.hex(g.angle))
         for g in circuit.gates
