@@ -142,8 +142,7 @@ def _bulk(text: str) -> Circuit | None:
     data = np.frombuffer(raw, np.uint8, offset=skip)
     ends, opens, closes, lefts, rights = (np.flatnonzero(data == b).astype(np.int32) for b in b"\n[]()")
     starts = np.insert(ends[:-1] + 1, 0, 0)
-    lead = np.ndarray((len(data) - 1,), "<u2", raw, skip, (1,))[starts]  # first two bytes
-    slot = np.searchsorted(_LEADS, lead)  # the name, as its index in _LEADS
+    slot = np.searchsorted(_LEADS, np.ndarray((len(data) - 1,), "<u2", raw, skip, (1,))[starts])
 
     # Operands: per line the brackets up to its newline; the last one is the target.
     last = np.searchsorted(opens, ends) - 1
@@ -162,22 +161,24 @@ def _bulk(text: str) -> Circuit | None:
     rows, low, size = np.searchsorted(ends, lefts), lefts + 1, rights - lefts - 1
     # A word that starts within 8 bytes of the end holds no byte of an angle: the end is " q[0];\n".
     words = np.ndarray((len(data) - 7,), "<u8", raw, skip, (1,))  # 8 bytes from each offset
-    parts = [words[np.minimum(low + i, len(words) - 1)] & _MASKS[np.clip(size - i, 0, 8)]
-             for i in (0, 8, 16)]
-    texts = np.stack(parts, 1).view("V24")  # equal exactly when the angle texts are
-    _, pick, inverse = np.unique(texts, return_index=True, return_inverse=True)
+    parts = np.stack([words[np.minimum(low + i, len(words) - 1)] & _MASKS[np.clip(size - i, 0, 8)]
+                      for i in (0, 8, 16)], 1)  # as 24 bytes, equal exactly when the texts are
+    _, pick, inverse = np.unique(parts.view("V24"), return_index=True, return_inverse=True)
     spans = zip((low[pick] + skip).tolist(), (rights[pick] + skip).tolist())
     angles = [None, *(float(text[i:j]) for i, j in spans)]
-    width, qubits = int(value.max()) + 2, np.stack((c0, c1))
+    width = int(value.max()) + 2
     if len(_LEADS) * width**3 * len(angles) >= 2**63:
         return None
-    del raw, data, words, ends, starts, opens, closes, last, first, value, length, arity, parts
+    # The gates set the peak memory, so the arrays they do not need go first.
+    del raw, data, words, ends, starts, opens, closes, lefts, rights, low, size, parts
+    del last, first, value, length, arity, apart
 
-    # One Gate per distinct row of kind, qubits and angle text (0 if none), told by one int64 key.
-    angle_id = np.zeros(len(slot), np.int64)
+    # One Gate per distinct row of kind, qubits and angle text, told apart by one int64 key.
+    angle_id = np.zeros(len(slot), np.int64)  # the angle's index in angles: 0, for None, if none
     angle_id[rows] = inverse.ravel() + 1
-    key = (((slot * width + target) * width + c0 + 1) * width + c1 + 1) * len(angles)
-    _, pick, inverse = np.unique(key + angle_id, return_index=True, return_inverse=True)
+    key = (((slot * width + target) * width + c0 + 1) * width + c1 + 1) * len(angles) + angle_id
+    _, pick, inverse = np.unique(key, return_index=True, return_inverse=True)
+    del key
     distinct = np.empty(len(pick), object)
     for index in np.unique(slot[pick]).tolist():
         at = pick[group := np.flatnonzero(slot[pick] == index)]
@@ -186,7 +187,7 @@ def _bulk(text: str) -> Circuit | None:
         distinct[group] = gates = list(map(object.__new__, repeat(Gate, len(at))))
         deque(map(_set_kind, gates, repeat(kind)), 0)
         deque(map(_set_target, gates, target[at].tolist()), 0)
-        controls = zip(*qubits[:count, at].tolist()) if count else repeat(())
+        controls = zip(*[c[at].tolist() for c in (c0, c1)[:count]]) if count else repeat(())
         deque(map(_set_controls, gates, controls), 0)
         deque(map(_set_angle, gates, map(angles.__getitem__, angle_id[at].tolist())), 0)
     return _derived(int(match[1]), tuple(distinct[inverse.ravel()].tolist()), "")
