@@ -8,11 +8,10 @@ them with :func:`edick.decompose.decompose_to_basis` before emitting.
 Angles are printed with ``repr``, so parse_text(emit_text(c)) reproduces
 the text byte for byte. emit_text formats each gate object once (by object,
 as equal gates may print differently: ``u1(0.0)`` and ``u1(-0.0)``).
-parse_text reads each distinct line once and reuses its gate for repeats.
-Text wholly in emitted form is checked by one pattern and read in one numpy
-pass. Otherwise a line in emitted form takes one pattern match; other lines
-are split into operands, which accepts extra blanks and names what is wrong.
-The Gate constructor validates each gate that the line path parses.
+parse_text checks text wholly in emitted form by one pattern search and reads
+it in one numpy pass. Other text goes line by line, each distinct line once: a
+line in emitted form takes one pattern match, others are split into operands,
+which accepts extra blanks and names what is wrong, and Gate() checks each gate.
 """
 
 from __future__ import annotations
@@ -83,11 +82,11 @@ _KINDS = {name: kind for kind, name in _NAMES.items()}
 _ARITY = {name: _RULES[kind][0] + 1 for kind, name in _NAMES.items()}
 _TAKES_ANGLE = {name for kind, name in _NAMES.items() if _RULES[kind][1]}
 
-# A line in emitted form: each name with its own operand count, and an angle exactly where one
-# belongs, of up to 24 bytes and two exponent digits, so that float() reads it as a finite value.
-_Q, _A = r"q\[[0-9]{1,9}\]", r"\((?=[^)]{1,24}\))-?[0-9]+(?:\.[0-9]+)?(?:e[-+]?[0-9]{1,2})?\)"
-_ODD_LINE_RE = re.compile(  # the start of a line in any other form
-    rf"^(?!(?:[xh] {_Q}|cx {_Q},{_Q}|ccx {_Q},{_Q},{_Q}|(?:ry|u1){_A} {_Q}|cu1{_A} {_Q},{_Q});$)", re.M
+# A line in emitted form: each name with its own operand count, and an angle of up to 24 bytes
+# exactly where one belongs. Indices of up to 9 digits fit int32.
+_Q, _A = r"q\[[0-9]{1,9}\]", r"\([-+.0-9e]{1,24}\)"
+_ODD_LINE_RE = re.compile(  # a newline before a line in any other form, or not ending in one
+    rf"\n(?!(?:[xh] {_Q}|cx {_Q},{_Q}|ccx {_Q},{_Q},{_Q}|(?:ry|u1){_A} {_Q}|cu1{_A} {_Q},{_Q});\n|\Z)"
 )
 _HEAD_RE = re.compile(r'OPENQASM 2\.0;\ninclude "qelib1\.inc";\nqreg q\[([1-9][0-9]{0,8})\];\n')
 # Names by their first two bytes as a little-endian int, in order, and the kind of each.
@@ -135,24 +134,22 @@ def _bulk(text: str) -> Circuit | None:
     # Arrays as long as the body stay uint8 or bool; positions are int32 (a body of under 2 GB).
     if not isinstance(text, str) or (match := _HEAD_RE.match(text)) is None:
         return None
-    skip, end = match.end(), len(text) - 1  # the body, and its last newline
-    if not skip <= end < 2**31 or text[end] != "\n" or _ODD_LINE_RE.search(text, skip, end):
+    skip = match.end()  # where the body starts, after the newline that ends the header
+    if not skip < len(text) < 2**31 or _ODD_LINE_RE.search(text, skip - 1):
         return None
-    raw = text.encode()  # all ASCII, so byte and character offsets agree
-    data = np.frombuffer(raw, np.uint8, offset=skip)
+    data = np.frombuffer(raw := text.encode(), np.uint8, offset=skip)  # ASCII: a byte per character
     ends, opens, closes, lefts, rights = (np.flatnonzero(data == b).astype(np.int32) for b in b"\n[]()")
     starts = np.insert(ends[:-1] + 1, 0, 0)
     slot = np.searchsorted(_LEADS, np.ndarray((len(data) - 1,), "<u2", raw, skip, (1,))[starts])
 
     # Operands: per line the brackets up to its newline; the last one is the target.
     last = np.searchsorted(opens, ends) - 1
-    first = np.insert(last[:-1] + 1, 0, 0)
     value, length = np.zeros(len(opens), np.int32), closes - opens  # digits plus one
     for j in range(1, length.max()):
         value = np.where(j < length, value * 10 + data[np.minimum(opens + j, closes)] - 48, value)
-    target, arity = value[last], last + 1 - first
-    c0 = np.where(arity > 1, value[first], -1)
-    c1 = np.where(arity > 2, value[np.minimum(first + 1, last)], -1)
+    target, arity = value[last], np.diff(last, prepend=-1)
+    c0 = np.where(arity > 1, value[last + 1 - arity], -1)
+    c1 = np.where(arity > 2, value[last - 1], -1)
     apart = (c0 != target) & (c1 != target) & ((c0 != c1) | (arity < 3))
     if value.max() >= int(match[1]) or not np.all(apart):
         return None
@@ -165,13 +162,16 @@ def _bulk(text: str) -> Circuit | None:
                       for i in (0, 8, 16)], 1)  # as 24 bytes, equal exactly when the texts are
     _, pick, inverse = np.unique(parts.view("V24"), return_index=True, return_inverse=True)
     spans = zip((low[pick] + skip).tolist(), (rights[pick] + skip).tolist())
-    angles = [None, *(float(text[i:j]) for i, j in spans)]
+    try:
+        angles = [None, *(float(text[i:j]) for i, j in spans)]
+    except ValueError:
+        return None
     width = int(value.max()) + 2
-    if len(_LEADS) * width**3 * len(angles) >= 2**63:
+    if not np.all(np.isfinite(angles[1:])) or len(_LEADS) * width**3 * len(angles) >= 2**63:
         return None
     # The gates set the peak memory, so the arrays they do not need go first.
     del raw, data, words, ends, starts, opens, closes, lefts, rights, low, size, parts
-    del last, first, value, length, arity, apart
+    del last, value, length, arity, apart
 
     # One Gate per distinct row of kind, qubits and angle text, told apart by one int64 key.
     angle_id = np.zeros(len(slot), np.int64)  # the angle's index in angles: 0, for None, if none

@@ -162,7 +162,7 @@ _BAD_LINES = [
     "X q[0];",
     "cz q[0],q[1];",
     "ry(0.1234567890123456789012345) q[0];",  # over 24 bytes of angle
-    "ry(1e) q[0];",  # not a float literal of the emitted form, or one of 3 exponent digits
+    "ry(1e) q[0];",  # texts of emitted-angle bytes that float() refuses, or reads
     "ry(.5) q[0];",
     "ry(5.) q[0];",
     "ry(-) q[0];",
