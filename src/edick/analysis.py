@@ -46,6 +46,8 @@ class SweepRow:
     build_time_ms: float
 
     def __post_init__(self) -> None:
+        if self.method not in SWEEP_SUBJECTS:
+            raise ValueError(f"unknown sweep subject {self.method!r}; choose from {SWEEP_SUBJECTS}")
         for key in ("num_levels", "depth_logical", "depth_basis", "size_logical",
                     "size_basis", "ancilla"):
             value = _integer(getattr(self, key), f"{key} must be an integer")
@@ -178,12 +180,15 @@ def fit_scaling(
     Returns (A, max over points of |y - A*g(N)| / y) where g is N or
     log2(N)^2 per the model.
     """
+    if type(model) is not ScalingModel:
+        raise ValueError(f"model must be a ScalingModel, got {model!r}")
     if len(points) < 5:
         raise ValueError("need at least five points to fit a trend")
+    levels = [_levels(n) for n, _ in points]
     if model is ScalingModel.LINEAR:
-        basis = [float(n) for n, _ in points]
+        basis = [float(n) for n in levels]
     else:
-        basis = [math.log2(n) ** 2 for n, _ in points]
+        basis = [math.log2(n) ** 2 for n in levels]
     values = [float(y) for _, y in points]
     if not all(0 < y < math.inf for y in values):  # NaN fails too
         raise ValueError("scaling fits need positive, finite values")

@@ -79,12 +79,7 @@ class Gate:
             raise ValueError(f"{kind.value} takes {arity} control(s), got {count}")
         if angled:
             if type(angle) is not float and angle is not None:
-                if isinstance(angle, bool) or not isinstance(angle, numbers.Real):
-                    raise ValueError(f"{kind.value} takes a real angle, got {angle!r}")
-                try:
-                    angle = float(angle)
-                except OverflowError:  # an integer or fraction past the float range
-                    raise ValueError(f"{kind.value} needs a finite angle") from None
+                angle = _real(angle, f"{kind.value} takes a real angle")
             if angle is None or not math.isfinite(angle):
                 raise ValueError(f"{kind.value} needs a finite angle")
         elif angle is not None:
@@ -135,6 +130,16 @@ def _integer(value: object, message: str) -> int:
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{message}, got {value!r}")
     return operator.index(value)
+
+
+def _real(value: object, message: str) -> float:
+    """`value` as a float, inf past the float range; bools and non-reals raise ValueError(message)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{message}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer or fraction past the float range
+        return math.inf
 
 
 def _index(q: object) -> int:

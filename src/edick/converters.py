@@ -277,15 +277,6 @@ def _recursion_gates(view: tuple[int, ...]) -> list[Gate]:
     return gates
 
 
-def build_recursion_step(num_levels: int) -> Circuit:
-    """The ancilla-free even-level reduction, exposed on its own register."""
-    num_levels = _integer(num_levels, "level count must be an integer")
-    if num_levels < 4 or num_levels % 2:
-        raise ValueError("recursion step applies to even level counts >= 4")
-    gates = _recursion_gates(tuple(range(num_levels - 1)))
-    return Circuit(num_levels - 1, tuple(gates), label=f"recursion_step_{num_levels}")
-
-
 def build_edick_to_binary(
     num_levels: int, method: EvenMethod = EvenMethod.EXPAND_TO_POW2
 ) -> tuple[Circuit, ConverterPlan]:

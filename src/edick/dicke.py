@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, _integer, ccry, cnot, cry, ry, x
+from .circuit import Circuit, Gate, _integer, _real, ccry, cnot, cry, ry, x
 from .converters import ConverterPlan, Direction, EvenMethod, _converter
 from .encodings import EncodingKind
 
@@ -99,6 +99,8 @@ class BinomialSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trials", _integer(self.trials, "trial count must be an integer"))
+        object.__setattr__(self, "p", _real(self.p, "probability must be a real number"))
+        object.__setattr__(self, "theta", _real(self.theta, "theta must be a real number"))
         if type(self.target) is not EncodingKind:
             raise ValueError(f"target must be an EncodingKind, got {self.target!r}")
         if type(self.method) is not EvenMethod:
@@ -107,7 +109,7 @@ class BinomialSpec:
             raise ValueError("need at least two trials")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"probability {self.p} outside [0, 1]")
-        if abs(self.p - math.sin(self.theta / 2.0) ** 2) > _P_TOL:
+        if not math.isfinite(self.theta) or abs(self.p - math.sin(self.theta / 2.0) ** 2) > _P_TOL:
             raise ValueError("theta does not match p = sin^2(theta/2)")
 
     @staticmethod
@@ -117,15 +119,11 @@ class BinomialSpec:
         target: EncodingKind = EncodingKind.EDICK,
         method: EvenMethod = EvenMethod.EXPAND_TO_POW2,
     ) -> "BinomialSpec":
+        p = _real(p, "probability must be a real number")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability {p} outside [0, 1]")
         theta = 2.0 * math.asin(math.sqrt(p))
         return BinomialSpec(trials, p, theta, target, method)
-
-
-def variance_of(spec: BinomialSpec) -> float:
-    """N * sin^2(theta) / 4, which equals N p (1-p)."""
-    return spec.trials * math.sin(spec.theta) ** 2 / 4.0
 
 
 def build_binomial_pipeline(spec: BinomialSpec) -> tuple[Circuit, ConverterPlan]:

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from pathlib import Path
 from typing import Union
 
 import numpy as np
@@ -55,6 +54,14 @@ class Dicke:
 Encoding = Union[EncodingKind, Dicke]
 
 
+def _sum_of_squares(alphas: tuple[complex, ...]) -> float:
+    """sum(|a|^2) over the coefficients, inf where a term overflows."""
+    try:
+        return sum(abs(a) ** 2 for a in alphas)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class AmplitudeVector:
     """A normalized coefficient vector; real entries are the common case."""
@@ -65,7 +72,7 @@ class AmplitudeVector:
         if len(self.alphas) < 2:
             raise ValueError("need at least two levels")
         object.__setattr__(self, "alphas", tuple(complex(a) for a in self.alphas))
-        norm_sq = sum(abs(a) ** 2 for a in self.alphas)
+        norm_sq = _sum_of_squares(self.alphas)
         if not cmath.isfinite(complex(norm_sq)) or abs(norm_sq - 1.0) > _NORM_TOL:
             raise ValueError(f"amplitudes are not normalized: sum of squares {norm_sq}")
 
@@ -75,9 +82,12 @@ class AmplitudeVector:
 
     @staticmethod
     def normalized(values) -> "AmplitudeVector":
-        """Scale arbitrary non-zero coefficients to unit norm."""
+        """Scale arbitrary non-zero coefficients to unit norm, by their largest part first if need be."""
         alphas = tuple(complex(v) for v in values)
-        norm = math.sqrt(sum(abs(a) ** 2 for a in alphas))
+        if _sum_of_squares(alphas) in (0.0, math.inf):  # the squares overflow or underflow
+            scale = max((max(abs(a.real), abs(a.imag)) for a in alphas), default=0.0)
+            alphas = tuple(a / scale for a in alphas) if scale else alphas
+        norm = math.sqrt(_sum_of_squares(alphas))
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return AmplitudeVector(tuple(a / norm for a in alphas))
@@ -179,27 +189,3 @@ def read_state(kind: EncodingKind, state: Statevector, num_levels: int) -> Ampli
         )
     extracted = extracted / math.sqrt(kept)
     return AmplitudeVector(tuple(extracted))
-
-
-def save_amplitudes(vector: AmplitudeVector, path: str | Path) -> None:
-    """One real per line; complex vectors use `real,imag` lines."""
-    lines = []
-    if all(a.imag == 0.0 for a in vector.alphas):
-        lines = [repr(float(a.real)) for a in vector.alphas]
-    else:
-        lines = [f"{float(a.real)!r},{float(a.imag)!r}" for a in vector.alphas]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_amplitudes(path: str | Path) -> AmplitudeVector:
-    alphas: list[complex] = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if "," in line:
-            real_text, imag_text = line.split(",")
-            alphas.append(complex(float(real_text), float(imag_text)))
-        else:
-            alphas.append(complex(float(line)))
-    return AmplitudeVector(tuple(alphas))

@@ -9,9 +9,9 @@ Angles are printed with ``repr``, so parse_text(emit_text(c)) reproduces
 the text byte for byte. emit_text formats each gate object once (by object,
 as equal gates may print differently: ``u1(0.0)`` and ``u1(-0.0)``).
 parse_text checks text wholly in emitted form by one pattern search and reads
-it in one numpy pass. Other text goes line by line, each distinct line once: a
-line in emitted form takes one pattern match, others are split into operands,
-which accepts extra blanks and names what is wrong, and Gate() checks each gate.
+it in one numpy pass. Other text goes line by line, each distinct line once: it
+is split into operands, which accepts extra blanks and names what is wrong, and
+Gate() checks each gate.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ _QREG_RE = re.compile(r"^qreg q\[(\d+)\];$")
 _HEAD = r"(x|h|cx|ccx|ry|u1|cu1)(?:\(([^)]+)\))?"  # gate name and optional angle
 _GATE_RE = re.compile(rf"^{_HEAD} ([^;]+);$")
 _QUBIT_RE = re.compile(r"^q\[(\d+)\]$")
-_LINE_RE = re.compile(rf"{_HEAD} q\[(\d+)\](?:,q\[(\d+)\])?(?:,q\[(\d+)\])?;")
 
 
 _NAMES = {
@@ -96,15 +95,6 @@ _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # the low k 
 
 
 def _parse_gate(line: str, num_qubits: int) -> Gate:
-    # One match for a canonical line. Other lines, and lines failing a check, go on to
-    # the operand splitting, which gives the same messages and accepts the same spacing.
-    if (match := _LINE_RE.fullmatch(line)) is not None:
-        name, angle_text, a, b, c = match.groups()
-        qubits = (int(a),) if b is None else (int(a), int(b)) if c is None else (int(a), int(b), int(c))
-        if (angle_text is not None) == (name in _TAKES_ANGLE) and len(qubits) == _ARITY[name]:
-            if max(qubits) < num_qubits:
-                angle = float(angle_text) if angle_text is not None else None
-                return Gate(_KINDS[name], qubits[-1], qubits[:-1], angle)
     match = _GATE_RE.match(line)
     if match is None:
         raise ValueError(f"unsupported statement {line!r}")

@@ -83,12 +83,6 @@ def basis_state(num_qubits: int, index: int) -> Statevector:
     return Statevector(num_qubits, amps)
 
 
-def from_amplitudes(amplitudes: np.ndarray | list[complex]) -> Statevector:
-    amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-    n = int(amps.shape[0]).bit_length() - 1
-    return Statevector(n, amps)
-
-
 def _apply_inplace(tensor: np.ndarray, gate: Gate, num_qubits: int) -> None:
     # Pin every control axis to 1; the remaining view is the active subspace.
     idx: list[object] = [slice(None)] * num_qubits
@@ -268,11 +262,3 @@ def fidelity(a: Statevector, b: Statevector) -> float:
     if a.num_qubits != b.num_qubits:
         raise ValueError("fidelity needs equal register widths")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
-
-
-def to_csv(state: Statevector) -> str:
-    """Amplitude dump with columns index,real,imag (one row per basis index)."""
-    lines = ["index,real,imag"]
-    for i, amp in enumerate(state.amplitudes):
-        lines.append(f"{i},{float(amp.real)!r},{float(amp.imag)!r}")
-    return "\n".join(lines) + "\n"

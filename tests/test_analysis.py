@@ -261,3 +261,9 @@ def test_fit_rejects_thin_or_degenerate_input() -> None:
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             fit_scaling([(3, 1.0), (5, 2.0), (9, bad), (17, 4.0), (33, 5.0)], ScalingModel.LINEAR)
+    for model in ScalingModel:
+        with pytest.raises(ValueError, match="at least two levels"):
+            fit_scaling([(1, 1.0)] * 5, model)
+        for bad in (9.0, True, "9"):
+            with pytest.raises(ValueError, match="must be an integer"):
+                fit_scaling([(3, 1.0), (5, 2.0), (bad, 3.0), (17, 4.0), (33, 5.0)], model)

@@ -21,7 +21,6 @@ from edick import (
     build_edick_to_binary,
     build_edick_to_onehot,
     build_onehot_to_binary,
-    build_recursion_step,
     cnot,
     cost,
     fidelity,
@@ -213,17 +212,6 @@ def test_pow2_method_adds_nothing_at_self_similar_sizes() -> None:
     for k in range(1, 9):
         _, plan = build_edick_to_binary(2**k + 1, EvenMethod.EXPAND_TO_POW2)
         assert plan.ancilla == 0
-
-
-def test_recursion_step_stands_alone() -> None:
-    for num_levels in (4, 6, 8):
-        circuit = build_recursion_step(num_levels)
-        for level in range(num_levels):
-            out = run(basis_state(circuit.num_qubits, (1 << level) - 1), circuit)
-            assert hot_index(out) == level
-    for bad in (2, 5):
-        with pytest.raises(ValueError):
-            build_recursion_step(bad)
 
 
 # -- one-hot <-> binary compositions ------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from edick import (
     cost,
     fidelity,
     run,
-    variance_of,
 )
 from edick.encodings import Dicke
 
@@ -113,20 +113,23 @@ def test_spec_validation_and_theta_link() -> None:
         BinomialSpec.from_probability(4, 1.5, EncodingKind.EDICK, EvenMethod.RECURSION)
     with pytest.raises(ValueError):
         BinomialSpec(4, 0.3, 0.1, EncodingKind.EDICK, EvenMethod.RECURSION)
+    for theta in (math.nan, math.inf, 10**400):
+        with pytest.raises(ValueError, match="theta does not match"):
+            BinomialSpec(4, 0.5, theta, EncodingKind.EDICK, EvenMethod.RECURSION)
+    # Any real p and theta are stored as floats.
+    assert type(BinomialSpec.from_probability(4, 1).p) is float
+    spec = BinomialSpec(4, np.float64(0.5), Fraction(math.pi / 2), EncodingKind.EDICK, EvenMethod.RECURSION)
+    assert (type(spec.p), type(spec.theta)) == (float, float)
 
 
-def test_variance_formula() -> None:
-    assert variance_of(
-        BinomialSpec.from_probability(8, 0.5, EncodingKind.EDICK, EvenMethod.RECURSION)
-    ) == pytest.approx(2.0)
-    assert variance_of(
-        BinomialSpec.from_probability(5, 0.0, EncodingKind.EDICK, EvenMethod.RECURSION)
-    ) == pytest.approx(0.0)
-    spec = BinomialSpec(4, 0.5, math.pi / 2, EncodingKind.EDICK, EvenMethod.RECURSION)
-    assert variance_of(spec) == pytest.approx(1.0)
-    # matches N p (1-p) for generic p
-    spec = BinomialSpec.from_probability(9, 0.3, EncodingKind.EDICK, EvenMethod.RECURSION)
-    assert variance_of(spec) == pytest.approx(9 * 0.3 * 0.7, abs=1e-12)
+@pytest.mark.parametrize("bad", [True, "0.5", 0.5 + 0j, None], ids=repr)
+def test_spec_refuses_a_probability_or_angle_that_is_not_real(bad: object) -> None:
+    with pytest.raises(ValueError, match="probability must be a real number"):
+        BinomialSpec.from_probability(4, bad)
+    with pytest.raises(ValueError, match="probability must be a real number"):
+        BinomialSpec(4, bad, math.pi / 2, EncodingKind.EDICK, EvenMethod.RECURSION)
+    with pytest.raises(ValueError, match="theta must be a real number"):
+        BinomialSpec(4, 0.5, bad, EncodingKind.EDICK, EvenMethod.RECURSION)
 
 
 def pmf(n: int, k: int, p: float) -> float:
@@ -170,7 +173,7 @@ def test_pipeline_variance_matches_formula() -> None:
     probabilities = [abs(out[(1 << k) - 1]) ** 2 for k in range(8)]
     mean = sum(k * q for k, q in enumerate(probabilities))
     variance = sum((k - mean) ** 2 * q for k, q in enumerate(probabilities))
-    assert variance == pytest.approx(variance_of(spec), abs=1e-9)
+    assert variance == pytest.approx(7 * 0.4 * 0.6, abs=1e-9)
 
 
 def test_degenerate_probabilities_collapse_to_one_level() -> None:

@@ -15,10 +15,8 @@ from edick import (
     basis_state,
     build_state,
     level_to_basis,
-    load_amplitudes,
     random_vector,
     read_state,
-    save_amplitudes,
 )
 
 
@@ -56,6 +54,9 @@ def test_amplitude_vector_validation() -> None:
         AmplitudeVector((1.0,))  # a single level is not a distribution over levels
     with pytest.raises(ValueError):
         AmplitudeVector((0.5, 0.5))  # norm is sqrt(0.5), not 1
+    for big in ((1e200, 0.0), (1e308 + 1e308j, 0.0)):  # squares past the float range
+        with pytest.raises(ValueError, match="not normalized"):
+            AmplitudeVector(big)
     ok = AmplitudeVector((1.0, 0.0))
     assert ok.num_levels == 2
 
@@ -64,8 +65,13 @@ def test_normalized_rescales_and_rejects_zero() -> None:
     v = AmplitudeVector.normalized([3.0, 4.0])
     assert v.alphas[0] == pytest.approx(0.6)
     assert v.alphas[1] == pytest.approx(0.8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero vector"):
         AmplitudeVector.normalized([0.0, 0.0])
+    half = 1 / math.sqrt(2) + 0j
+    for scale in (1e200, 1e-200, 1e308, 5e-324):  # squares that overflow or underflow
+        assert AmplitudeVector.normalized([scale, -scale]).alphas == (half, -half)
+    assert AmplitudeVector.normalized([1e308 + 1e308j, 1e308j]).alphas == pytest.approx(
+        [1 / math.sqrt(3) * (1 + 1j), 1j / math.sqrt(3)])
 
 
 def test_random_vector_is_seeded_and_normalized() -> None:
@@ -73,6 +79,10 @@ def test_random_vector_is_seeded_and_normalized() -> None:
     b = random_vector(6, np.random.default_rng(7))
     assert a == b
     assert sum(abs(z) ** 2 for z in a.alphas) == pytest.approx(1.0)
+    # The plain division by the norm, bit for bit: verify's golden output depends on it.
+    values = np.random.default_rng(7).standard_normal(6)
+    norm = math.sqrt(sum(abs(complex(v)) ** 2 for v in values))
+    assert a.alphas == tuple(complex(v) / norm for v in values)
 
 
 @pytest.mark.parametrize("width", range(1, 13))
@@ -135,25 +145,6 @@ def test_dicke_extremes() -> None:
         build_state(Dicke(4), None, 3)
     with pytest.raises(ValueError):
         Dicke(-1)
-
-
-def test_save_load_real_vectors(tmp_path) -> None:
-    vector = AmplitudeVector.normalized([1.0, 2.0, 2.0])
-    path = tmp_path / "v.txt"
-    save_amplitudes(vector, path)
-    text = path.read_text()
-    assert "," not in text  # all-real vectors use the one-column form
-    back = load_amplitudes(path)
-    assert all(abs(x - y) < 1e-15 for x, y in zip(back.alphas, vector.alphas))
-
-
-def test_save_load_complex_vectors(tmp_path) -> None:
-    vector = AmplitudeVector.normalized([1 + 2j, 0.5 - 0.25j, -3j])
-    path = tmp_path / "v.txt"
-    save_amplitudes(vector, path)
-    assert "," in path.read_text()
-    back = load_amplitudes(path)
-    assert all(abs(x - y) < 1e-15 for x, y in zip(back.alphas, vector.alphas))
 
 
 @pytest.mark.parametrize("width", (25, 40, 64))

@@ -1,4 +1,5 @@
-"""Directions, methods, targets and encoding kinds are enum members: anything else raises ValueError.
+"""Directions, methods, targets, encoding kinds, scaling models and sweep subjects are members
+of their set: anything else raises ValueError.
 
 A value string or a member of the wrong enum is refused before anything is
 built. Every direction checks its method, the unfoldings included, which do
@@ -17,7 +18,10 @@ from edick import (
     Direction,
     EncodingKind,
     EvenMethod,
+    ScalingModel,
+    SweepRow,
     build_converter,
+    fit_scaling,
     build_state,
     level_to_basis,
     read_state,
@@ -57,6 +61,20 @@ def test_binomial_spec_refuses_a_method_that_is_not_an_even_method(
 def test_binomial_spec_refuses_a_target_that_is_not_an_encoding_kind(target: object) -> None:
     with pytest.raises(ValueError, match="target must be an EncodingKind"):
         BinomialSpec.from_probability(5, 0.3, target)
+
+
+@pytest.mark.parametrize("method", ["a,b", "Recursion", "", None, EvenMethod.RECURSION], ids=repr)
+def test_sweep_row_refuses_a_method_that_is_not_a_sweep_subject(method: object) -> None:
+    with pytest.raises(ValueError, match="unknown sweep subject"):
+        SweepRow(4, method, 1, 1, 1, 1, 0, 0.0)
+
+
+@pytest.mark.parametrize("model", ["A*N", "A*log2(N)^2", None, EvenMethod.RECURSION], ids=repr)
+def test_fit_refuses_a_model_that_is_not_a_scaling_model(model: object) -> None:
+    points = [(n, float(n)) for n in (3, 5, 9, 17, 33)]
+    with pytest.raises(ValueError, match="model must be a ScalingModel"):
+        fit_scaling(points, model)
+    assert fit_scaling(points, ScalingModel.LINEAR) == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("kind", NOT_KINDS, ids=repr)

@@ -27,7 +27,6 @@ from edick import (
     build_converter,
     build_dicke_unitary,
     build_edick_to_onehot,
-    build_recursion_step,
     build_scs,
     edick_to_onehot_size,
     edick_to_onehot_size_bound,
@@ -49,7 +48,6 @@ ENTRY_POINTS = {
     "binary_width": binary_width,
     "build_edick_to_onehot": build_edick_to_onehot,
     "build_cnot_stair": build_cnot_stair,
-    "build_recursion_step": build_recursion_step,
     "build_dicke_unitary": build_dicke_unitary,
     "build_scs[n]": lambda v: build_scs(v, 2),
     "build_scs[k]": lambda v: build_scs(5, v),

@@ -1,4 +1,4 @@
-"""Embedded simulator: state construction, gate semantics, fidelity, CSV."""
+"""Embedded simulator: state construction, gate semantics, fidelity."""
 
 from __future__ import annotations
 
@@ -17,13 +17,11 @@ from edick import (
     cphase,
     cry,
     fidelity,
-    from_amplitudes,
     h,
     mcx,
     phase,
     run,
     ry,
-    to_csv,
     toffoli,
     x,
     zero_state,
@@ -48,7 +46,7 @@ def test_state_validation() -> None:
     with pytest.raises(ValueError):
         Statevector(2, np.array([1.0, 0.0], dtype=np.complex128))  # wrong length
     with pytest.raises(ValueError):
-        from_amplitudes([0.5, 0.0, 0.0, 0.0])  # not normalized
+        Statevector(2, [0.5, 0, 0, 0])  # not normalized
     with pytest.raises(ValueError):
         zero_state(25)  # above the simulation cap
 
@@ -177,15 +175,3 @@ def test_fidelity_is_abs_overlap() -> None:
     assert fidelity(zero_state(1), a) == pytest.approx(1 / math.sqrt(2))
     with pytest.raises(ValueError):
         fidelity(zero_state(1), zero_state(2))
-
-
-def test_to_csv_round_trips_through_repr() -> None:
-    state = apply(zero_state(1), ry(0.3, 0))
-    text = to_csv(state)
-    lines = text.strip().split("\n")
-    assert lines[0] == "index,real,imag"
-    assert len(lines) == 3
-    index, real, imag = lines[1].split(",")
-    assert index == "0"
-    assert float(real) == amplitudes_of(state)[0].real
-    assert float(imag) == 0.0

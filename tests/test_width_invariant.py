@@ -24,7 +24,6 @@ from edick import (
     build_cnot_stair,
     build_converter,
     build_dicke_unitary,
-    build_recursion_step,
     build_scs,
     cnot,
     compose,
@@ -70,8 +69,6 @@ def test_builder_circuits_fit_their_registers(n: int) -> None:
     assert_derived_fit(build_dicke_unitary(n))
     assert_derived_fit(build_scs(n, n - 1))
     assert_derived_fit(build_adder(n.bit_length(), n))
-    if n % 2 == 0 and n >= 4:
-        assert_derived_fit(build_recursion_step(n))
 
 
 @pytest.mark.parametrize("n", SIZES)
