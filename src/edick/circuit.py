@@ -8,10 +8,10 @@ Each Gate is validated once, by its constructor. It stores other integral
 qubit indices as int and real angles as float, and refuses bools, so every
 gate prints as QASM that parses back to it.
 Widths are checked where gates enter a circuit: the Circuit constructor
-checks that every gate fits the register. A circuit derived from checked
-ones does not rescan its gates: `compose` needs equal widths, `inverse`
-keeps the width, `remap` checks that its mapping's image lies in the new
-register, and lowering expands each gate on that gate's own qubits.
+checks that every gate is a Gate that fits the register. A circuit derived
+from checked ones does not rescan its gates: `compose` needs equal widths,
+`inverse` keeps the width, `remap` checks that its mapping's image lies in
+the new register, and lowering expands each gate on that gate's own qubits.
 """
 
 from __future__ import annotations
@@ -212,9 +212,14 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "num_qubits", _width(self.num_qubits))
-        object.__setattr__(self, "gates", tuple(self.gates))
+        try:
+            object.__setattr__(self, "gates", tuple(self.gates))
+        except TypeError:  # not iterable
+            raise ValueError(f"gates must be a sequence of Gates, got {self.gates!r}") from None
         n = self.num_qubits
         for g in self.gates:
+            if type(g) is not Gate:
+                raise ValueError(f"gates must be Gates, got {g!r}")
             if g.target >= n or (g.controls and max(g.controls) >= n):
                 raise ValueError(f"gate {g} exceeds register width {n}")
 
@@ -259,18 +264,13 @@ def remap(
     injectively, into qubits 0..num_qubits-1.
     """
     num_qubits = _width(num_qubits)
-    if isinstance(mapping, dict):
-        table = dict(mapping)
-    else:
-        table = {i: m for i, m in enumerate(mapping)}
+    table = dict(mapping) if isinstance(mapping, dict) else dict(enumerate(mapping))
     if len(table) < circuit.num_qubits or set(table) != set(range(circuit.num_qubits)):
         raise ValueError("mapping must cover qubits 0..num_qubits-1 of the circuit")
     if len(set(table.values())) != len(table):
         raise ValueError("mapping must be injective")
     if not all(0 <= new < num_qubits for new in table.values()):
         raise ValueError(f"mapping sends a qubit outside register width {num_qubits}")
-    if all(old == new for old, new in table.items()):
-        return _derived(num_qubits, circuit.gates, circuit.label)
     gates = tuple([g.remapped(table) for g in circuit.gates])
     return _derived(num_qubits, gates, circuit.label)
 

@@ -36,7 +36,6 @@ from .circuit import (
     GateKind,
     _derived,
     cnot,
-    cphase,
     h,
     phase,
     ry,

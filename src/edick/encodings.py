@@ -9,19 +9,18 @@ a register three ways, all sharing the notion of a "level" i:
 * edick: level i occupies the string of i right-aligned ones, basis
   integer 2**i - 1 (a staircase, the transition form between the other two).
 
-A Dicke state of weight k is the uniform superposition over all strings of
-Hamming weight k; it is parameterized, so it is a small class rather than
-an enum member.
+`build_state` places an amplitude vector in one of these layouts. `dicke_state`
+builds the uniform superposition over all strings of one Hamming weight, which
+takes no amplitude vector; it is the target of the Dicke preparation unitary.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Union
 
 import numpy as np
 
@@ -39,27 +38,29 @@ class EncodingKind(Enum):
     EDICK = "edick"
 
 
-@dataclass(frozen=True)
-class Dicke:
-    """Uniform superposition over all basis strings of one Hamming weight."""
-
-    weight: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weight", _integer(self.weight, "Dicke weight must be an integer"))
-        if self.weight < 0:
-            raise ValueError("Dicke weight must be non-negative")
-
-
-Encoding = Union[EncodingKind, Dicke]
-
-
 def _sum_of_squares(alphas: tuple[complex, ...]) -> float:
     """sum(|a|^2) over the coefficients, inf where a term overflows."""
     try:
         return sum(abs(a) ** 2 for a in alphas)
     except OverflowError:
         return math.inf
+
+
+def _coefficient(value: object) -> complex:
+    """`value` as a complex; strings, bools and what is not a float-range number raise ValueError."""
+    try:  # complex values, which `normalized` passes on, skip the isinstance check
+        if type(value) is complex or not isinstance(value, (str, bool, np.bool_)):
+            return complex(value)
+    except (TypeError, OverflowError):  # not a number, or an integer past the float range
+        pass
+    raise ValueError(f"amplitudes must be numbers in the float range, got {value!r}")
+
+
+def _coefficients(values: object) -> tuple[complex, ...]:
+    try:
+        return tuple(map(_coefficient, values))
+    except TypeError:  # not iterable
+        raise ValueError(f"amplitudes must be a sequence, got {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -69,11 +70,12 @@ class AmplitudeVector:
     alphas: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        if len(self.alphas) < 2:
+        alphas = _coefficients(self.alphas)
+        if len(alphas) < 2:
             raise ValueError("need at least two levels")
-        object.__setattr__(self, "alphas", tuple(complex(a) for a in self.alphas))
-        norm_sq = _sum_of_squares(self.alphas)
-        if not cmath.isfinite(complex(norm_sq)) or abs(norm_sq - 1.0) > _NORM_TOL:
+        object.__setattr__(self, "alphas", alphas)
+        norm_sq = _sum_of_squares(alphas)
+        if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"amplitudes are not normalized: sum of squares {norm_sq}")
 
     @property
@@ -83,11 +85,13 @@ class AmplitudeVector:
     @staticmethod
     def normalized(values) -> "AmplitudeVector":
         """Scale arbitrary non-zero coefficients to unit norm, by their largest part first if need be."""
-        alphas = tuple(complex(v) for v in values)
-        if _sum_of_squares(alphas) in (0.0, math.inf):  # the squares overflow or underflow
+        alphas = _coefficients(values)
+        norm_sq = _sum_of_squares(alphas)
+        if not sys.float_info.min <= norm_sq < math.inf:  # squares past the normal range
             scale = max((max(abs(a.real), abs(a.imag)) for a in alphas), default=0.0)
             alphas = tuple(a / scale for a in alphas) if scale else alphas
-        norm = math.sqrt(_sum_of_squares(alphas))
+            norm_sq = _sum_of_squares(alphas)
+        norm = math.sqrt(norm_sq)
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return AmplitudeVector(tuple(a / norm for a in alphas))
@@ -103,7 +107,7 @@ def _levels(num_levels: object) -> int:
 
 def random_vector(num_levels: int, rng: np.random.Generator) -> AmplitudeVector:
     """Reproducible real test vector: normalized standard-normal draws."""
-    values = rng.standard_normal(_levels(num_levels))
+    values = rng.standard_normal(_levels(num_levels)).tolist()  # floats convert faster than numpy scalars
     return AmplitudeVector.normalized(values)
 
 
@@ -134,33 +138,28 @@ def level_to_basis(kind: EncodingKind, level: int, width: int) -> int:
     raise ValueError(f"kind must be an EncodingKind, got {kind!r}")
 
 
-def build_state(
-    kind: Encoding,
-    amplitudes: AmplitudeVector | None,
-    width: int,
-) -> Statevector:
+def build_state(kind: EncodingKind, amplitudes: AmplitudeVector, width: int) -> Statevector:
     """Place amplitudes at the encoding's basis positions on `width` qubits.
 
-    For `Dicke(k)` the state is fully determined by the weight, so
-    `amplitudes` must be None. The width is checked before any amplitude
-    is allocated.
+    The width is checked before any amplitude is allocated.
     """
     _check_width(width)
-    if isinstance(kind, Dicke):
-        if amplitudes is not None:
-            raise ValueError("Dicke states take no amplitude vector")
-        return _dicke_state(width, kind.weight)
     if type(kind) is not EncodingKind:
-        raise ValueError(f"kind must be an EncodingKind or a Dicke, got {kind!r}")
-    if amplitudes is None:
-        raise ValueError(f"{kind.value} encoding requires an amplitude vector")
+        raise ValueError(f"kind must be an EncodingKind, got {kind!r}")
+    if type(amplitudes) is not AmplitudeVector:
+        raise ValueError(f"amplitudes must be an AmplitudeVector, got {amplitudes!r}")
     vec = np.zeros(1 << width, dtype=np.complex128)
     for level, alpha in enumerate(amplitudes.alphas):
         vec[level_to_basis(kind, level, width)] = alpha
     return Statevector(width, vec)
 
 
-def _dicke_state(num_qubits: int, weight: int) -> Statevector:
+def dicke_state(num_qubits: int, weight: int) -> Statevector:
+    """Uniform superposition over the basis strings of Hamming weight `weight`, width checked first."""
+    num_qubits = _check_width(num_qubits)
+    weight = _integer(weight, "Dicke weight must be an integer")
+    if weight < 0:
+        raise ValueError("Dicke weight must be non-negative")
     if weight > num_qubits:
         raise ValueError(f"weight {weight} exceeds {num_qubits} qubits")
     vec = np.zeros(1 << num_qubits, dtype=np.complex128)

@@ -28,10 +28,7 @@ from .circuit import _set_angle, _set_controls, _set_kind, _set_target
 _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
 _QREG_RE = re.compile(r"^qreg q\[(\d+)\];$")
-_HEAD = r"(x|h|cx|ccx|ry|u1|cu1)(?:\(([^)]+)\))?"  # gate name and optional angle
-_GATE_RE = re.compile(rf"^{_HEAD} ([^;]+);$")
 _QUBIT_RE = re.compile(r"^q\[(\d+)\]$")
-
 
 _NAMES = {
     GateKind.X: "x",
@@ -81,11 +78,13 @@ _KINDS = {name: kind for kind, name in _NAMES.items()}
 _ARITY = {name: _RULES[kind][0] + 1 for kind, name in _NAMES.items()}
 _TAKES_ANGLE = {name for kind, name in _NAMES.items() if _RULES[kind][1]}
 
+_GATE_RE = re.compile(rf"^({'|'.join(_KINDS)})(?:\(([^)]+)\))? ([^;]+);$")
 # A line in emitted form: each name with its own operand count, and an angle of up to 24 bytes
 # exactly where one belongs. Indices of up to 9 digits fit int32.
 _Q, _A = r"q\[[0-9]{1,9}\]", r"\([-+.0-9e]{1,24}\)"
+_FORMS = "|".join(f"{n}{_A if n in _TAKES_ANGLE else ''} {','.join([_Q] * _ARITY[n])}" for n in _KINDS)
 _ODD_LINE_RE = re.compile(  # a newline before a line in any other form, or not ending in one
-    rf"\n(?!(?:[xh] {_Q}|cx {_Q},{_Q}|ccx {_Q},{_Q},{_Q}|(?:ry|u1){_A} {_Q}|cu1{_A} {_Q},{_Q});\n|\Z)"
+    rf"\n(?!(?:{_FORMS});\n|\Z)"
 )
 _HEAD_RE = re.compile(r'OPENQASM 2\.0;\ninclude "qelib1\.inc";\nqreg q\[([1-9][0-9]{0,8})\];\n')
 # Names by their first two bytes as a little-endian int, in order, and the kind of each.
@@ -122,7 +121,7 @@ def _next_statement(lines: list[str], start: int) -> tuple[int, str | None]:
 def _bulk(text: str) -> Circuit | None:
     """The circuit of text in emitted form, or None to leave the text to the line path."""
     # Arrays as long as the body stay uint8 or bool; positions are int32 (a body of under 2 GB).
-    if not isinstance(text, str) or (match := _HEAD_RE.match(text)) is None:
+    if (match := _HEAD_RE.match(text)) is None:
         return None
     skip = match.end()  # where the body starts, after the newline that ends the header
     if not skip < len(text) < 2**31 or _ODD_LINE_RE.search(text, skip - 1):
@@ -189,6 +188,8 @@ def parse_text(text: str) -> Circuit:
     Every error is a ValueError naming its source line (counting from 1,
     blanks and comments included), except for text that ends early.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"QASM text must be a str, got {type(text).__name__}")
     if (circuit := _bulk(text)) is not None:
         return circuit
     lines = text.splitlines()

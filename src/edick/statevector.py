@@ -54,7 +54,7 @@ def _norm_drift(amps: np.ndarray) -> float:
     return abs(math.sqrt(f.dot(f)) - 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # the amplitudes are an array, so states compare by identity
 class Statevector:
     num_qubits: int
     amplitudes: np.ndarray

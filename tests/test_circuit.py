@@ -176,6 +176,12 @@ def test_circuit_rejects_out_of_range_gates() -> None:
         Circuit(0, ())
 
 
+@pytest.mark.parametrize("gates", [(1,), 5, None, "x", (h(0), None), [(0, 1)]], ids=repr)
+def test_circuit_refuses_gates_that_are_not_gates(gates) -> None:
+    with pytest.raises(ValueError, match="gates must be"):
+        Circuit(2, gates)
+
+
 def test_compose_concatenates_and_checks_width() -> None:
     a = Circuit(2, (h(0),))
     b = Circuit(2, (cnot(0, 1),))

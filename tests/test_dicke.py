@@ -19,12 +19,11 @@ from edick import (
     build_binomial_pipeline,
     build_dicke_unitary,
     build_scs,
-    build_state,
     cost,
+    dicke_state,
     fidelity,
     run,
 )
-from edick.encodings import Dicke
 
 P_GRID = [0.1, 0.3, 0.5, 0.7, 0.9]
 
@@ -77,7 +76,7 @@ def test_dicke_unitary_prepares_uniform_states(num_qubits: int) -> None:
     circuit = build_dicke_unitary(num_qubits)
     for weight in range(num_qubits + 1):
         source = basis_state(num_qubits, (1 << weight) - 1)
-        target = build_state(Dicke(weight), None, num_qubits)
+        target = dicke_state(num_qubits, weight)
         assert fidelity(run(source, circuit), target) >= 1 - 1e-9
 
 

@@ -9,11 +9,11 @@ import pytest
 
 from edick import (
     AmplitudeVector,
-    Dicke,
     EncodingKind,
     Statevector,
     basis_state,
     build_state,
+    dicke_state,
     level_to_basis,
     random_vector,
     read_state,
@@ -46,7 +46,7 @@ def test_level_to_basis_range_errors() -> None:
     with pytest.raises(ValueError):
         level_to_basis(EncodingKind.BINARY, -1, 3)
     with pytest.raises(ValueError, match="must be an EncodingKind"):
-        level_to_basis(Dicke(2), 0, 4)
+        level_to_basis("edick", 0, 4)
 
 
 def test_amplitude_vector_validation() -> None:
@@ -68,10 +68,25 @@ def test_normalized_rescales_and_rejects_zero() -> None:
     with pytest.raises(ValueError, match="zero vector"):
         AmplitudeVector.normalized([0.0, 0.0])
     half = 1 / math.sqrt(2) + 0j
-    for scale in (1e200, 1e-200, 1e308, 5e-324):  # squares that overflow or underflow
+    # Squares that overflow, underflow or sum to a subnormal.
+    for scale in (1e200, 1e-200, 1e308, 5e-324, 1e-160, 1e-161):
         assert AmplitudeVector.normalized([scale, -scale]).alphas == (half, -half)
+    first, second = AmplitudeVector.normalized([1e-155, 1e-170]).alphas
+    assert first == 1.0 and second == pytest.approx(1e-15, rel=1e-12)
     assert AmplitudeVector.normalized([1e308 + 1e308j, 1e308j]).alphas == pytest.approx(
         [1 / math.sqrt(3) * (1 + 1j), 1j / math.sqrt(3)])
+
+
+@pytest.mark.parametrize(
+    "alphas",
+    [(None, 1), ("0.6", "0.8"), (True, False), (np.True_, np.False_), (0.6, b"0.8"), (10**400, 0),
+     None, 5],
+    ids=lambda alphas: repr(alphas)[:40])
+def test_amplitude_vector_refuses_what_is_not_a_sequence_of_numbers(alphas) -> None:
+    with pytest.raises(ValueError, match="amplitudes must be"):
+        AmplitudeVector(alphas)
+    with pytest.raises(ValueError, match="amplitudes must be"):
+        AmplitudeVector.normalized(alphas)
 
 
 def test_random_vector_is_seeded_and_normalized() -> None:
@@ -108,11 +123,10 @@ def test_build_then_read_round_trips(kind: EncodingKind, num_levels: int) -> Non
     )
 
 
-def test_build_state_argument_contract() -> None:
-    with pytest.raises(ValueError):
-        build_state(EncodingKind.BINARY, None, 3)
-    with pytest.raises(ValueError):
-        build_state(Dicke(1), AmplitudeVector((1.0, 0.0)), 2)
+@pytest.mark.parametrize("amplitudes", [None, (0.6, 0.8), [0.6, 0.8], np.array([0.6, 0.8])], ids=repr)
+def test_build_state_takes_only_an_amplitude_vector(amplitudes) -> None:
+    with pytest.raises(ValueError, match="amplitudes must be an AmplitudeVector"):
+        build_state(EncodingKind.BINARY, amplitudes, 3)
 
 
 def test_read_state_rejects_stray_mass() -> None:
@@ -131,7 +145,7 @@ def test_read_state_renormalizes_within_tolerance() -> None:
 
 
 def test_dicke_states_are_uniform_over_weight() -> None:
-    state = build_state(Dicke(2), None, 4)
+    state = dicke_state(4, 2)
     amps = np.asarray(state.amplitudes)
     hot = [i for i in range(16) if abs(amps[i]) > 1e-12]
     assert hot == [i for i in range(16) if bin(i).count("1") == 2]
@@ -139,22 +153,29 @@ def test_dicke_states_are_uniform_over_weight() -> None:
 
 
 def test_dicke_extremes() -> None:
-    assert np.asarray(build_state(Dicke(0), None, 3).amplitudes)[0] == 1.0
-    assert np.asarray(build_state(Dicke(3), None, 3).amplitudes)[7] == 1.0
-    with pytest.raises(ValueError):
-        build_state(Dicke(4), None, 3)
-    with pytest.raises(ValueError):
-        Dicke(-1)
+    assert np.asarray(dicke_state(3, 0).amplitudes)[0] == 1.0
+    assert np.asarray(dicke_state(3, 3).amplitudes)[7] == 1.0
+    with pytest.raises(ValueError, match="weight 4 exceeds 3 qubits"):
+        dicke_state(3, 4)
+    with pytest.raises(ValueError, match="Dicke weight must be non-negative"):
+        dicke_state(3, -1)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("allocated or enumerated before the width check")
 
 
 @pytest.mark.parametrize("width", (25, 40, 64))
-@pytest.mark.parametrize("kind", [*EncodingKind, Dicke(2)], ids=str)
+@pytest.mark.parametrize("kind", list(EncodingKind), ids=str)
 def test_build_state_refuses_wide_registers_before_allocating(kind, width: int, monkeypatch) -> None:
-    def refuse(*args, **kwargs):
-        raise AssertionError("allocated or enumerated before the width check")
-
-    monkeypatch.setattr("edick.encodings.np.zeros", refuse)
-    monkeypatch.setattr("edick.encodings.combinations", refuse)
-    amplitudes = None if isinstance(kind, Dicke) else AmplitudeVector((0.6, 0.8))
+    monkeypatch.setattr("edick.encodings.np.zeros", _refuse)
     with pytest.raises(ValueError, match="register width"):
-        build_state(kind, amplitudes, width)
+        build_state(kind, AmplitudeVector((0.6, 0.8)), width)
+
+
+@pytest.mark.parametrize("width", (25, 40, 64))
+def test_dicke_state_refuses_wide_registers_before_enumerating(width: int, monkeypatch) -> None:
+    monkeypatch.setattr("edick.encodings.np.zeros", _refuse)
+    monkeypatch.setattr("edick.encodings.combinations", _refuse)
+    with pytest.raises(ValueError, match="register width"):
+        dicke_state(width, 2)

@@ -14,7 +14,6 @@ from edick import (
     AmplitudeVector,
     BinomialSpec,
     ConverterPlan,
-    Dicke,
     Direction,
     EncodingKind,
     EvenMethod,
@@ -30,7 +29,6 @@ from edick import (
 
 NOT_METHODS = ["recursion", "expand-pow2", None, 0, EncodingKind.BINARY, Direction.EDICK_TO_BINARY]
 NOT_TARGETS = ["binary", "onehot", None, 0, EvenMethod.RECURSION, Direction.EDICK_TO_ONEHOT]
-NOT_KINDS = [*NOT_TARGETS, Dicke(2)]
 
 
 @pytest.mark.parametrize("method", NOT_METHODS, ids=repr)
@@ -77,7 +75,7 @@ def test_fit_refuses_a_model_that_is_not_a_scaling_model(model: object) -> None:
     assert fit_scaling(points, ScalingModel.LINEAR) == (1.0, 0.0)
 
 
-@pytest.mark.parametrize("kind", NOT_KINDS, ids=repr)
+@pytest.mark.parametrize("kind", NOT_TARGETS, ids=repr)
 def test_level_maps_refuse_a_kind_that_is_not_an_encoding_kind(kind: object) -> None:
     with pytest.raises(ValueError, match="kind must be an EncodingKind"):
         level_to_basis(kind, 2, 3)
@@ -87,8 +85,8 @@ def test_level_maps_refuse_a_kind_that_is_not_an_encoding_kind(kind: object) -> 
 
 @pytest.mark.parametrize("kind", NOT_TARGETS, ids=repr)
 @pytest.mark.parametrize("amplitudes", [AmplitudeVector((0.6, 0.8)), None], ids=["vector", "none"])
-def test_build_state_refuses_a_kind_that_is_not_an_encoding_kind_or_dicke(kind, amplitudes) -> None:
-    with pytest.raises(ValueError, match="kind must be an EncodingKind or a Dicke"):
+def test_build_state_refuses_a_kind_that_is_not_an_encoding_kind(kind, amplitudes) -> None:
+    with pytest.raises(ValueError, match="kind must be an EncodingKind"):
         build_state(kind, amplitudes, 3)
 
 

@@ -14,7 +14,6 @@ import pytest
 from edick import (
     BinomialSpec,
     ConverterPlan,
-    Dicke,
     Direction,
     EncodingKind,
     EvenMethod,
@@ -28,6 +27,7 @@ from edick import (
     build_dicke_unitary,
     build_edick_to_onehot,
     build_scs,
+    dicke_state,
     edick_to_onehot_size,
     edick_to_onehot_size_bound,
     level_to_basis,
@@ -69,7 +69,8 @@ ENTRY_POINTS = {
     "ConverterPlan[num_levels]": lambda v: ConverterPlan(v, None, 6, 0, None),
     "ConverterPlan[total_qubits]": lambda v: ConverterPlan(4, None, v, 0, None),
     "ConverterPlan[ancilla]": lambda v: ConverterPlan(4, None, 6, v, None),
-    "Dicke": Dicke,
+    "dicke_state[num_qubits]": lambda v: dicke_state(v, 2),
+    "dicke_state[weight]": lambda v: dicke_state(5, v),
     "random_vector": lambda v: random_vector(v, np.random.default_rng(5)).num_levels,
     "zero_state": zero_state,
     "basis_state[index]": lambda v: basis_state(3, v),
@@ -79,7 +80,7 @@ ENTRY_POINTS = {
 GOOD = {name: 4 for name in ENTRY_POINTS}
 GOOD.update({"build_scs[k]": 2, "build_adder[shift]": 3, "level_to_basis[level]": 2})
 GOOD.update({"input_index": 3, "output_index": 3, "build_adder[num_qubits]": 3})
-GOOD.update({"ConverterPlan[ancilla]": 2, "Dicke": 2})
+GOOD.update({"ConverterPlan[ancilla]": 2, "dicke_state[weight]": 2})
 
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)

@@ -119,6 +119,13 @@ def test_parse_rejects_an_empty_register() -> None:
         parse_text("OPENQASM 2.0;\n" 'include "qelib1.inc";\n' "qreg q[0];\n" "x q[0];\n")
 
 
+@pytest.mark.parametrize(
+    "text", [None, b"OPENQASM 2.0;\n", 0, ["OPENQASM 2.0;"], bytearray(b"OPENQASM 2.0;\n")], ids=repr)
+def test_parse_refuses_what_is_not_a_str(text) -> None:
+    with pytest.raises(ValueError, match="QASM text must be a str"):
+        parse_text(text)
+
+
 _PREFIX = "OPENQASM 2.0;\n" 'include "qelib1.inc";\n' "qreg q[2];\n"
 
 

@@ -175,3 +175,12 @@ def test_fidelity_is_abs_overlap() -> None:
     assert fidelity(zero_state(1), a) == pytest.approx(1 / math.sqrt(2))
     with pytest.raises(ValueError):
         fidelity(zero_state(1), zero_state(2))
+
+
+def test_states_compare_and_hash_by_identity() -> None:
+    a, b = basis_state(1, 0), basis_state(1, 0)
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a)
+    table = {a: "a", b: "b"}
+    assert table[a] == "a" and table[b] == "b"
