@@ -2,7 +2,8 @@
 
 Every rewrite here is an exact unitary identity (no global-phase slack):
 controlled phases split over two CNOTs, controlled rotations use the
-conjugate-by-X trick, and Toffoli uses the fixed 6-CNOT realization. A
+conjugate-by-X trick, a CCRY is an RY multiplexor over 4 CNOTs (Mottonen et
+al. 2004), and Toffoli uses the fixed 6-CNOT realization. A
 k-control MCX (k >= 3) inside a circuit is 4(k-2) Toffolis over k-2 idle
 qubits that it borrows from the register and restores exactly, whatever
 their state (Barenco et al. 1995, Lemma 7.2). It takes the idle qubits
@@ -22,7 +23,7 @@ Templates share gate objects. All CNOTs of one call come from one table keyed
 by (control, target). A CRY or CCRY builds each of its two RYs (+-theta/2 or
 +-theta/4) once and reuses it wherever the gate-by-gate expansion has the same
 value with the same sign of zero; that holds because (-a)/2 equals -(a/2) bit
-for bit, so a CCRY is 14 gates over 2 RY and 3 CNOT objects. Each template acts
+for bit, so a CCRY is 8 gates over 2 RY and 2 CNOT objects. Each template acts
 on its source gate's qubits only, so the lowered circuit is not rechecked.
 """
 
@@ -65,11 +66,10 @@ def _cry_basis(theta: float, c: int, t: int, cx: _Cnots) -> list[Gate]:
 
 
 def _ccry_basis(theta: float, c0: int, c1: int, t: int, cx: _Cnots) -> list[Gate]:
-    # Two CRYs by +-theta/2 on c1 and one on c0, with their +-theta/4 RYs.
+    # RY multiplexed on (c0, c1) by (0, 0, 0, theta): each CNOT negates later RYs.
     quarter = theta / 2.0 / 2.0
-    p, m = ry(quarter, t), ry(-quarter, t)
-    a, b, c = cx[c1, t], cx[c0, c1], cx[c0, t]
-    return [p, a, m, a, b, m, a, p, a, b, p, c, m, c]
+    p, m, a, b = ry(quarter, t), ry(-quarter, t), cx[c0, t], cx[c1, t]
+    return [p, a, m, b, p, a, m, b]
 
 
 def _toffoli_basis(c0: int, c1: int, t: int, cx: _Cnots) -> list[Gate]:

@@ -119,7 +119,7 @@ def test_logical_granularity_leaves_basis_columns_zero() -> None:
     assert rows[0].depth_logical > 0
 
 
-@pytest.mark.parametrize("subjects", [(), [], iter(())], ids=repr)
+@pytest.mark.parametrize("subjects", [(), [], iter(())], ids=["tuple", "list", "iterator"])
 def test_sweep_naming_no_subject_raises(subjects) -> None:
     with pytest.raises(ValueError, match="names no sweep subject"):
         run_sweep([5], subjects)

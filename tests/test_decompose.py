@@ -3,17 +3,22 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 
 import numpy as np
 import pytest
 
 from edick import (
+    BinomialSpec,
     Circuit,
     Direction,
+    EncodingKind,
     EvenMethod,
     GateKind,
     Granularity,
     Statevector,
+    build_binomial_pipeline,
     build_converter,
     ccry,
     cnot,
@@ -30,6 +35,7 @@ from edick import (
     ry,
     toffoli,
     x,
+    zero_state,
 )
 from edick.decompose import _PRIMITIVE, _borrowed
 
@@ -132,12 +138,12 @@ def _cry_by_gates(theta: float, c: int, t: int) -> list:
 
 
 def _ccry_by_gates(theta: float, c0: int, c1: int, t: int) -> list:
-    half = theta / 2.0
-    return (
-        _cry_by_gates(half, c1, t) + [cnot(c0, c1)]
-        + _cry_by_gates(-half, c1, t) + [cnot(c0, c1)]
-        + _cry_by_gates(half, c0, t)
-    )
+    # The RY multiplexor with angles (0, 0, 0, theta) on (c0, c1).
+    quarter = theta / 2.0 / 2.0
+    return [
+        ry(quarter, t), cnot(c0, t), ry(-quarter, t), cnot(c1, t),
+        ry(quarter, t), cnot(c0, t), ry(-quarter, t), cnot(c1, t),
+    ]
 
 
 def _exact(gates) -> list:
@@ -152,6 +158,62 @@ def test_shared_template_rotations_match_the_gate_by_gate_expansion(theta: float
     assert _exact(decompose_gate(ccry(theta, 2, 0, 1))) == _exact(expected)
     lowered = decompose_to_basis(Circuit(3, (ccry(theta, 2, 0, 1), cry(theta, 0, 1))))
     assert _exact(lowered.gates) == _exact(expected + _cry_by_gates(theta, 0, 1))
+
+
+def _dense_ccry(theta: float, c0: int, c1: int, t: int) -> np.ndarray:
+    # RY(theta) on t wherever c0 and c1 are both 1; qubit 0 is the highest bit.
+    bit = {q: 1 << (2 - q) for q in range(3)}
+    cos, sin = math.cos(theta / 2), math.sin(theta / 2)
+    u = np.eye(8, dtype=np.complex128)
+    for j in range(8):
+        if j & bit[c0] and j & bit[c1] and not j & bit[t]:
+            k = j | bit[t]
+            u[j, j], u[j, k], u[k, j], u[k, k] = cos, -sin, sin, cos
+    return u
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.0, 5e-324, -5e-324, 0.7, -2.9, math.pi])
+def test_ccry_lowering_equals_the_dense_ccry_in_every_qubit_order(theta: float) -> None:
+    for c0, c1, t in itertools.permutations(range(3)):
+        lowered = unitary_of(Circuit(3, tuple(decompose_gate(ccry(theta, c0, c1, t)))))
+        np.testing.assert_allclose(lowered, _dense_ccry(theta, c0, c1, t), rtol=0, atol=1e-15)
+
+
+def test_a_lowered_ccry_is_eight_gates_over_two_ry_and_two_cnot_objects() -> None:
+    gates = decompose_to_basis(Circuit(3, (ccry(0.7, 2, 0, 1),))).gates
+    assert len(gates) == 8
+    for kind in (GateKind.RY, GateKind.CNOT):
+        assert len({id(g) for g in gates if g.kind is kind}) == 2
+    for theta in (0.0, -0.0):
+        signs = {math.copysign(1.0, g.angle) for g in decompose_gate(ccry(theta, 0, 1, 2))
+                 if g.kind is GateKind.RY}
+        assert signs == {1.0, -1.0}
+
+
+@pytest.mark.parametrize("method", list(EvenMethod))
+@pytest.mark.parametrize("target", list(EncodingKind))
+def test_lowered_binomial_pipelines_prepare_the_logical_state(
+    target: EncodingKind, method: EvenMethod
+) -> None:
+    for n in (2, 3, 5, 8, 12):
+        circuit, _ = build_binomial_pipeline(BinomialSpec.from_probability(n, 0.37, target, method))
+        start = zero_state(circuit.num_qubits)
+        np.testing.assert_allclose(
+            run(start, decompose_to_basis(circuit)).amplitudes,
+            run(start, circuit).amplitudes,
+            rtol=0,
+            atol=1e-12,
+        )
+
+
+def test_lowered_edick_binomial_size_has_its_closed_form() -> None:
+    # n RYs, n-1 CRYs of 4 gates plus 2 CNOTs each, and (n-1)(n-2)/2 CCRYs of 8
+    # gates plus 2 CNOTs each.
+    for n in range(2, 65):
+        spec = BinomialSpec.from_probability(n, 0.37, EncodingKind.EDICK, EvenMethod.RECURSION)
+        circuit, _ = build_binomial_pipeline(spec)
+        size = cost(circuit, Granularity.TWO_QUBIT_BASIS).size
+        assert size == n + 6 * (n - 1) + 5 * (n - 1) * (n - 2), n
 
 
 def test_repeated_gates_lower_like_their_first_copy() -> None:

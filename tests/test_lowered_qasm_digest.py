@@ -4,8 +4,9 @@ Each digest is the sha256 over emit_text(decompose_to_basis(circuit)) of a
 family of circuits, taken in order, recorded before lowering and parsing
 began to share work between repeated gates. The recursion entries, which
 hold every multi-controlled X, were re-recorded when lowering began to
-borrow idle qubits for them. Every lowered circuit must also survive a QASM
-round trip gate for gate.
+borrow idle qubits for them, and the binomial entries, which hold every
+CCRY, when a CCRY began to lower as an 8-gate multiplexor. Every lowered
+circuit must also survive a QASM round trip gate for gate.
 """
 
 from __future__ import annotations
@@ -63,23 +64,23 @@ CONVERTER_DIGESTS = {
 
 BINOMIAL_DIGESTS = {
     ("edick", "recursion"):
-        "2a54402abca55a1634d7f210daf302ae2f78f1a120bfc2756ef7bfb404fa590f",
+        "5c97db6c2f425bb19f6af6415b2d1297061205492a19159d9afe8b75f8db3432",
     ("edick", "expand-n-plus-1"):
-        "2a54402abca55a1634d7f210daf302ae2f78f1a120bfc2756ef7bfb404fa590f",
+        "5c97db6c2f425bb19f6af6415b2d1297061205492a19159d9afe8b75f8db3432",
     ("edick", "expand-pow2"):
-        "2a54402abca55a1634d7f210daf302ae2f78f1a120bfc2756ef7bfb404fa590f",
+        "5c97db6c2f425bb19f6af6415b2d1297061205492a19159d9afe8b75f8db3432",
     ("onehot", "recursion"):
-        "cd2399eaedfa73b6637b6c7f6b6568ae021a76e382d1ba469fee43bc20357ff4",
+        "477ea5c0b139a2381c016ca23f88d84f018be2a43791e7bc38fbbcaf71b8bd47",
     ("onehot", "expand-n-plus-1"):
-        "cd2399eaedfa73b6637b6c7f6b6568ae021a76e382d1ba469fee43bc20357ff4",
+        "477ea5c0b139a2381c016ca23f88d84f018be2a43791e7bc38fbbcaf71b8bd47",
     ("onehot", "expand-pow2"):
-        "cd2399eaedfa73b6637b6c7f6b6568ae021a76e382d1ba469fee43bc20357ff4",
+        "477ea5c0b139a2381c016ca23f88d84f018be2a43791e7bc38fbbcaf71b8bd47",
     ("binary", "recursion"):
-        "1b53c3224fedda1b45868f78fda4c906127f44e512cbeb30af12ee1080791889",
+        "86681546957e052c1f72025821fa2a0162a341fe9ee04b8bed3253fd03126ed4",
     ("binary", "expand-n-plus-1"):
-        "23f5343e8b5fd423e4f269bb45042f09221fc1ccd751f070c03b48ce0f0036eb",
+        "7ae5623dee1de610c1623d4835f0ddbdc1a4f3aa6a471b066cce3c106c25ce52",
     ("binary", "expand-pow2"):
-        "9ac60272ae00956b466cfc93950057df0c370ef7b0e3f64fe47730306372fe5c",
+        "cca675edd0bd9c0a9ab77383a92d0a73d27a4ff806960e7bff4639fd5bace6a4",
 }
 
 
