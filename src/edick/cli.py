@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import SWEEP_SUBJECTS, rows_to_csv, run_sweep
 from .circuit import GateKind, Granularity
-from .converters import Direction, EvenMethod, build_converter
+from .converters import ConverterPlan, Direction, EvenMethod, build_converter
 from .decompose import decompose_to_basis
 from .dicke import BinomialSpec, build_binomial_pipeline
 from .encodings import EncodingKind, random_vector
@@ -44,8 +44,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 0:
         raise ValueError("--trials must be non-negative")
-    _check_width(args.n - 1)  # every direction needs at least n - 1 qubits
-    circuit, plan = build_converter(Direction(args.direction), args.n, EvenMethod(args.method))
+    direction, method = Direction(args.direction), EvenMethod(args.method)
+    _check_width(ConverterPlan(args.n, method, direction).total_qubits)
+    circuit, plan = build_converter(direction, args.n, method)
     inputs = [plan.input_index(level) for level in range(args.n)]
     outputs = [plan.output_index(level) for level in range(args.n)]
     rng = np.random.default_rng(args.seed)

@@ -13,7 +13,7 @@ significant bit of any binary register.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .circuit import Circuit, Gate, cnot, cphase, h, mcx, phase, toffoli, x
@@ -62,32 +62,34 @@ _LAYOUTS = {
 
 @dataclass(frozen=True)
 class ConverterPlan:
-    """Register bookkeeping for a built converter.
+    """Register of a converter, derived from its level count, method and direction.
 
-    `ancilla` counts the qubits beyond those the input encoding strictly
-    needs; they are leftmost and are returned to |0>. `method` is None
-    when no even-level strategy was involved, `direction` is None when a
-    pipeline attaches no conversion stage at all.
+    The `ancilla` leftmost qubits start and end in |0>; `total_qubits` adds
+    the staircase's num_levels-1 qubits and any |1> flag. Only the three
+    compressing directions keep `method`, and they need an `EvenMethod`.
+    `direction` is None when a pipeline attaches no conversion stage.
     """
 
     num_levels: int
     method: EvenMethod | None
-    total_qubits: int
-    ancilla: int
+    total_qubits: int = field(init=False)
+    ancilla: int = field(init=False)
     direction: Direction | None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "num_levels", _levels(self.num_levels))
-        for key in ("total_qubits", "ancilla"):
-            object.__setattr__(self, key, _integer(getattr(self, key), f"{key} must be an integer"))
-        if self.total_qubits < 1:
-            raise ValueError("empty register")
-        if not 0 <= self.ancilla <= self.total_qubits:
-            raise ValueError("ancilla count out of range")
         if self.method is not None and type(self.method) is not EvenMethod:
             raise ValueError(f"method must be an EvenMethod or None, got {self.method!r}")
         if self.direction is not None and type(self.direction) is not Direction:
             raise ValueError(f"direction must be a Direction or None, got {self.direction!r}")
+        (kind_in, flag_in), (kind_out, flag_out) = _LAYOUTS[self.direction]
+        if _BINARY not in (kind_in, kind_out):
+            object.__setattr__(self, "method", None)
+        elif self.method is None:
+            raise ValueError(f"{self.direction.value} needs an EvenMethod")
+        anc = 0 if self.method is None else _peak_ancilla(self.num_levels, self.method)
+        object.__setattr__(self, "ancilla", anc)
+        object.__setattr__(self, "total_qubits", anc + self.num_levels - 1 + max(flag_in, flag_out))
 
     def input_index(self, level: int) -> int:
         return self._index(level, *_LAYOUTS[self.direction][0])
@@ -198,8 +200,10 @@ def build_adder(num_qubits: int, shift: int) -> Circuit:
 def _binary_gates(view: tuple[int, ...], method: EvenMethod, free: list[int]) -> list[Gate]:
     """Compress a staircase of len(view)+1 levels into its binary register.
 
-    `free` is the stack of idle |0> ancillas. It must stay LIFO, or a sibling
-    half gets the qubits an expansion gave back in another order.
+    `free` is the stack of idle |0> ancillas. An expansion pops its qubits and
+    pushes them back in pop order, so a sibling half gets the same qubits
+    reversed: at N=11 expand-pow2 the first half takes (2, 1, 0) and the
+    second (0, 1, 2). The expand-pow2 gate lists, and their digests, keep it.
     """
     levels = len(view) + 1
     if levels == 2:
@@ -320,25 +324,20 @@ def _converter(
         raise ValueError(f"unknown direction {direction!r}")
     if type(method) is not EvenMethod:
         raise ValueError(f"method must be an EvenMethod, got {method!r}")
-    num_levels = _levels(num_levels)
+    plan = ConverterPlan(num_levels, method, direction)
+    n, anc, total = plan.num_levels, plan.ancilla, plan.total_qubits
     if direction is Direction.CNOT_STAIR:
-        stair = [cnot(c, t) for c in range(num_levels - 1) for t in range(c + 1, num_levels)]
-        return stair, ConverterPlan(num_levels, None, num_levels, 0, direction)
+        return [cnot(c, t) for c in range(n - 1) for t in range(c + 1, n)], plan
     if direction is Direction.EDICK_TO_ONEHOT:
-        unfold = _onehot_gates(tuple(range(num_levels)))
-        return unfold, ConverterPlan(num_levels, None, num_levels, 0, direction)
-    anc = _peak_ancilla(num_levels, method)
-    total = anc + num_levels - 1
-    gates = _binary_gates(tuple(range(anc, total)), method, list(range(anc)))
+        return _onehot_gates(tuple(range(n))), plan
+    gates = _binary_gates(tuple(range(anc, anc + n - 1)), method, list(range(anc)))
     if direction is not Direction.EDICK_TO_BINARY:
         # One-hot -> binary: the unfolding backwards (all CNOTs, so its
         # reversal), then the compression; binary -> one-hot inverts that.
-        total += 1
         gates = _onehot_gates(tuple(range(anc, total)))[::-1] + gates
     if direction is Direction.BINARY_TO_ONEHOT:
         gates = list(map(Gate.inverse, reversed(gates)))
-        anc = total - binary_width(num_levels)
-    return gates, ConverterPlan(num_levels, method, total, anc, direction)
+    return gates, plan
 
 
 def build_converter(

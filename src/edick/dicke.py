@@ -15,13 +15,11 @@ own routine. The whole pipeline is checked once, as one circuit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .circuit import Circuit, Gate, _integer, _real, ccry, cnot, cry, ry, x
 from .converters import ConverterPlan, Direction, EvenMethod, _converter
 from .encodings import EncodingKind
-
-_P_TOL = 1e-12
 
 
 def _scs_gates(n: int, k: int, off: int, invert: bool) -> list[Gate]:
@@ -89,18 +87,17 @@ def build_dicke_unitary(num_qubits: int) -> Circuit:
 
 @dataclass(frozen=True)
 class BinomialSpec:
-    """Parameters of one binomial-distribution preparation."""
+    """Parameters of one binomial-distribution preparation; theta = 2 asin(sqrt(p))."""
 
     trials: int
     p: float
-    theta: float
+    theta: float = field(init=False)
     target: EncodingKind
     method: EvenMethod
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trials", _integer(self.trials, "trial count must be an integer"))
         object.__setattr__(self, "p", _real(self.p, "probability must be a real number"))
-        object.__setattr__(self, "theta", _real(self.theta, "theta must be a real number"))
         if type(self.target) is not EncodingKind:
             raise ValueError(f"target must be an EncodingKind, got {self.target!r}")
         if type(self.method) is not EvenMethod:
@@ -109,8 +106,7 @@ class BinomialSpec:
             raise ValueError("need at least two trials")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"probability {self.p} outside [0, 1]")
-        if not math.isfinite(self.theta) or abs(self.p - math.sin(self.theta / 2.0) ** 2) > _P_TOL:
-            raise ValueError("theta does not match p = sin^2(theta/2)")
+        object.__setattr__(self, "theta", 2.0 * math.asin(math.sqrt(self.p)))
 
     @staticmethod
     def from_probability(
@@ -119,11 +115,7 @@ class BinomialSpec:
         target: EncodingKind = EncodingKind.EDICK,
         method: EvenMethod = EvenMethod.EXPAND_TO_POW2,
     ) -> "BinomialSpec":
-        p = _real(p, "probability must be a real number")
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability {p} outside [0, 1]")
-        theta = 2.0 * math.asin(math.sqrt(p))
-        return BinomialSpec(trials, p, theta, target, method)
+        return BinomialSpec(trials, p, target, method)
 
 
 def build_binomial_pipeline(spec: BinomialSpec) -> tuple[Circuit, ConverterPlan]:
@@ -136,7 +128,7 @@ def build_binomial_pipeline(spec: BinomialSpec) -> tuple[Circuit, ConverterPlan]
     """
     n = spec.trials
     if spec.target is EncodingKind.EDICK:
-        converter, plan = [], ConverterPlan(n + 1, None, n, 0, None)
+        converter, plan = [], ConverterPlan(n + 1, None, None)
     elif spec.target is EncodingKind.ONE_HOT:
         unfold, plan = _converter(Direction.EDICK_TO_ONEHOT, n + 1, spec.method)
         converter = [x(n)] + unfold

@@ -107,7 +107,10 @@ def _levels(num_levels: object) -> int:
 
 def random_vector(num_levels: int, rng: np.random.Generator) -> AmplitudeVector:
     """Reproducible real test vector: normalized standard-normal draws."""
-    values = rng.standard_normal(_levels(num_levels)).tolist()  # floats convert faster than numpy scalars
+    num_levels = _levels(num_levels)
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
+    values = rng.standard_normal(num_levels).tolist()  # floats convert faster than numpy scalars
     return AmplitudeVector.normalized(values)
 
 

@@ -220,7 +220,7 @@ def test_criterion_6_dicke_binomial() -> None:
     for trials in range(2, 11):
         for p in (0.1, 0.3, 0.5, 0.7, 0.9):
             theta = 2.0 * math.asin(math.sqrt(p))
-            spec = BinomialSpec(trials, p, theta, EncodingKind.EDICK, EvenMethod.RECURSION)
+            spec = BinomialSpec(trials, p, EncodingKind.EDICK, EvenMethod.RECURSION)
             circuit, _ = build_binomial_pipeline(spec)
             amps = np.asarray(run(basis_state(circuit.num_qubits, 0), circuit).amplitudes)
             probabilities = [abs(amps[(1 << k) - 1]) ** 2 for k in range(trials + 1)]

@@ -274,6 +274,9 @@ def test_verify_rejects_registers_above_the_simulation_cap(capsys) -> None:
         ["verify", "--direction", "edick-to-binary", "--n", "26", "--method", "recursion"],
         ["prepare-binomial", "--n", "1500", "--p", "0.3"],
         ["prepare-binomial", "--n", "25", "--p", "0.3", "--target", "binary"],
+        # 24 expand-pow2 levels need 9 ancillas: 32 qubits, or 33 with the flag.
+        ["verify", "--direction", "edick-to-binary", "--n", "24", "--method", "expand-pow2"],
+        ["verify", "--direction", "binary-to-onehot", "--n", "24", "--method", "expand-pow2"],
     ],
 )
 def test_too_wide_registers_are_refused_before_anything_is_built(
@@ -285,7 +288,7 @@ def test_too_wide_registers_are_refused_before_anything_is_built(
     monkeypatch.setattr(edick.cli, "build_converter", refuse)
     monkeypatch.setattr(edick.cli, "build_binomial_pipeline", refuse)
     assert main(argv) == 2
-    assert "register width" in capsys.readouterr().err
+    assert "register width must be in 1..24" in capsys.readouterr().err
 
 
 def test_sweep_naming_no_subject_exits_two_and_writes_nothing(capsys) -> None:

@@ -24,6 +24,7 @@ from edick import (
 
 SIZES = [*range(2, 41), 257, 513]
 SIMULATED = range(2, 13)
+PLAN_SIZES = [*range(2, 131), 257, 513, 1024, 1025]
 
 
 def staircase_in(level: int) -> int:
@@ -89,7 +90,25 @@ def test_build_converter_builds_the_cnot_stair(n: int) -> None:
     circuit, plan = build_converter(Direction.CNOT_STAIR, n)
     assert circuit.gates == build_cnot_stair(n).gates
     assert circuit.num_qubits == n
-    assert plan == ConverterPlan(n, None, n, 0, Direction.CNOT_STAIR)
+    assert plan == ConverterPlan(n, None, Direction.CNOT_STAIR)
+    assert (plan.total_qubits, plan.ancilla) == (n, 0)
+
+
+@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+@pytest.mark.parametrize("method", list(EvenMethod), ids=lambda m: m.value)
+def test_a_plan_works_out_the_register_its_builder_uses(
+    direction: Direction, method: EvenMethod
+) -> None:
+    # The builder's plan is the one its arguments alone give, its width is
+    # the circuit's, and its leftmost ancillas are |0> at both ends.
+    for n in PLAN_SIZES:
+        circuit, plan = build_converter(direction, n, method)
+        assert plan == ConverterPlan(n, method, direction), n
+        assert plan.total_qubits == circuit.num_qubits, n
+        data = plan.total_qubits - plan.ancilla
+        for level in range(n):
+            assert plan.input_index(level) >> data == 0, (n, level)
+            assert plan.output_index(level) >> data == 0, (n, level)
 
 
 @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)

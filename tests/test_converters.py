@@ -324,11 +324,7 @@ def test_builders_reject_tiny_level_counts() -> None:
 
 def test_plan_validation() -> None:
     with pytest.raises(ValueError):
-        ConverterPlan(1, None, 1, 0, None)
-    with pytest.raises(ValueError):
-        ConverterPlan(4, None, 0, 0, None)
-    with pytest.raises(ValueError):
-        ConverterPlan(4, None, 3, 5, None)
+        ConverterPlan(1, None, None)
 
 
 def test_labels_name_the_conversion() -> None:

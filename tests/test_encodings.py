@@ -98,6 +98,10 @@ def test_random_vector_is_seeded_and_normalized() -> None:
     values = np.random.default_rng(7).standard_normal(6)
     norm = math.sqrt(sum(abs(complex(v)) ** 2 for v in values))
     assert a.alphas == tuple(complex(v) / norm for v in values)
+    # A seed, or a generator of another kind, is not a Generator.
+    for rng in (7, None, np.random.RandomState(7)):
+        with pytest.raises(ValueError, match="rng must be a numpy.random.Generator"):
+            random_vector(6, rng)
 
 
 @pytest.mark.parametrize("width", range(1, 13))

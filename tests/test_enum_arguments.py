@@ -93,18 +93,26 @@ def test_build_state_refuses_a_kind_that_is_not_an_encoding_kind(kind, amplitude
 @pytest.mark.parametrize("method", ["recursion", 0, EncodingKind.BINARY, Direction.EDICK_TO_BINARY], ids=repr)
 def test_converter_plan_refuses_a_method_that_is_not_an_even_method(method: object) -> None:
     with pytest.raises(ValueError, match="method must be an EvenMethod or None"):
-        ConverterPlan(4, method, 6, 0, Direction.EDICK_TO_BINARY)
+        ConverterPlan(4, method, Direction.EDICK_TO_BINARY)
 
 
 @pytest.mark.parametrize("direction", ["edick-to-binary", 0, EvenMethod.RECURSION], ids=repr)
 def test_converter_plan_refuses_a_direction_that_is_not_a_direction(direction: object) -> None:
     with pytest.raises(ValueError, match="direction must be a Direction or None"):
-        ConverterPlan(4, EvenMethod.RECURSION, 6, 0, direction)
+        ConverterPlan(4, EvenMethod.RECURSION, direction)
 
 
 @pytest.mark.parametrize("direction", [*Direction, None], ids=repr)
 @pytest.mark.parametrize("method", [*EvenMethod, None], ids=repr)
 def test_converter_plan_takes_members_or_none(method, direction) -> None:
-    plan = ConverterPlan(4, method, 6, 0, direction)
-    assert (plan.method, plan.direction) == (method, direction)
+    # Only the compressing directions use a method; they need one and keep it.
+    compresses = direction in (
+        Direction.EDICK_TO_BINARY, Direction.ONEHOT_TO_BINARY, Direction.BINARY_TO_ONEHOT
+    )
+    if compresses and method is None:
+        with pytest.raises(ValueError, match="needs an EvenMethod"):
+            ConverterPlan(4, method, direction)
+        return
+    plan = ConverterPlan(4, method, direction)
+    assert (plan.method, plan.direction) == (method if compresses else None, direction)
     assert plan.input_index(3) >= 0

@@ -66,9 +66,7 @@ ENTRY_POINTS = {
         for key in ("num_levels", "depth_logical", "depth_basis", "size_logical", "size_basis",
                     "ancilla")
     },
-    "ConverterPlan[num_levels]": lambda v: ConverterPlan(v, None, 6, 0, None),
-    "ConverterPlan[total_qubits]": lambda v: ConverterPlan(4, None, v, 0, None),
-    "ConverterPlan[ancilla]": lambda v: ConverterPlan(4, None, 6, v, None),
+    "ConverterPlan[num_levels]": lambda v: ConverterPlan(v, None, None),
     "dicke_state[num_qubits]": lambda v: dicke_state(v, 2),
     "dicke_state[weight]": lambda v: dicke_state(5, v),
     "random_vector": lambda v: random_vector(v, np.random.default_rng(5)).num_levels,
@@ -80,7 +78,7 @@ ENTRY_POINTS = {
 GOOD = {name: 4 for name in ENTRY_POINTS}
 GOOD.update({"build_scs[k]": 2, "build_adder[shift]": 3, "level_to_basis[level]": 2})
 GOOD.update({"input_index": 3, "output_index": 3, "build_adder[num_qubits]": 3})
-GOOD.update({"ConverterPlan[ancilla]": 2, "dicke_state[weight]": 2})
+GOOD.update({"dicke_state[weight]": 2})
 
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)

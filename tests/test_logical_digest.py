@@ -4,7 +4,9 @@ Each digest is the sha256 over a family of built circuits, taken in order:
 the register width, the label, the converter plan and, per gate, its kind,
 target, controls and float.hex(angle), so that 0.0 and -0.0 differ. They
 were recorded before the builders emitted physical qubits directly and the
-binomial pipeline was emitted in place.
+binomial pipeline was emitted in place. The binary-to-onehot digests were
+re-recorded when its plan's ancilla count became the compression's peak, as
+for onehot-to-binary; its gates did not change.
 """
 
 from __future__ import annotations
@@ -52,11 +54,11 @@ CONVERTER_DIGESTS = {
     ("onehot-to-binary", "expand-pow2"):
         "f7d8a0d363e90f6d695ea0b18d3f286b7b471aafc5bfe601c0a44ac64ffc71aa",
     ("binary-to-onehot", "recursion"):
-        "5a59baea3ff76641a7dd25451682a4428d0679bc4aa4115dc849be0623784a0a",
+        "6cffa51884017e20bd76ee3b61d9a77b0be235bb067461f4bf0fe497c79043c1",
     ("binary-to-onehot", "expand-n-plus-1"):
-        "3799b1c34ba3c156ef82124a6625610e708c1392f9d50ac1585c33f050ade11a",
+        "750cec6a01bc702f7ade5282912f79a32bd2f4c1c04f372daac8929c20361dcb",
     ("binary-to-onehot", "expand-pow2"):
-        "d882b5017e188477460928ce920e9e1690d2be5f3be2a823cc85eff69cfaf43d",
+        "7329dd7a0c2fdf4a373143272f8e161bf2be55facb3911fb33431bf5213a61f1",
 }
 
 BINOMIAL_DIGESTS = {
