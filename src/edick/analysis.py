@@ -48,6 +48,7 @@ class SweepRow:
     def __post_init__(self) -> None:
         if self.method not in SWEEP_SUBJECTS:
             raise ValueError(f"unknown sweep subject {self.method!r}; choose from {SWEEP_SUBJECTS}")
+        object.__setattr__(self, "num_levels", _levels(self.num_levels))
         for key in ("num_levels", "depth_logical", "depth_basis", "size_logical",
                     "size_basis", "ancilla"):
             value = _integer(getattr(self, key), f"{key} must be an integer")

@@ -4,14 +4,18 @@ Qubits are indexed 0..n-1 left to right in ket notation, so qubit 0 is the
 most significant bit of a basis index: |b_0 b_1 ... b_{n-1}> has index
 sum(b_q * 2**(n-1-q)).  Gates and circuits are immutable after construction.
 
-Each Gate is validated once, by its constructor. It stores other integral
-qubit indices as int and real angles as float, and refuses bools, so every
-gate prints as QASM that parses back to it.
+Gates are checked where their fields enter from outside: `Gate(...)`, the
+helpers `x` ... `mcx`, `Gate.remapped` and the QASM line path check every
+field. They store other integral qubit indices as int and real angles as
+float, and refuse bools, so every gate prints as QASM that parses back to it.
+Builders, `Gate.inverse` and lowering make gates from fields already checked,
+through `_gate`, which sets the four slots unchecked, as the QASM bulk parse does.
 Widths are checked where gates enter a circuit: the Circuit constructor
-checks that every gate is a Gate that fits the register. A circuit derived
-from checked ones does not rescan its gates: `compose` needs equal widths,
-`inverse` keeps the width, `remap` checks that its mapping's image lies in
-the new register, and lowering expands each gate on that gate's own qubits.
+checks that every gate is a Gate that fits the register, once per build. A
+circuit derived from checked ones does not rescan its gates: `compose` needs
+equal widths, `inverse` keeps the width, `remap` checks that its mapping's
+image lies in the new register, and lowering expands each gate on that gate's
+own qubits.
 """
 
 from __future__ import annotations
@@ -37,6 +41,12 @@ class GateKind(enum.Enum):
 
     __hash__ = object.__hash__  # members are singletons; Enum.__hash__ runs Python code
 
+
+# The members as module names: on Python 3.11 a lookup such as GateKind.CNOT goes
+# through EnumType.__getattr__, a Python-level hook, at about 120 ns.
+_X, _H, _RY, _PHASE, _CNOT = GateKind.X, GateKind.H, GateKind.RY, GateKind.PHASE, GateKind.CNOT
+_CPHASE, _CRY, _CCRY = GateKind.CPHASE, GateKind.CRY, GateKind.CCRY
+_TOFFOLI, _MCX = GateKind.TOFFOLI, GateKind.MCX
 
 # Per kind: control count (None for MCX, which takes >= 3; smaller counts have
 # their own kind) and whether it takes an angle. Angled kinds invert by
@@ -113,7 +123,7 @@ class Gate:
     def inverse(self) -> Gate:
         if self.angle is None:
             return self
-        return Gate(self.kind, self.target, self.controls, -self.angle)
+        return _gate(self.kind, self.target, self.controls, -self.angle)
 
     def remapped(self, mapping: dict[int, int]) -> Gate:
         controls = tuple([mapping[c] for c in self.controls])
@@ -123,6 +133,17 @@ class Gate:
 # The generated frozen __init__ would write each slot through object.__setattr__.
 _set_kind, _set_target = Gate.kind.__set__, Gate.target.__set__
 _set_controls, _set_angle = Gate.controls.__set__, Gate.angle.__set__
+_new = object.__new__
+
+
+def _gate(kind, target, controls=(), angle=None) -> Gate:
+    """A gate from fields that Gate() would accept and store unchanged; nothing is checked."""
+    gate = _new(Gate)
+    _set_kind(gate, kind)
+    _set_target(gate, target)
+    _set_controls(gate, controls)
+    _set_angle(gate, angle)
+    return gate
 
 
 def _integer(value: object, message: str) -> int:
@@ -155,39 +176,39 @@ def _width(n: object) -> int:
 
 
 def x(q: int) -> Gate:
-    return Gate(GateKind.X, q)
+    return Gate(_X, q)
 
 
 def h(q: int) -> Gate:
-    return Gate(GateKind.H, q)
+    return Gate(_H, q)
 
 
 def ry(theta: float, q: int) -> Gate:
-    return Gate(GateKind.RY, q, angle=theta)
+    return Gate(_RY, q, angle=theta)
 
 
 def phase(lam: float, q: int) -> Gate:
-    return Gate(GateKind.PHASE, q, angle=lam)
+    return Gate(_PHASE, q, angle=lam)
 
 
 def cnot(control: int, target: int) -> Gate:
-    return Gate(GateKind.CNOT, target, (control,))
+    return Gate(_CNOT, target, (control,))
 
 
 def cphase(lam: float, control: int, target: int) -> Gate:
-    return Gate(GateKind.CPHASE, target, (control,), lam)
+    return Gate(_CPHASE, target, (control,), lam)
 
 
 def cry(theta: float, control: int, target: int) -> Gate:
-    return Gate(GateKind.CRY, target, (control,), theta)
+    return Gate(_CRY, target, (control,), theta)
 
 
 def ccry(theta: float, c0: int, c1: int, target: int) -> Gate:
-    return Gate(GateKind.CCRY, target, (c0, c1), theta)
+    return Gate(_CCRY, target, (c0, c1), theta)
 
 
 def toffoli(c0: int, c1: int, target: int) -> Gate:
-    return Gate(GateKind.TOFFOLI, target, (c0, c1))
+    return Gate(_TOFFOLI, target, (c0, c1))
 
 
 def mcx(controls: tuple[int, ...] | list[int], target: int) -> Gate:
@@ -199,7 +220,7 @@ def mcx(controls: tuple[int, ...] | list[int], target: int) -> Gate:
         return cnot(controls[0], target)
     if len(controls) == 2:
         return toffoli(controls[0], controls[1], target)
-    return Gate(GateKind.MCX, target, controls)
+    return Gate(_MCX, target, controls)
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,7 +285,8 @@ def remap(
     injectively, into qubits 0..num_qubits-1.
     """
     num_qubits = _width(num_qubits)
-    table = dict(mapping) if isinstance(mapping, dict) else dict(enumerate(mapping))
+    pairs = mapping.items() if isinstance(mapping, dict) else enumerate(mapping)
+    table = {old: _index(new) for old, new in pairs}
     if len(table) < circuit.num_qubits or set(table) != set(range(circuit.num_qubits)):
         raise ValueError("mapping must cover qubits 0..num_qubits-1 of the circuit")
     if len(set(table.values())) != len(table):

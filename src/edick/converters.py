@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .circuit import Circuit, Gate, cnot, cphase, h, mcx, phase, toffoli, x
+from .circuit import _CNOT, _CPHASE, _H, _MCX, _PHASE, _TOFFOLI, _X, Circuit, Gate, _gate
 from .circuit import _integer, _width
 from .encodings import EncodingKind, _levels, level_to_basis
 
@@ -116,14 +116,14 @@ def binary_width(num_levels: int) -> int:
 def _onehot_gates(view: tuple[int, ...]) -> list[Gate]:
     n = len(view)
     if n == 2:
-        return [cnot(view[0], view[1])]
+        return [_gate(_CNOT, view[1], (view[0],))]
     if n % 2:
         # Odd width: the leftmost qubit joins after the even sub-block.
-        return _onehot_gates(view[1:]) + [cnot(view[0], view[1])]
+        return _onehot_gates(view[1:]) + [_gate(_CNOT, view[1], (view[0],))]
     half = n // 2
-    gates = [cnot(view[2 * i], view[2 * i + 1]) for i in range(half)]
+    gates = [_gate(_CNOT, view[2 * i + 1], (view[2 * i],)) for i in range(half)]
     gates += _onehot_gates(view[::2])
-    gates += [cnot(view[2 * i + 1], view[2 * i + 2]) for i in range(half - 1)]
+    gates += [_gate(_CNOT, view[2 * i + 2], (view[2 * i + 1],)) for i in range(half - 1)]
     return gates
 
 
@@ -179,13 +179,13 @@ def _adder_gates(qubits: tuple[int, ...], shift: int) -> list[Gate]:
     d = shift % (1 << n)
     qft: list[Gate] = []
     for t in range(n):
-        qft.append(h(qubits[t]))
+        qft.append(_gate(_H, qubits[t]))
         for c in range(t + 1, n):
-            qft.append(cphase(math.pi / (1 << (c - t)), qubits[c], qubits[t]))
+            qft.append(_gate(_CPHASE, qubits[t], (qubits[c],), math.pi / (1 << (c - t))))
     shifts = []
     for q in range(n):
         turns = (d << q) % (1 << n)
-        shifts.append(phase(2.0 * math.pi * turns / (1 << n), qubits[q]))
+        shifts.append(_gate(_PHASE, qubits[q], (), 2.0 * math.pi * turns / (1 << n)))
     return qft + shifts + list(map(Gate.inverse, reversed(qft)))
 
 
@@ -209,7 +209,7 @@ def _binary_gates(view: tuple[int, ...], method: EvenMethod, free: list[int]) ->
     if levels == 2:
         return []
     if levels == 3:
-        return [cnot(view[0], view[1])]
+        return [_gate(_CNOT, view[1], (view[0],))]
     if levels % 2:
         return _odd_gates(view, method, free)
     if method is EvenMethod.RECURSION:
@@ -238,9 +238,9 @@ def _odd_gates(view: tuple[int, ...], method: EvenMethod, free: list[int]) -> li
         gates += _adder_gates(adder_register, d)
     # Copy the first half's m value bits onto the second half's zeros,
     # then clear the first half, controlled on the saturation flag.
-    gates += [cnot(first[half - 1 - r], second[half - 1 - r]) for r in range(m)]
+    gates += [_gate(_CNOT, second[half - 1 - r], (first[half - 1 - r],)) for r in range(m)]
     gates += [
-        toffoli(second[half - 1 - m], second[half - 1 - r], first[half - 1 - r])
+        _gate(_TOFFOLI, first[half - 1 - r], (second[half - 1 - m], second[half - 1 - r]))
         for r in range(m)
     ]
     if d > 0:
@@ -253,9 +253,9 @@ def _odd_gates(view: tuple[int, ...], method: EvenMethod, free: list[int]) -> li
         final_top = view[2 * half - m - 2]
         saturation = view[2 * half - m - 1]
         gates += [
-            cnot(top_spill, final_top),
-            cnot(final_top, top_spill),
-            cnot(final_top, saturation),
+            _gate(_CNOT, final_top, (top_spill,)),
+            _gate(_CNOT, top_spill, (final_top,)),
+            _gate(_CNOT, saturation, (final_top,)),
         ]
     return gates
 
@@ -272,12 +272,14 @@ def _recursion_gates(view: tuple[int, ...]) -> list[Gate]:
     flips = (levels - 1) ^ (levels - 2)
     for r in range(width):
         if (flips >> r) & 1:
-            gates.append(cnot(view[0], register[width - 1 - r]))
+            gates.append(_gate(_CNOT, register[width - 1 - r], (view[0],)))
     pattern = levels - 1
     off_bits = [register[width - 1 - r] for r in range(width) if not (pattern >> r) & 1]
-    gates += [x(q) for q in off_bits]
-    gates.append(mcx(register, view[0]))
-    gates += [x(q) for q in off_bits]
+    toggles = [_gate(_X, q) for q in off_bits]
+    # Four or more levels give a register of two or more qubits: TOFFOLI at two, MCX above.
+    gates += toggles
+    gates.append(_gate(_MCX if width > 2 else _TOFFOLI, view[0], register))
+    gates += toggles
     return gates
 
 
@@ -327,7 +329,7 @@ def _converter(
     plan = ConverterPlan(num_levels, method, direction)
     n, anc, total = plan.num_levels, plan.ancilla, plan.total_qubits
     if direction is Direction.CNOT_STAIR:
-        return [cnot(c, t) for c in range(n - 1) for t in range(c + 1, n)], plan
+        return [_gate(_CNOT, t, (c,)) for c in range(n - 1) for t in range(c + 1, n)], plan
     if direction is Direction.EDICK_TO_ONEHOT:
         return _onehot_gates(tuple(range(n))), plan
     gates = _binary_gates(tuple(range(anc, anc + n - 1)), method, list(range(anc)))

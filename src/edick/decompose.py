@@ -19,73 +19,70 @@ which the expansion keeps and emit_text prints, so the key is the gate's
 fields plus math.copysign(1.0, angle). A circuit with nothing to lower is
 returned as it is.
 
-Templates share gate objects. All CNOTs of one call come from one table keyed
-by (control, target). A CRY or CCRY builds each of its two RYs (+-theta/2 or
-+-theta/4) once and reuses it wherever the gate-by-gate expansion has the same
-value with the same sign of zero; that holds because (-a)/2 equals -(a/2) bit
-for bit, so a CCRY is 8 gates over 2 RY and 2 CNOT objects. Each template acts
-on its source gate's qubits only, so the lowered circuit is not rechecked.
+Templates share gate objects. One pool per call, keyed by the gate's fields,
+hands out every CNOT and H, and Toffoli's PHASE(+-pi/4) gates, once each.
+A CRY or CCRY builds each of its two RYs (+-theta/2 or +-theta/4) once and
+reuses it wherever the gate-by-gate expansion has the same value with the same
+sign of zero; that holds because (-a)/2 equals -(a/2) bit for bit, so a CCRY
+is 8 gates over 2 RY and 2 CNOT objects. Templates make their gates unchecked
+(circuit._gate) from the fields of gates that were checked, and each acts on
+its source gate's qubits only, so the lowered circuit is not rechecked.
 """
 
 from __future__ import annotations
 
 import math
 
-from .circuit import (
-    Circuit,
-    Gate,
-    GateKind,
-    _derived,
-    cnot,
-    h,
-    phase,
-    ry,
-)
+from .circuit import _CCRY, _CNOT, _CPHASE, _CRY, _H, _MCX, _PHASE, _RY, _TOFFOLI, _X
+from .circuit import Circuit, Gate, _derived, _gate
 
-_PRIMITIVE = {GateKind.X, GateKind.H, GateKind.RY, GateKind.PHASE, GateKind.CNOT}
+_PRIMITIVE = {_X, _H, _RY, _PHASE, _CNOT}
+_QUARTER = math.pi / 4.0
 
 
-class _Cnots(dict):
-    """CNOT gates by (control, target), each built on first use."""
+class _Pool(dict):
+    """Basis gates one call shares, keyed by their _gate arguments, each built on first use."""
 
-    def __missing__(self, key: tuple[int, int]) -> Gate:
-        gate = self[key] = cnot(*key)
+    def __missing__(self, key: tuple) -> Gate:
+        gate = self[key] = _gate(*key)
         return gate
 
 
-def _cphase_basis(lam: float, c: int, t: int, cx: _Cnots) -> list[Gate]:
+def _cphase_basis(lam: float, c: int, t: int, pool: _Pool) -> list[Gate]:
     half = lam / 2.0
-    a = cx[c, t]
-    return [phase(half, c), a, phase(-half, t), a, phase(half, t)]
-
-
-def _cry_basis(theta: float, c: int, t: int, cx: _Cnots) -> list[Gate]:
-    half = theta / 2.0
-    p, m, a = ry(half, t), ry(-half, t), cx[c, t]
-    return [p, a, m, a]
-
-
-def _ccry_basis(theta: float, c0: int, c1: int, t: int, cx: _Cnots) -> list[Gate]:
-    # RY multiplexed on (c0, c1) by (0, 0, 0, theta): each CNOT negates later RYs.
-    quarter = theta / 2.0 / 2.0
-    p, m, a, b = ry(quarter, t), ry(-quarter, t), cx[c0, t], cx[c1, t]
-    return [p, a, m, b, p, a, m, b]
-
-
-def _toffoli_basis(c0: int, c1: int, t: int, cx: _Cnots) -> list[Gate]:
-    quarter = math.pi / 4.0
-    ht, plus, minus = h(t), phase(quarter, t), phase(-quarter, t)
-    a, b, c = cx[c1, t], cx[c0, t], cx[c0, c1]
+    a = pool[_CNOT, t, (c,)]
     return [
-        ht, a, minus, b, plus, a, minus, b, phase(quarter, c1), plus, ht,
-        c, phase(quarter, c0), phase(-quarter, c1), c,
+        _gate(_PHASE, c, (), half), a, _gate(_PHASE, t, (), -half), a, _gate(_PHASE, t, (), half),
     ]
 
 
-def _cxpow_basis(s: float, c: int, t: int, cx: _Cnots) -> list[Gate]:
+def _cry_basis(theta: float, c: int, t: int, pool: _Pool) -> list[Gate]:
+    half = theta / 2.0
+    p, m, a = _gate(_RY, t, (), half), _gate(_RY, t, (), -half), pool[_CNOT, t, (c,)]
+    return [p, a, m, a]
+
+
+def _ccry_basis(theta: float, c0: int, c1: int, t: int, pool: _Pool) -> list[Gate]:
+    # RY multiplexed on (c0, c1) by (0, 0, 0, theta): each CNOT negates later RYs.
+    quarter = theta / 2.0 / 2.0
+    p, m = _gate(_RY, t, (), quarter), _gate(_RY, t, (), -quarter)
+    a, b = pool[_CNOT, t, (c0,)], pool[_CNOT, t, (c1,)]
+    return [p, a, m, b, p, a, m, b]
+
+
+def _toffoli_basis(c0: int, c1: int, t: int, pool: _Pool) -> list[Gate]:
+    ht, plus, minus = pool[_H, t], pool[_PHASE, t, (), _QUARTER], pool[_PHASE, t, (), -_QUARTER]
+    a, b, c = pool[_CNOT, t, (c1,)], pool[_CNOT, t, (c0,)], pool[_CNOT, c1, (c0,)]
+    return [
+        ht, a, minus, b, plus, a, minus, b, pool[_PHASE, c1, (), _QUARTER], plus, ht,
+        c, pool[_PHASE, c0, (), _QUARTER], pool[_PHASE, c1, (), -_QUARTER], c,
+    ]
+
+
+def _cxpow_basis(s: float, c: int, t: int, pool: _Pool) -> list[Gate]:
     # Controlled X**s; the H pair is harmless when the control is 0.
-    ht = h(t)
-    return [ht] + _cphase_basis(math.pi * s, c, t, cx) + [ht]
+    ht = pool[_H, t]
+    return [ht] + _cphase_basis(math.pi * s, c, t, pool) + [ht]
 
 
 def _borrowed(controls: tuple[int, ...], t: int, width: int) -> list[int]:
@@ -103,34 +100,34 @@ def _borrowed(controls: tuple[int, ...], t: int, width: int) -> list[int]:
     return sorted(idle, key=lambda q: (not lo < q < hi, abs(q - t), q))[:need]
 
 
-def _mcx_basis(controls: tuple[int, ...], t: int, cx: _Cnots, width: int) -> list[Gate]:
+def _mcx_basis(controls: tuple[int, ...], t: int, pool: _Pool, width: int) -> list[Gate]:
     k = len(controls)
     if k == 1:
-        return [cx[controls[0], t]]
+        return [pool[_CNOT, t, controls]]
     if k == 2:
-        return _toffoli_basis(controls[0], controls[1], t, cx)
+        return _toffoli_basis(controls[0], controls[1], t, pool)
     b = _borrowed(controls, t, width)
     if len(b) < k - 2:
-        return _mcxpow_basis(1.0, controls, t, cx)
+        return _mcxpow_basis(1.0, controls, t, pool)
     # Barenco et al. 1995, Lemma 7.2: 4(k-2) Toffolis that restore b exactly.
     c = controls
     down = [(c[k - 1], b[k - 3], t)] + [(c[j], b[j - 2], b[j - 1]) for j in range(k - 2, 1, -1)]
     core = [(c[0], c[1], b[0])]
     chain = down + core + down[::-1] + down[1:] + core + down[:0:-1]
-    return [g for c0, c1, tt in chain for g in _toffoli_basis(c0, c1, tt, cx)]
+    return [g for c0, c1, tt in chain for g in _toffoli_basis(c0, c1, tt, pool)]
 
 
-def _mcxpow_basis(s: float, controls: tuple[int, ...], t: int, cx: _Cnots) -> list[Gate]:
+def _mcxpow_basis(s: float, controls: tuple[int, ...], t: int, pool: _Pool) -> list[Gate]:
     if len(controls) == 1:
-        return _cxpow_basis(s, controls[0], t, cx)
+        return _cxpow_basis(s, controls[0], t, pool)
     body, last = controls[:-1], controls[-1]
-    inner = _mcx_basis(body, last, cx, 0)
+    inner = _mcx_basis(body, last, pool, 0)
     return (
-        _cxpow_basis(s / 2.0, last, t, cx)
+        _cxpow_basis(s / 2.0, last, t, pool)
         + inner
-        + _cxpow_basis(-s / 2.0, last, t, cx)
+        + _cxpow_basis(-s / 2.0, last, t, pool)
         + inner
-        + _mcxpow_basis(s / 2.0, body, t, cx)
+        + _mcxpow_basis(s / 2.0, body, t, pool)
     )
 
 
@@ -138,21 +135,21 @@ def decompose_gate(gate: Gate) -> list[Gate]:
     """Exact expansion of one gate into {X, H, RY, Phase, CNOT}."""
     if gate.kind in _PRIMITIVE:
         return [gate]
-    return _expand(gate, _Cnots(), 0)
+    return _expand(gate, _Pool(), 0)
 
 
-def _expand(gate: Gate, cx: _Cnots, width: int) -> list[Gate]:
+def _expand(gate: Gate, pool: _Pool, width: int) -> list[Gate]:
     kind = gate.kind
-    if kind is GateKind.CPHASE:
-        return _cphase_basis(gate.angle, gate.controls[0], gate.target, cx)
-    if kind is GateKind.CRY:
-        return _cry_basis(gate.angle, gate.controls[0], gate.target, cx)
-    if kind is GateKind.CCRY:
-        return _ccry_basis(gate.angle, gate.controls[0], gate.controls[1], gate.target, cx)
-    if kind is GateKind.TOFFOLI:
-        return _toffoli_basis(gate.controls[0], gate.controls[1], gate.target, cx)
-    if kind is GateKind.MCX:
-        return _mcx_basis(gate.controls, gate.target, cx, width)
+    if kind is _CPHASE:
+        return _cphase_basis(gate.angle, gate.controls[0], gate.target, pool)
+    if kind is _CRY:
+        return _cry_basis(gate.angle, gate.controls[0], gate.target, pool)
+    if kind is _CCRY:
+        return _ccry_basis(gate.angle, gate.controls[0], gate.controls[1], gate.target, pool)
+    if kind is _TOFFOLI:
+        return _toffoli_basis(gate.controls[0], gate.controls[1], gate.target, pool)
+    if kind is _MCX:
+        return _mcx_basis(gate.controls, gate.target, pool, width)
     raise ValueError(f"unsupported gate kind {kind}")  # pragma: no cover
 
 
@@ -160,7 +157,7 @@ def decompose_to_basis(circuit: Circuit) -> Circuit:
     """Rewrite a circuit into single-qubit gates and CNOTs, exactly."""
     gates: list[Gate] = []
     expansions: dict[tuple, list[Gate]] = {}
-    cx = _Cnots()
+    pool = _Pool()
     for gate in circuit.gates:
         if gate.kind in _PRIMITIVE:
             gates.append(gate)
@@ -170,7 +167,7 @@ def decompose_to_basis(circuit: Circuit) -> Circuit:
         key = (gate.kind, gate.target, gate.controls, angle, sign)
         expansion = expansions.get(key)
         if expansion is None:
-            expansion = expansions[key] = _expand(gate, cx, circuit.num_qubits)
+            expansion = expansions[key] = _expand(gate, pool, circuit.num_qubits)
         gates.extend(expansion)
     if not expansions:
         return circuit

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, Gate, _integer, _real, ccry, cnot, cry, ry, x
+from .circuit import _CCRY, _CNOT, _CRY, _RY, _X, Circuit, Gate, _gate, _integer, _real
 from .converters import ConverterPlan, Direction, EvenMethod, _converter
 from .encodings import EncodingKind
 
@@ -36,18 +36,18 @@ def _scs_gates(n: int, k: int, off: int, invert: bool) -> list[Gate]:
         if invert:
             angle = -angle
         target = top - level
-        pair = cnot(target, top)
+        pair = _gate(_CNOT, top, (target,))
         if level == 1:
-            rotation = cry(angle, top, target)
+            rotation = _gate(_CRY, target, (top,), angle)
         else:
-            rotation = ccry(angle, top, target + 1, target)
+            rotation = _gate(_CCRY, target, (top, target + 1), angle)
         gates += (pair, rotation, pair)
     return gates
 
 
 def _staircase_gates(n: int, theta: float, off: int) -> list[Gate]:
     """Y rotations by theta, then the inverse Dicke unitary, on qubits off..off+n-1."""
-    gates = [ry(theta, off + q) for q in range(n)]
+    gates = [_gate(_RY, off + q, (), theta) for q in range(n)]
     for width in range(2, n + 1):
         gates += _scs_gates(width, width - 1, off, invert=True)
     return gates
@@ -118,6 +118,16 @@ class BinomialSpec:
         return BinomialSpec(trials, p, target, method)
 
 
+# The conversion stage of each target; the staircase target has none.
+_STAGES = {EncodingKind.EDICK: None, EncodingKind.ONE_HOT: Direction.EDICK_TO_ONEHOT,
+           EncodingKind.BINARY: Direction.EDICK_TO_BINARY}
+
+
+def _pipeline_plan(spec: BinomialSpec) -> ConverterPlan:
+    """The register of `spec`'s pipeline, known before any gate is built."""
+    return ConverterPlan(spec.trials + 1, spec.method, _STAGES[spec.target])
+
+
 def build_binomial_pipeline(spec: BinomialSpec) -> tuple[Circuit, ConverterPlan]:
     """Full preparation circuit from |0...0> to the encoded distribution.
 
@@ -126,15 +136,11 @@ def build_binomial_pipeline(spec: BinomialSpec) -> tuple[Circuit, ConverterPlan]
     the conversion stage; with the EDICK target there is no conversion and
     the plan's direction is None.
     """
-    n = spec.trials
-    if spec.target is EncodingKind.EDICK:
-        converter, plan = [], ConverterPlan(n + 1, None, None)
-    elif spec.target is EncodingKind.ONE_HOT:
-        unfold, plan = _converter(Direction.EDICK_TO_ONEHOT, n + 1, spec.method)
-        converter = [x(n)] + unfold
-    else:
-        converter, plan = _converter(Direction.EDICK_TO_BINARY, n + 1, spec.method)
+    n, plan = spec.trials, _pipeline_plan(spec)
     gates = _staircase_gates(n, spec.theta, plan.ancilla)
-    gates += converter
+    if plan.direction is Direction.EDICK_TO_ONEHOT:
+        gates.append(_gate(_X, n))  # the |1> flag right of the staircase
+    if plan.direction is not None:
+        gates += _converter(plan.direction, n + 1, spec.method)[0]
     label = f"binomial_pipeline_{n}_{spec.target.value}"
     return Circuit(plan.total_qubits, tuple(gates), label=label), plan

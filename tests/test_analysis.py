@@ -194,6 +194,12 @@ def test_sweep_row_validation() -> None:
             SweepRow(4, "recursion", 3, 0, 3, 0, 0, bad)
 
 
+@pytest.mark.parametrize("num_levels", [0, 1, -3])
+def test_sweep_row_needs_two_levels(num_levels: int) -> None:
+    with pytest.raises(ValueError, match="at least two levels"):
+        SweepRow(num_levels, "recursion", 0, 0, 0, 0, 0, 0.0)
+
+
 # -- frozen cost curves at the self-similar sizes -------------------------------
 
 

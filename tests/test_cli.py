@@ -277,6 +277,9 @@ def test_verify_rejects_registers_above_the_simulation_cap(capsys) -> None:
         # 24 expand-pow2 levels need 9 ancillas: 32 qubits, or 33 with the flag.
         ["verify", "--direction", "edick-to-binary", "--n", "24", "--method", "expand-pow2"],
         ["verify", "--direction", "binary-to-onehot", "--n", "24", "--method", "expand-pow2"],
+        # 24 trials fit the staircase, but the flag or the binary stage's ancilla make 25 qubits.
+        ["prepare-binomial", "--n", "24", "--p", "0.3", "--target", "binary"],
+        ["prepare-binomial", "--n", "24", "--p", "0.3", "--target", "onehot"],
     ],
 )
 def test_too_wide_registers_are_refused_before_anything_is_built(

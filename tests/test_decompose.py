@@ -190,6 +190,29 @@ def test_a_lowered_ccry_is_eight_gates_over_two_ry_and_two_cnot_objects() -> Non
         assert signs == {1.0, -1.0}
 
 
+def test_lowered_toffolis_share_one_h_and_one_phase_object_per_qubit_and_sign() -> None:
+    # The MCX lowers to a chain of Toffolis over the idle qubits 5 and 6.
+    circuit = Circuit(7, (toffoli(0, 1, 2), toffoli(2, 1, 0), toffoli(3, 4, 2),
+                          mcx((0, 1, 2, 3), 4), toffoli(0, 1, 2)))
+    calls = []
+    for _ in range(2):
+        gates = decompose_to_basis(circuit).gates
+        assert len(gates) == 15 * (4 + 8)
+        objects: dict[tuple, set[int]] = {}
+        for g in gates:
+            if g.kind is not GateKind.CNOT:
+                objects.setdefault((g.kind, g.target, g.angle), set()).add(id(g))
+        assert {(kind, angle) for kind, _, angle in objects} == {
+            (GateKind.H, None), (GateKind.PHASE, math.pi / 4), (GateKind.PHASE, -math.pi / 4)
+        }
+        assert all(len(ids) == 1 for ids in objects.values())  # one per qubit, kind and sign
+        calls.append((gates, set().union(*objects.values())))  # the gates keep their ids apart
+    assert not calls[0][1] & calls[1][1]  # no table outlives its call
+    lone = [g for g in decompose_gate(toffoli(0, 1, 2)) if g.kind is not GateKind.CNOT]
+    assert len(lone) == 9
+    assert len({id(g) for g in lone}) == len(set(lone)) == 6
+
+
 @pytest.mark.parametrize("method", list(EvenMethod))
 @pytest.mark.parametrize("target", list(EncodingKind))
 def test_lowered_binomial_pipelines_prepare_the_logical_state(

@@ -5,10 +5,16 @@ rescanning their gates, so this test scans them: each gate's qubits lie in
 [0, num_qubits), and its controls are distinct and differ from its target.
 The converters of every direction, binary-to-onehot included, and the
 binomial pipeline, which Circuit checks once, are scanned too.
+
+Builders, Gate.inverse and lowering make their gates without Gate's checks,
+so each scanned gate is also rebuilt through Gate(): the checked constructor
+must accept its fields and give back an equal gate, with int qubits and a
+finite float angle or none.
 """
 
 from __future__ import annotations
 
+import math
 from operator import attrgetter
 
 import pytest
@@ -19,6 +25,7 @@ from edick import (
     Direction,
     EncodingKind,
     EvenMethod,
+    Gate,
     build_adder,
     build_binomial_pipeline,
     build_cnot_stair,
@@ -46,6 +53,11 @@ def assert_fits(circuit: Circuit) -> None:
     assert not qubits or (min(qubits) >= 0 and max(qubits) < n), circuit.label
     for t, cs in zip(targets, controls):
         assert not cs or (t not in cs and len(set(cs)) == len(cs)), (circuit.label, t, cs)
+    for g in {id(g): g for g in circuit.gates}.values():  # by object: 1.0 == 1 and -0.0 == 0.0
+        assert Gate(g.kind, g.target, g.controls, g.angle) == g, (circuit.label, g)
+        assert type(g.target) is int and all(type(q) is int for q in g.controls), (circuit.label, g)
+        angle = g.angle
+        assert angle is None or (type(angle) is float and math.isfinite(angle)), (circuit.label, g)
 
 
 def assert_derived_fit(circuit: Circuit) -> None:
@@ -103,3 +115,12 @@ def test_remap_refuses_images_outside_the_register() -> None:
         remap(Circuit(1, (x(0),)), [0], 0)
     with pytest.raises(ValueError):
         remap(c, [0, 1, 2], -2)
+
+
+@pytest.mark.parametrize("image", [1.0, True, "1"], ids=repr)
+def test_remap_refuses_images_that_are_not_integers(image: object) -> None:
+    c = Circuit(3, (cnot(0, 1),))
+    with pytest.raises(ValueError, match="integers"):
+        remap(c, [0, image, 2], 3)  # qubit 1 carries the gate's target
+    with pytest.raises(ValueError, match="integers"):
+        remap(c, {0: 0, 1: 2, 2: image}, 3)  # qubit 2 has no gate
