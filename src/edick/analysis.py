@@ -130,6 +130,8 @@ def run_sweep(
     """
     if type(granularity) is not Granularity:
         raise ValueError(f"granularity must be a Granularity, got {granularity!r}")
+    if isinstance(subjects, str):
+        raise ValueError(f"subjects must be a sequence of subject names, got the string {subjects!r}")
     subjects = tuple(subjects)  # read twice below, so an iterator must not run dry
     if not subjects:
         raise ValueError("the subject list names no sweep subject")

@@ -4,18 +4,16 @@ Qubits are indexed 0..n-1 left to right in ket notation, so qubit 0 is the
 most significant bit of a basis index: |b_0 b_1 ... b_{n-1}> has index
 sum(b_q * 2**(n-1-q)).  Gates and circuits are immutable after construction.
 
-Gates are checked where their fields enter from outside: `Gate(...)`, the
-helpers `x` ... `mcx`, `Gate.remapped` and the QASM line path check every
-field. They store other integral qubit indices as int and real angles as
-float, and refuse bools, so every gate prints as QASM that parses back to it.
-Builders, `Gate.inverse` and lowering make gates from fields already checked,
-through `_gate`, which sets the four slots unchecked, as the QASM bulk parse does.
-Widths are checked where gates enter a circuit: the Circuit constructor
-checks that every gate is a Gate that fits the register, once per build. A
-circuit derived from checked ones does not rescan its gates: `compose` needs
-equal widths, `inverse` keeps the width, `remap` checks that its mapping's
-image lies in the new register, and lowering expands each gate on that gate's
-own qubits.
+`Gate(...)`, the helpers `x` ... `mcx`, `Circuit(...)`, `remap`'s mapping and
+`parse_text` check what comes from outside; whatever the library builds or
+derives from checked values is made through `_gate`/`_derived`, which set
+the slots unchecked. A gate stores integral qubit indices as int and real
+angles as float, and refuses bools, so every gate prints as QASM that parses
+back to it. `Circuit(...)` checks that every gate is a Gate that fits the
+register. The builders size their registers from checked arguments,
+`compose` needs equal widths, `inverse` keeps the width, `remap` sends every
+qubit injectively into the new register, and lowering expands each gate on
+that gate's own qubits.
 """
 
 from __future__ import annotations
@@ -124,10 +122,6 @@ class Gate:
         if self.angle is None:
             return self
         return _gate(self.kind, self.target, self.controls, -self.angle)
-
-    def remapped(self, mapping: dict[int, int]) -> Gate:
-        controls = tuple([mapping[c] for c in self.controls])
-        return Gate(self.kind, mapping[self.target], controls, self.angle)
 
 
 # The generated frozen __init__ would write each slot through object.__setattr__.
@@ -293,8 +287,9 @@ def remap(
         raise ValueError("mapping must be injective")
     if not all(0 <= new < num_qubits for new in table.values()):
         raise ValueError(f"mapping sends a qubit outside register width {num_qubits}")
-    gates = tuple([g.remapped(table) for g in circuit.gates])
-    return _derived(num_qubits, gates, circuit.label)
+    gates = [_gate(g.kind, table[g.target], tuple([table[c] for c in g.controls]), g.angle)
+             for g in circuit.gates]
+    return _derived(num_qubits, tuple(gates), circuit.label)
 
 
 class Granularity(enum.Enum):

@@ -1,8 +1,9 @@
 """Command line front end: build, verify, sweep, prepare-binomial.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or
-parameter error. All randomness flows through --seed, and emitted text
-uses repr floats, so identical invocations produce byte-identical output.
+parameter error, or an --out path that cannot be written. All randomness
+flows through --seed, and emitted text uses repr floats, so identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -190,10 +191,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "n", 2) < 2:
-            raise ValueError("need at least two levels")
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,10 +4,10 @@ The staircase (edick) form is the hub: the unfolding turns it into one-hot
 and the compression turns it into binary. One-hot -> binary runs the
 unfolding backwards, then the compression; binary -> one-hot is its inverse.
 `_converter` builds the gates and plan of every direction from those two,
-and `build_converter` checks them as one Circuit; its docstring holds each
-direction's contract. The named builders are `build_converter` with a fixed
-direction. Qubit 0 is the leftmost ket position and carries the most
-significant bit of any binary register.
+and `build_converter` returns them as one Circuit, not scanned again; its
+docstring holds each direction's contract. The named builders are
+`build_converter` with a fixed direction. Qubit 0 is the leftmost ket
+position and carries the most significant bit of any binary register.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .circuit import _CNOT, _CPHASE, _H, _MCX, _PHASE, _TOFFOLI, _X, Circuit, Gate, _gate
-from .circuit import _integer, _width
+from .circuit import _derived, _integer, _width
 from .encodings import EncodingKind, _levels, level_to_basis
 
 
@@ -194,7 +194,7 @@ def build_adder(num_qubits: int, shift: int) -> Circuit:
     num_qubits = _width(num_qubits)
     shift = _integer(shift, "shift must be an integer")
     gates = _adder_gates(tuple(range(num_qubits)), shift)
-    return Circuit(num_qubits, tuple(gates), label=f"adder_{num_qubits}_plus_{shift}")
+    return _derived(num_qubits, tuple(gates), f"adder_{num_qubits}_plus_{shift}")
 
 
 def _binary_gates(view: tuple[int, ...], method: EvenMethod, free: list[int]) -> list[Gate]:
@@ -345,7 +345,7 @@ def _converter(
 def build_converter(
     direction: Direction, num_levels: int, method: EvenMethod = EvenMethod.EXPAND_TO_POW2
 ) -> tuple[Circuit, ConverterPlan]:
-    """One checked circuit for any direction, the cnot-stair baseline included.
+    """The circuit and plan of any direction, the cnot-stair baseline included.
 
     Level i of N (b = binary_width(N)) goes from input to output as:
 
@@ -361,4 +361,4 @@ def build_converter(
     """
     gates, plan = _converter(direction, num_levels, method)
     label = f"{direction.value.replace('-', '_')}_{plan.num_levels}"
-    return Circuit(plan.total_qubits, tuple(gates), label=label), plan
+    return _derived(plan.total_qubits, tuple(gates), label), plan

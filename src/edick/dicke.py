@@ -8,8 +8,8 @@ one-hot or binary. The amplitudes are exact at every stage.
 
 The pipeline is emitted in place: the Y rotations and the inverse Dicke
 unitary are built on the physical qubits of the final register, followed
-by the conversion stage's gates, which come unchecked from the converters'
-own routine. The whole pipeline is checked once, as one circuit.
+by the conversion stage's gates from the converters' own routine. The
+builders here return their circuits without a second width scan.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .circuit import _CCRY, _CNOT, _CRY, _RY, _X, Circuit, Gate, _gate, _integer, _real
+from .circuit import _CCRY, _CNOT, _CRY, _RY, _X, Circuit, Gate, _derived, _gate, _integer, _real
 from .converters import ConverterPlan, Direction, EvenMethod, _converter
 from .encodings import EncodingKind
 
@@ -67,7 +67,7 @@ def build_scs(n: int, k: int) -> Circuit:
     n, k = _integer(n, "n must be an integer"), _integer(k, "k must be an integer")
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    return Circuit(k + 1, tuple(_scs_gates(n, k, 0, invert=False)), label=f"scs_{n}_{k}")
+    return _derived(k + 1, tuple(_scs_gates(n, k, 0, invert=False)), f"scs_{n}_{k}")
 
 
 def build_dicke_unitary(num_qubits: int) -> Circuit:
@@ -82,7 +82,7 @@ def build_dicke_unitary(num_qubits: int) -> Circuit:
     gates: list[Gate] = []
     for width in range(num_qubits, 1, -1):
         gates += _scs_gates(width, width - 1, 0, invert=False)
-    return Circuit(num_qubits, tuple(gates), label=f"dicke_unitary_{num_qubits}")
+    return _derived(num_qubits, tuple(gates), f"dicke_unitary_{num_qubits}")
 
 
 @dataclass(frozen=True)
@@ -143,4 +143,4 @@ def build_binomial_pipeline(spec: BinomialSpec) -> tuple[Circuit, ConverterPlan]
     if plan.direction is not None:
         gates += _converter(plan.direction, n + 1, spec.method)[0]
     label = f"binomial_pipeline_{n}_{spec.target.value}"
-    return Circuit(plan.total_qubits, tuple(gates), label=label), plan
+    return _derived(plan.total_qubits, tuple(gates), label), plan

@@ -155,6 +155,9 @@ def test_sweep_csv_matches_its_recorded_digest(granularity: Granularity) -> None
 def test_sweep_rejects_unknown_subjects() -> None:
     with pytest.raises(ValueError):
         run_sweep([4], subjects=("qft",))
+    # A plain string is one subject name, not a sequence of one-letter names.
+    with pytest.raises(ValueError, match="sequence of subject names"):
+        run_sweep([4], "expand-pow2")
 
 
 @pytest.mark.parametrize("granularity", ["two-qubit-basis", "logical", None])

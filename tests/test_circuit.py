@@ -157,11 +157,27 @@ def test_gate_inverse_negates_angles_only() -> None:
     assert toffoli(0, 1, 2).inverse() == toffoli(0, 1, 2)
 
 
-def test_gate_remapped_moves_every_operand() -> None:
-    g = ccry(0.2, 0, 1, 2).remapped({0: 5, 1: 3, 2: 0})
+def test_remap_moves_every_operand_of_a_ccry() -> None:
+    (g,) = remap(Circuit(3, (ccry(0.2, 0, 1, 2),)), {0: 5, 1: 3, 2: 0}, 6).gates
     assert g.controls == (5, 3)
     assert g.target == 0
     assert g.angle == 0.2
+
+
+def test_remap_relabels_gates_without_the_checked_constructor(monkeypatch) -> None:
+    circuit = Circuit(4, (h(0), cnot(0, 1), ccry(0.3, 1, 2, 3), mcx((0, 1, 2), 3)))
+    expected = (h(4), cnot(4, 2), ccry(0.3, 2, 0, 1), mcx((4, 2, 0), 1))
+    checked = []
+    init = Gate.__init__
+
+    def counting(self, *args, **kwargs) -> None:
+        checked.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Gate, "__init__", counting)
+    moved = remap(circuit, [4, 2, 0, 1], 5)
+    assert checked == []
+    assert moved.gates == expected
 
 
 def test_qubits_property_lists_controls_then_target() -> None:

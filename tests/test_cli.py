@@ -225,6 +225,30 @@ def test_usage_errors_exit_two(capsys, tmp_path) -> None:
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--direction", "edick-to-onehot", "--n", "4"],
+        ["sweep", "--n-min", "3", "--n-max", "4", "--methods", "recursion"],
+        ["prepare-binomial", "--n", "3", "--p", "0.5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_out_path_that_cannot_be_written_exits_two(argv: list[str], capsys, tmp_path) -> None:
+    out = tmp_path / "missing" / "out.txt"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert not out.parent.exists()
+
+
+def test_prepare_binomial_refuses_one_trial(capsys) -> None:
+    assert main(["prepare-binomial", "--n", "1", "--p", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "need at least two trials" in captured.err
+
+
 def test_calls_share_the_parser_but_no_parsed_state(capsys, tmp_path) -> None:
     verify = ["verify", "--direction", "edick-to-binary", "--n", "5"]
     assert main([*verify, "--method", "recursion", "--trials", "1", "--seed", "9"]) == 0

@@ -261,21 +261,21 @@ def test_build_converter_dispatch() -> None:
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("direction", list(Direction))
-def test_each_converter_checks_one_circuit(
+def test_each_converter_scans_no_circuit(
     direction: Direction, method: EvenMethod, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    checked = []
+    # The gates come from checked arguments, so Circuit's width scan never runs.
+    scanned = []
     post_init = Circuit.__post_init__
 
     def counting(self: Circuit) -> None:
-        checked.append(self.label)
+        scanned.append(self.label)
         post_init(self)
 
     monkeypatch.setattr(Circuit, "__post_init__", counting)
     for num_levels in (2, 5, 8, 11, 20):
-        checked.clear()
         build_converter(direction, num_levels, method)
-        assert len(checked) == 1, checked
+    assert scanned == []
 
 
 NAMED_BUILDERS = {

@@ -15,6 +15,7 @@ from edick import (
     EvenMethod,
     Statevector,
     basis_state,
+    build_adder,
     build_binomial_pipeline,
     build_dicke_unitary,
     build_scs,
@@ -194,18 +195,33 @@ def test_onehot_target_widens_by_one_qubit() -> None:
 
 @pytest.mark.parametrize("method", list(EvenMethod))
 @pytest.mark.parametrize("target", list(EncodingKind))
-def test_pipeline_checks_one_circuit(
+def test_pipeline_scans_no_circuit(
     target: EncodingKind, method: EvenMethod, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    checked = []
+    scanned = _spy_on_width_scans(monkeypatch)
+    for trials in (2, 4, 7, 10, 19):
+        build_binomial_pipeline(BinomialSpec.from_probability(trials, 0.3, target, method))
+    assert scanned == []
+
+
+def test_block_builders_scan_no_circuit(monkeypatch: pytest.MonkeyPatch) -> None:
+    scanned = _spy_on_width_scans(monkeypatch)
+    for n in range(2, 9):
+        build_adder(n, 3)
+        build_dicke_unitary(n)
+        for k in range(1, n):
+            build_scs(n, k)
+    assert scanned == []
+
+
+def _spy_on_width_scans(monkeypatch: pytest.MonkeyPatch) -> list[str]:
+    """The labels of the circuits that go through Circuit's width scan from now on."""
+    scanned = []
     post_init = Circuit.__post_init__
 
     def counting(self: Circuit) -> None:
-        checked.append(self.label)
+        scanned.append(self.label)
         post_init(self)
 
     monkeypatch.setattr(Circuit, "__post_init__", counting)
-    for trials in (2, 4, 7, 10, 19):
-        checked.clear()
-        build_binomial_pipeline(BinomialSpec.from_probability(trials, 0.3, target, method))
-        assert checked == [f"binomial_pipeline_{trials}_{target.value}"]
+    return scanned

@@ -1,10 +1,10 @@
 """Every circuit's gates fit its register, checked here rather than by Circuit.
 
-Derived circuits (compose, inverse, remap and lowering) are built without
-rescanning their gates, so this test scans them: each gate's qubits lie in
-[0, num_qubits), and its controls are distinct and differ from its target.
-The converters of every direction, binary-to-onehot included, and the
-binomial pipeline, which Circuit checks once, are scanned too.
+Built and derived circuits (the builders, compose, inverse, remap and
+lowering) skip Circuit's width scan, so this test scans them: each gate's
+qubits lie in [0, num_qubits), and its controls are distinct and differ
+from its target. The converters of every direction, binary-to-onehot
+included, and the binomial pipeline are scanned too.
 
 Builders, Gate.inverse and lowering make their gates without Gate's checks,
 so each scanned gate is also rebuilt through Gate(): the checked constructor
