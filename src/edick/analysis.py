@@ -5,9 +5,9 @@ gate count. Both are reported at two granularities: the logical gate set
 as built, and the {single-qubit, CNOT} basis after exact lowering.
 
 Sweeps need no simulation, so level counts in the hundreds are cheap at
-either granularity. Lowering borrows idle register qubits for the recursion
-method's multi-controlled X and restores them exactly, so its basis cost
-no longer grows exponentially in log2(N): at N=1024, edick-to-binary by
+either granularity. Lowering turns the recursion method's k-control X into
+4(k-2) Toffolis on idle register qubits that it borrows and restores, so its
+basis cost is linear in k = O(log2 N): at N=1024, edick-to-binary by
 recursion has basis depth 2,921 and size 87,411.
 """
 
@@ -34,6 +34,11 @@ _SUBJECT_DIRECTIONS = {"onehot": Direction.EDICK_TO_ONEHOT, "cnot-stair": Direct
 SWEEP_SUBJECTS = tuple(m.value for m in EvenMethod) + tuple(_SUBJECT_DIRECTIONS)
 
 
+def _check_subject(subject: object) -> None:
+    if subject not in SWEEP_SUBJECTS:
+        raise ValueError(f"unknown sweep subject {subject!r}; choose from {SWEEP_SUBJECTS}")
+
+
 @dataclass(frozen=True)
 class SweepRow:
     num_levels: int
@@ -46,8 +51,7 @@ class SweepRow:
     build_time_ms: float
 
     def __post_init__(self) -> None:
-        if self.method not in SWEEP_SUBJECTS:
-            raise ValueError(f"unknown sweep subject {self.method!r}; choose from {SWEEP_SUBJECTS}")
+        _check_subject(self.method)
         object.__setattr__(self, "num_levels", _levels(self.num_levels))
         for key in ("num_levels", "depth_logical", "depth_basis", "size_logical",
                     "size_basis", "ancilla"):
@@ -136,8 +140,13 @@ def run_sweep(
     if not subjects:
         raise ValueError("the subject list names no sweep subject")
     for subject in subjects:
-        if subject not in SWEEP_SUBJECTS:
-            raise ValueError(f"unknown sweep subject {subject!r}; choose from {SWEEP_SUBJECTS}")
+        _check_subject(subject)
+    try:
+        level_counts = iter(level_counts)
+    except TypeError:
+        raise ValueError(
+            f"level_counts must be an iterable of level counts, got {level_counts!r}"
+        ) from None
     rows = []
     for num_levels in level_counts:
         for subject in subjects:

@@ -4,16 +4,16 @@ Qubits are indexed 0..n-1 left to right in ket notation, so qubit 0 is the
 most significant bit of a basis index: |b_0 b_1 ... b_{n-1}> has index
 sum(b_q * 2**(n-1-q)).  Gates and circuits are immutable after construction.
 
-`Gate(...)`, the helpers `x` ... `mcx`, `Circuit(...)`, `remap`'s mapping and
-`parse_text` check what comes from outside; whatever the library builds or
-derives from checked values is made through `_gate`/`_derived`, which set
-the slots unchecked. A gate stores integral qubit indices as int and real
-angles as float, and refuses bools, so every gate prints as QASM that parses
-back to it. `Circuit(...)` checks that every gate is a Gate that fits the
-register. The builders size their registers from checked arguments,
-`compose` needs equal widths, `inverse` keeps the width, `remap` sends every
-qubit injectively into the new register, and lowering expands each gate on
-that gate's own qubits.
+`Gate(...)` (whose `__post_init__` runs each check once), the helpers `x` ...
+`mcx`, `Circuit(...)`, `remap`'s mapping and `parse_text` check what comes
+from outside; whatever the library builds or derives from checked values is
+made through `_gate`/`_derived`, which set the slots unchecked. A gate stores
+integral qubit indices as int and real angles as float, and refuses bools,
+so every gate prints as QASM that parses back to it. `Circuit(...)` checks
+that every gate is a Gate that fits the register. The builders size their
+registers from checked arguments, `compose` needs equal widths, `inverse`
+keeps the width, `remap` sends every qubit injectively into the new
+register, and lowering expands each gate on that gate's own qubits.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ _RULES = {
 }
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One gate application: a kind, optional controls, one target, optional angle."""
 
@@ -72,44 +72,32 @@ class Gate:
     controls: tuple[int, ...] = ()
     angle: float | None = None
 
-    def __init__(self, kind, target, controls=(), angle=None) -> None:
+    def __post_init__(self) -> None:
+        kind, controls, angle = self.kind, self.controls, self.angle
         try:
             arity, angled = _RULES[kind]
         except (KeyError, TypeError):  # not a member, or unhashable
             raise ValueError(f"gate kind must be a GateKind, got {kind!r}") from None
         if type(controls) is not tuple:
             raise ValueError(f"controls must be a tuple of qubit indices, got {controls!r}")
-        count = len(controls)
         if arity is None:
-            if count < 3:
+            if len(controls) < 3:
                 raise ValueError("MCX needs at least 3 controls; use CNOT or TOFFOLI below that")
-        elif count != arity:
-            raise ValueError(f"{kind.value} takes {arity} control(s), got {count}")
+        elif len(controls) != arity:
+            raise ValueError(f"{kind.value} takes {arity} control(s), got {len(controls)}")
         if angled:
-            if type(angle) is not float and angle is not None:
+            if angle is not None:
                 angle = _real(angle, f"{kind.value} takes a real angle")
             if angle is None or not math.isfinite(angle):
                 raise ValueError(f"{kind.value} needs a finite angle")
         elif angle is not None:
             raise ValueError(f"{kind.value} takes no angle")
-        if type(target) is not int:
-            target = _index(target)
-        for q in controls:
-            if type(q) is not int:
-                controls = tuple(map(_index, controls))
-                break
-        if count < 2:
-            if target < 0 or (count and controls[0] < 0):
-                raise ValueError("qubit indices must be non-negative")
-            if count and controls[0] == target:
-                raise ValueError("control and target qubits must be distinct")
-        else:
-            qubits = controls + (target,)
-            if min(qubits) < 0:
-                raise ValueError("qubit indices must be non-negative")
-            if len(set(qubits)) != len(qubits):
-                raise ValueError("control and target qubits must be distinct")
-        _set_kind(self, kind)
+        target, controls = _index(self.target), tuple(map(_index, controls))
+        qubits = controls + (target,)
+        if min(qubits) < 0:
+            raise ValueError("qubit indices must be non-negative")
+        if len(set(qubits)) != len(qubits):
+            raise ValueError("control and target qubits must be distinct")
         _set_target(self, target)
         _set_controls(self, controls)
         _set_angle(self, angle)
@@ -124,7 +112,7 @@ class Gate:
         return _gate(self.kind, self.target, self.controls, -self.angle)
 
 
-# The generated frozen __init__ would write each slot through object.__setattr__.
+# The slots' own setters: a frozen dataclass writes its fields through object.__setattr__.
 _set_kind, _set_target = Gate.kind.__set__, Gate.target.__set__
 _set_controls, _set_angle = Gate.controls.__set__, Gate.angle.__set__
 _new = object.__new__

@@ -1,7 +1,8 @@
 """Command line front end: build, verify, sweep, prepare-binomial.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or
-parameter error, or an --out path that cannot be written. All randomness
+parameter error, or an --out path that cannot be written (a missing
+directory or a directory is refused before any work). All randomness
 flows through --seed, and emitted text uses repr floats, so identical
 invocations produce byte-identical output.
 """
@@ -35,10 +36,11 @@ _NEEDS_LOWERING = {kind for kind in GateKind if kind not in _NAMES}  # no QASM l
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    out = _out_path(args.out)
     circuit, _ = build_converter(Direction(args.direction), args.n, EvenMethod(args.method))
     if any(g.kind in _NEEDS_LOWERING for g in circuit.gates):
         circuit = decompose_to_basis(circuit)
-    _write(emit_text(circuit), args.out)
+    _write(emit_text(circuit), out)
     return 0
 
 
@@ -77,6 +79,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    out = _out_path(args.out)
     subjects = [s.strip() for s in args.methods.split(",") if s.strip()]
     if not 2 <= args.n_min <= args.n_max:
         raise ValueError("need 2 <= n-min <= n-max")
@@ -89,11 +92,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         granularity,
         measure_time=args.timings,
     )
-    _write(rows_to_csv(rows), args.out)
+    _write(rows_to_csv(rows), out)
     return 0
 
 
 def _cmd_prepare_binomial(args: argparse.Namespace) -> int:
+    out = _out_path(args.out)
     target = EncodingKind(args.target)
     spec = BinomialSpec.from_probability(args.n, args.p, target, EvenMethod(args.method))
     _check_width(_pipeline_plan(spec).total_qubits)
@@ -105,15 +109,27 @@ def _cmd_prepare_binomial(args: argparse.Namespace) -> int:
         probability = float(abs(state.amplitudes[plan.output_index(k)]) ** 2)
         pmf = math.comb(args.n, k) * args.p**k * (1.0 - args.p) ** (args.n - k)
         lines.append(f"{k},{probability!r},{pmf!r},{abs(probability - pmf)!r}")
-    _write("\n".join(lines) + "\n", args.out)
+    _write("\n".join(lines) + "\n", out)
     return 0
 
 
-def _write(text: str, out: str | None) -> None:
+def _out_path(out: str | None) -> Path | None:
+    """The --out file, or None for stdout; refused before any work where no file can be."""
     if out is None or out == "-":
+        return None
+    path = Path(out)
+    if path.is_dir():
+        raise ValueError(f"--out {out} is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"--out {out}: no directory {path.parent}")
+    return path
+
+
+def _write(text: str, path: Path | None) -> None:
+    if path is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        path.write_text(text)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

@@ -3,11 +3,12 @@
 The staircase (edick) form is the hub: the unfolding turns it into one-hot
 and the compression turns it into binary. One-hot -> binary runs the
 unfolding backwards, then the compression; binary -> one-hot is its inverse.
-`_converter` builds the gates and plan of every direction from those two,
-and `build_converter` returns them as one Circuit, not scanned again; its
-docstring holds each direction's contract. The named builders are
-`build_converter` with a fixed direction. Qubit 0 is the leftmost ket
-position and carries the most significant bit of any binary register.
+`_converter` builds the gates of every direction from those two and its
+`ConverterPlan`, and `build_converter` returns them as one Circuit, not
+scanned again; its docstring holds each direction's contract. The named
+builders are `build_converter` with a fixed direction. Qubit 0 is the
+leftmost ket position and carries the most significant bit of any binary
+register.
 """
 
 from __future__ import annotations
@@ -128,23 +129,12 @@ def _onehot_gates(view: tuple[int, ...]) -> list[Gate]:
 
 
 def build_edick_to_onehot(num_levels: int) -> Circuit:
-    """Unfold a staircase state, joined with a rightmost |1>, into one-hot.
-
-    Input: level i as i+1 right-aligned ones on `num_levels` qubits.
-    Output: a single 1 at right-offset i. Depth is logarithmic in the
-    level count; sizes follow s(2N) = s(N) + 2N - 1 and s(N+1) = s(N) + 1.
-    """
+    """The edick-to-onehot unfolding; see `build_converter` for its contract."""
     return build_converter(Direction.EDICK_TO_ONEHOT, num_levels)[0]
 
 
 def build_cnot_stair(num_levels: int) -> Circuit:
-    """Baseline staircase-to-one-hot converter: a plain fan-out triangle.
-
-    Row c sends CNOTs from qubit c to every qubit to its right. On level
-    i only the row at the topmost 1 fires, clearing the ones below it.
-    Exactly N(N-1)/2 gates and greedy depth 2N-3: the quadratic baseline
-    the logarithmic converter is measured against.
-    """
+    """The cnot-stair baseline of edick-to-onehot; see `build_converter` for its contract."""
     return build_converter(Direction.CNOT_STAIR, num_levels)[0]
 
 
@@ -286,31 +276,21 @@ def _recursion_gates(view: tuple[int, ...]) -> list[Gate]:
 def build_edick_to_binary(
     num_levels: int, method: EvenMethod = EvenMethod.EXPAND_TO_POW2
 ) -> tuple[Circuit, ConverterPlan]:
-    """Compress a staircase state into its binary register.
-
-    Input: level i as i right-aligned ones on num_levels-1 qubits (plus
-    leftmost |0> ancillas when the method adds them). Output: |i> on the
-    rightmost binary_width(num_levels) qubits, |0> everywhere else.
-    """
+    """The edick-to-binary compression; see `build_converter` for its contract."""
     return build_converter(Direction.EDICK_TO_BINARY, num_levels, method)
 
 
 def build_onehot_to_binary(
     num_levels: int, method: EvenMethod = EvenMethod.EXPAND_TO_POW2
 ) -> tuple[Circuit, ConverterPlan]:
-    """One-hot in, |0...0>|binary>|1> out.
-
-    Runs the one-hot unfolding backwards (rightmost num_levels qubits),
-    which leaves a staircase next to a lone |1> flag, then compresses the
-    staircase. The flag qubit stays |1> at the far right.
-    """
+    """The onehot-to-binary converter; see `build_converter` for its contract."""
     return build_converter(Direction.ONEHOT_TO_BINARY, num_levels, method)
 
 
 def build_binary_to_onehot(
     num_levels: int, method: EvenMethod = EvenMethod.EXPAND_TO_POW2
 ) -> tuple[Circuit, ConverterPlan]:
-    """|0...0>|binary>|1> in, one-hot on the rightmost num_levels qubits out."""
+    """The binary-to-onehot converter; see `build_converter` for its contract."""
     return build_converter(Direction.BINARY_TO_ONEHOT, num_levels, method)
 
 
@@ -318,28 +298,21 @@ def build_binary_to_onehot(
 # every direction, from the unfolding and the compression
 
 
-def _converter(
-    direction: Direction, num_levels: int, method: EvenMethod
-) -> tuple[list[Gate], ConverterPlan]:
-    """Gates and plan of one converter, unchecked; see `build_converter`."""
-    if type(direction) is not Direction:
-        raise ValueError(f"unknown direction {direction!r}")
-    if type(method) is not EvenMethod:
-        raise ValueError(f"method must be an EvenMethod, got {method!r}")
-    plan = ConverterPlan(num_levels, method, direction)
-    n, anc, total = plan.num_levels, plan.ancilla, plan.total_qubits
+def _converter(plan: ConverterPlan) -> list[Gate]:
+    """Gates of the converter `plan` describes, unchecked; see `build_converter`."""
+    direction, n, anc = plan.direction, plan.num_levels, plan.ancilla
     if direction is Direction.CNOT_STAIR:
-        return [_gate(_CNOT, t, (c,)) for c in range(n - 1) for t in range(c + 1, n)], plan
+        return [_gate(_CNOT, t, (c,)) for c in range(n - 1) for t in range(c + 1, n)]
     if direction is Direction.EDICK_TO_ONEHOT:
-        return _onehot_gates(tuple(range(n))), plan
-    gates = _binary_gates(tuple(range(anc, anc + n - 1)), method, list(range(anc)))
+        return _onehot_gates(tuple(range(n)))
+    gates = _binary_gates(tuple(range(anc, anc + n - 1)), plan.method, list(range(anc)))
     if direction is not Direction.EDICK_TO_BINARY:
         # One-hot -> binary: the unfolding backwards (all CNOTs, so its
         # reversal), then the compression; binary -> one-hot inverts that.
-        gates = _onehot_gates(tuple(range(anc, total)))[::-1] + gates
+        gates = _onehot_gates(tuple(range(anc, plan.total_qubits)))[::-1] + gates
     if direction is Direction.BINARY_TO_ONEHOT:
         gates = list(map(Gate.inverse, reversed(gates)))
-    return gates, plan
+    return gates
 
 
 def build_converter(
@@ -356,9 +329,16 @@ def build_converter(
 
     The `plan.ancilla` leftmost qubits, and every qubit not named above, start
     and end in |0>; `plan.input_index(i)` and `plan.output_index(i)` are the
-    basis indices. A direction that is not a `Direction`, or a method that is
-    not an `EvenMethod` (unused by the unfoldings, but checked), raises ValueError.
+    basis indices. The unfolding has logarithmic depth and sizes
+    s(2N) = s(N) + 2N - 1, s(N+1) = s(N) + 1; the cnot-stair, its quadratic
+    baseline, is N(N-1)/2 CNOTs of depth 2N-3. A direction that is not a
+    `Direction`, or a method that is not an `EvenMethod` (unused by the
+    unfoldings, but checked), raises ValueError.
     """
-    gates, plan = _converter(direction, num_levels, method)
+    if type(direction) is not Direction:
+        raise ValueError(f"unknown direction {direction!r}")
+    if type(method) is not EvenMethod:
+        raise ValueError(f"method must be an EvenMethod, got {method!r}")
+    plan = ConverterPlan(num_levels, method, direction)
     label = f"{direction.value.replace('-', '_')}_{plan.num_levels}"
-    return _derived(plan.total_qubits, tuple(gates), label), plan
+    return _derived(plan.total_qubits, tuple(_converter(plan)), label), plan

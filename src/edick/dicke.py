@@ -141,6 +141,6 @@ def build_binomial_pipeline(spec: BinomialSpec) -> tuple[Circuit, ConverterPlan]
     if plan.direction is Direction.EDICK_TO_ONEHOT:
         gates.append(_gate(_X, n))  # the |1> flag right of the staircase
     if plan.direction is not None:
-        gates += _converter(plan.direction, n + 1, spec.method)[0]
+        gates += _converter(plan)
     label = f"binomial_pipeline_{n}_{spec.target.value}"
     return _derived(plan.total_qubits, tuple(gates), label), plan

@@ -172,7 +172,7 @@ def _bulk(text: str) -> Circuit | None:
     for index in np.unique(slot[pick]).tolist():
         at = pick[group := np.flatnonzero(slot[pick] == index)]
         count = _RULES[kind := _LEAD_KINDS[index]][0]  # of controls
-        # The rows were checked, so slots are set kind by kind: twice as fast as through Gate().
+        # The rows were checked, so slots are set kind by kind: two thirds of the time of _gate.
         distinct[group] = gates = list(map(object.__new__, repeat(Gate, len(at))))
         deque(map(_set_kind, gates, repeat(kind)), 0)
         deque(map(_set_target, gates, target[at].tolist()), 0)

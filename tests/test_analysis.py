@@ -158,6 +158,9 @@ def test_sweep_rejects_unknown_subjects() -> None:
     # A plain string is one subject name, not a sequence of one-letter names.
     with pytest.raises(ValueError, match="sequence of subject names"):
         run_sweep([4], "expand-pow2")
+    # A bare level count is not a list of them.
+    with pytest.raises(ValueError, match="level_counts must be an iterable of level counts, got 5"):
+        run_sweep(5, ["onehot"])
 
 
 @pytest.mark.parametrize("granularity", ["two-qubit-basis", "logical", None])

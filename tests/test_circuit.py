@@ -6,31 +6,42 @@ import copy
 import dataclasses
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from edick import (
+    BinomialSpec,
     Circuit,
     CostReport,
+    Direction,
+    EncodingKind,
+    EvenMethod,
     Gate,
     GateKind,
     Granularity,
+    build_binomial_pipeline,
+    build_converter,
     ccry,
     cnot,
     compose,
     cost,
     cphase,
     cry,
+    decompose_to_basis,
+    emit_text,
     h,
     inverse,
     mcx,
+    parse_text,
     phase,
     remap,
     ry,
     toffoli,
     x,
 )
+from edick.cli import main
 
 
 def test_constructors_carry_kind_and_operands() -> None:
@@ -136,6 +147,71 @@ def test_gate_normalizes_integral_indices_and_real_angles() -> None:
     assert repr(ry(np.float64(0.25), 0).angle) == "0.25"
 
 
+# Every refusal of Gate(...), then inputs with two faults: the check that runs
+# first names its fault. The order is kind, controls container, control count,
+# angle, qubit types (target first), sign, distinctness.
+_GATE_REFUSALS = [
+    ((GateKind.CNOT, 1, ("a",)), "qubit indices must be integers, got 'a'"),
+    (("cnot", 1, (0,)), "gate kind must be a GateKind, got 'cnot'"),
+    ((GateKind.CNOT, 1, [0]), "controls must be a tuple of qubit indices, got [0]"),
+    ((GateKind.MCX, 3, (0, 1)), "MCX needs at least 3 controls; use CNOT or TOFFOLI below that"),
+    ((GateKind.TOFFOLI, 3, (0,)), "toffoli takes 2 control(s), got 1"),
+    ((GateKind.RY, 0, (), "0.5"), "ry takes a real angle, got '0.5'"),
+    ((GateKind.CRY, 0, (1,), None), "cry needs a finite angle"),
+    ((GateKind.CCRY, 0, (1, 2), -math.inf), "ccry needs a finite angle"),
+    ((GateKind.H, 0, (), 0.0), "h takes no angle"),
+    ((GateKind.X, 1.0), "qubit indices must be integers, got 1.0"),
+    ((GateKind.MCX, 4, (0, 1, -1)), "qubit indices must be non-negative"),
+    ((GateKind.X, -1), "qubit indices must be non-negative"),
+    ((GateKind.MCX, 4, (0, 1, 0)), "control and target qubits must be distinct"),
+    # two faults each
+    (("x", 0, [1], 0.5), "gate kind must be a GateKind, got 'x'"),
+    ((GateKind.CNOT, 1, [1, 2]), "controls must be a tuple of qubit indices, got [1, 2]"),
+    ((GateKind.CRY, 1, (0, 2), None), "cry takes 1 control(s), got 2"),
+    ((GateKind.MCX, 5, (0, 1), 0.5), "MCX needs at least 3 controls; use CNOT or TOFFOLI below that"),
+    ((GateKind.RY, -1, (), 1j), "ry takes a real angle, got 1j"),
+    ((GateKind.RY, 0.5, (), math.nan), "ry needs a finite angle"),
+    ((GateKind.X, -1, (), 0.3), "x takes no angle"),
+    ((GateKind.CNOT, "a", (1.5,)), "qubit indices must be integers, got 'a'"),
+    ((GateKind.CNOT, 1.5, (-1,)), "qubit indices must be integers, got 1.5"),
+    ((GateKind.TOFFOLI, 1, (1, 2.0)), "qubit indices must be integers, got 2.0"),
+    ((GateKind.CNOT, -1, (-1,)), "qubit indices must be non-negative"),
+    ((GateKind.TOFFOLI, 0, (0, -1)), "qubit indices must be non-negative"),
+]
+
+
+@pytest.mark.parametrize("args, message", _GATE_REFUSALS, ids=repr)
+def test_gate_refusals_name_the_first_fault(args, message: str) -> None:
+    with pytest.raises(ValueError) as info:
+        Gate(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "args, fields",
+    [
+        ((GateKind.X, np.int64(2)), (2, (), None)),
+        ((GateKind.MCX, np.uint16(4), (np.int8(0), 1, np.int64(2))), (4, (0, 1, 2), None)),
+        ((GateKind.RY, 0, (), 1), (0, (), 1.0)),
+        ((GateKind.CPHASE, 1, (0,), np.float32(0.5)), (1, (0,), 0.5)),
+        ((GateKind.CRY, 1, (0,), np.float64(-0.25)), (1, (0,), -0.25)),
+        ((GateKind.CCRY, 2, (0, 1), 10**20), (2, (0, 1), 1e20)),
+    ],
+    ids=repr,
+)
+def test_gate_stores_int_qubits_and_float_angles(args, fields) -> None:
+    gate = Gate(*args)
+    assert (gate.target, gate.controls, gate.angle) == fields
+    assert type(gate.target) is int and all(type(c) is int for c in gate.controls)
+    assert gate.angle is None or type(gate.angle) is float
+
+
+@pytest.mark.parametrize("zero", [-0.0, np.float64(-0.0), np.float32(-0.0)], ids=repr)
+def test_gate_keeps_a_negative_zero_angle(zero) -> None:
+    angle = Gate(GateKind.PHASE, 0, (), zero).angle
+    assert type(angle) is float and math.copysign(1.0, angle) == -1.0
+
+
 def test_gate_keeps_its_dataclass_behaviour() -> None:
     gate = Gate(kind=GateKind.CPHASE, target=2, controls=(0,), angle=0.5)
     assert gate == cphase(0.5, 0, 2) and hash(gate) == hash(cphase(0.5, 0, 2))
@@ -178,6 +254,24 @@ def test_remap_relabels_gates_without_the_checked_constructor(monkeypatch) -> No
     moved = remap(circuit, [4, 2, 0, 1], 5)
     assert checked == []
     assert moved.gates == expected
+
+
+def test_library_paths_never_call_the_checked_constructor(capsys) -> None:
+    # Gate(...) checks what callers write; what the library builds goes through _gate.
+    with mock.patch.object(Gate, "__init__", side_effect=AssertionError("Gate() was called")):
+        for direction in Direction:
+            for method in EvenMethod:
+                circuit, _ = build_converter(direction, 12, method)
+                lowered = decompose_to_basis(circuit)
+                assert parse_text(emit_text(lowered)).gates == lowered.gates
+        for target in EncodingKind:
+            spec = BinomialSpec.from_probability(5, 0.3, target, EvenMethod.RECURSION)
+            decompose_to_basis(build_binomial_pipeline(spec)[0])
+        verify = ["verify", "--direction", "binary-to-onehot", "--n", "8", "--method", "recursion"]
+        assert main([*verify, "--trials", "2"]) == 0
+        with pytest.raises(AssertionError, match="Gate\\(\\) was called"):
+            x(0)
+    assert capsys.readouterr().out.endswith("verify: PASS\n")
 
 
 def test_qubits_property_lists_controls_then_target() -> None:

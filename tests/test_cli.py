@@ -225,15 +225,15 @@ def test_usage_errors_exit_two(capsys, tmp_path) -> None:
     capsys.readouterr()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["build", "--direction", "edick-to-onehot", "--n", "4"],
-        ["sweep", "--n-min", "3", "--n-max", "4", "--methods", "recursion"],
-        ["prepare-binomial", "--n", "3", "--p", "0.5"],
-    ],
-    ids=lambda argv: argv[0],
-)
+# The commands that take --out, and the function in edick.cli that does each one's work.
+_WRITERS = [
+    (["build", "--direction", "edick-to-onehot", "--n", "4"], "build_converter"),
+    (["sweep", "--n-min", "3", "--n-max", "4", "--methods", "recursion"], "run_sweep"),
+    (["prepare-binomial", "--n", "3", "--p", "0.5"], "build_binomial_pipeline"),
+]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _WRITERS], ids=lambda argv: argv[0])
 def test_an_out_path_that_cannot_be_written_exits_two(argv: list[str], capsys, tmp_path) -> None:
     out = tmp_path / "missing" / "out.txt"
     assert main([*argv, "--out", str(out)]) == 2
@@ -241,6 +241,41 @@ def test_an_out_path_that_cannot_be_written_exits_two(argv: list[str], capsys, t
     assert captured.out == ""
     assert captured.err.startswith("error: ") and str(out) in captured.err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("argv, worker", _WRITERS, ids=[argv[0] for argv, _ in _WRITERS])
+def test_an_out_path_that_cannot_be_written_is_refused_before_any_work(
+    argv: list[str], worker: str, where: str, capsys, monkeypatch, tmp_path
+) -> None:
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{worker} ran before --out was checked")
+
+    monkeypatch.setattr(edick.cli, worker, no_work)
+    out = tmp_path / "missing" / "out.txt" if where == "missing-directory" else tmp_path
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--direction", "edick-to-onehot", "--n", "1"],
+        ["sweep", "--n-min", "3", "--n-max", "4", "--methods", "qft"],
+        ["prepare-binomial", "--n", "4", "--p", "1.5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_command_that_fails_creates_and_truncates_no_file(argv: list[str], capsys, tmp_path) -> None:
+    kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+    kept.write_text("earlier output\n")
+    assert main([*argv, "--out", str(kept)]) == 2
+    assert main([*argv, "--out", str(fresh)]) == 2
+    assert kept.read_text() == "earlier output\n" and not fresh.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_prepare_binomial_refuses_one_trial(capsys) -> None:

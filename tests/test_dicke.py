@@ -10,6 +10,7 @@ import pytest
 from edick import (
     BinomialSpec,
     Circuit,
+    ConverterPlan,
     Direction,
     EncodingKind,
     EvenMethod,
@@ -225,3 +226,22 @@ def _spy_on_width_scans(monkeypatch: pytest.MonkeyPatch) -> list[str]:
 
     monkeypatch.setattr(Circuit, "__post_init__", counting)
     return scanned
+
+
+@pytest.mark.parametrize("method", list(EvenMethod))
+@pytest.mark.parametrize("target", list(EncodingKind))
+def test_pipeline_derives_one_plan(
+    target: EncodingKind, method: EvenMethod, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # The conversion stage is built from the pipeline's own plan, not a second one.
+    derived = []
+    post_init = ConverterPlan.__post_init__
+
+    def counting(self: ConverterPlan) -> None:
+        derived.append(self.direction)
+        post_init(self)
+
+    spec = BinomialSpec.from_probability(6, 0.3, target, method)
+    monkeypatch.setattr(ConverterPlan, "__post_init__", counting)
+    _, plan = build_binomial_pipeline(spec)
+    assert derived == [plan.direction]
