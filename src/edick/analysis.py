@@ -136,7 +136,10 @@ def run_sweep(
         raise ValueError(f"granularity must be a Granularity, got {granularity!r}")
     if isinstance(subjects, str):
         raise ValueError(f"subjects must be a sequence of subject names, got the string {subjects!r}")
-    subjects = tuple(subjects)  # read twice below, so an iterator must not run dry
+    try:
+        subjects = tuple(subjects)  # read twice below, so an iterator must not run dry
+    except TypeError:
+        raise ValueError(f"subjects must be a sequence of subject names, got {subjects!r}") from None
     if not subjects:
         raise ValueError("the subject list names no sweep subject")
     for subject in subjects:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import SWEEP_SUBJECTS, rows_to_csv, run_sweep
 from .circuit import GateKind, Granularity
-from .converters import ConverterPlan, Direction, EvenMethod, build_converter
+from .converters import ConverterPlan, Direction, EvenMethod, _converter, build_converter
 from .decompose import decompose_to_basis
 from .dicke import BinomialSpec, _pipeline_plan, build_binomial_pipeline
 from .encodings import EncodingKind, random_vector
@@ -48,8 +48,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 0:
         raise ValueError("--trials must be non-negative")
     direction, method = Direction(args.direction), EvenMethod(args.method)
-    _check_width(ConverterPlan(args.n, method, direction).total_qubits)
-    circuit, plan = build_converter(direction, args.n, method)
+    plan = ConverterPlan(args.n, method, direction)
+    _check_width(plan.total_qubits)
+    circuit = _converter(plan)
     inputs = [plan.input_index(level) for level in range(args.n)]
     outputs = [plan.output_index(level) for level in range(args.n)]
     rng = np.random.default_rng(args.seed)
@@ -211,7 +212,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -3,9 +3,9 @@
 The staircase (edick) form is the hub: the unfolding turns it into one-hot
 and the compression turns it into binary. One-hot -> binary runs the
 unfolding backwards, then the compression; binary -> one-hot is its inverse.
-`_converter` builds the gates of every direction from those two and its
-`ConverterPlan`, and `build_converter` returns them as one Circuit, not
-scanned again; its docstring holds each direction's contract. The named
+`_converter` builds every direction's circuit from those two and a
+`ConverterPlan`, not scanned again; `build_converter` makes the plan and
+returns both, and its docstring holds each direction's contract. The named
 builders are `build_converter` with a fixed direction. Qubit 0 is the
 leftmost ket position and carries the most significant bit of any binary
 register.
@@ -298,27 +298,28 @@ def build_binary_to_onehot(
 # every direction, from the unfolding and the compression
 
 
-def _converter(plan: ConverterPlan) -> list[Gate]:
-    """Gates of the converter `plan` describes, unchecked; see `build_converter`."""
+def _converter(plan: ConverterPlan) -> Circuit:
+    """The labelled circuit `plan` describes, unchecked; see `build_converter`."""
     direction, n, anc = plan.direction, plan.num_levels, plan.ancilla
     if direction is Direction.CNOT_STAIR:
-        return [_gate(_CNOT, t, (c,)) for c in range(n - 1) for t in range(c + 1, n)]
-    if direction is Direction.EDICK_TO_ONEHOT:
-        return _onehot_gates(tuple(range(n)))
-    gates = _binary_gates(tuple(range(anc, anc + n - 1)), plan.method, list(range(anc)))
-    if direction is not Direction.EDICK_TO_BINARY:
-        # One-hot -> binary: the unfolding backwards (all CNOTs, so its
-        # reversal), then the compression; binary -> one-hot inverts that.
-        gates = _onehot_gates(tuple(range(anc, plan.total_qubits)))[::-1] + gates
-    if direction is Direction.BINARY_TO_ONEHOT:
-        gates = list(map(Gate.inverse, reversed(gates)))
-    return gates
+        gates = [_gate(_CNOT, t, (c,)) for c in range(n - 1) for t in range(c + 1, n)]
+    elif direction is Direction.EDICK_TO_ONEHOT:
+        gates = _onehot_gates(tuple(range(n)))
+    else:
+        gates = _binary_gates(tuple(range(anc, anc + n - 1)), plan.method, list(range(anc)))
+        if direction is not Direction.EDICK_TO_BINARY:
+            # One-hot -> binary: the unfolding backwards (all CNOTs, so its
+            # reversal), then the compression; binary -> one-hot inverts that.
+            gates = _onehot_gates(tuple(range(anc, plan.total_qubits)))[::-1] + gates
+        if direction is Direction.BINARY_TO_ONEHOT:
+            gates = list(map(Gate.inverse, reversed(gates)))
+    return _derived(plan.total_qubits, tuple(gates), f"{direction.value.replace('-', '_')}_{n}")
 
 
 def build_converter(
     direction: Direction, num_levels: int, method: EvenMethod = EvenMethod.EXPAND_TO_POW2
 ) -> tuple[Circuit, ConverterPlan]:
-    """The circuit and plan of any direction, the cnot-stair baseline included.
+    """The circuit `_converter(plan)` and the plan of any direction, cnot-stair included.
 
     Level i of N (b = binary_width(N)) goes from input to output as:
 
@@ -340,5 +341,4 @@ def build_converter(
     if type(method) is not EvenMethod:
         raise ValueError(f"method must be an EvenMethod, got {method!r}")
     plan = ConverterPlan(num_levels, method, direction)
-    label = f"{direction.value.replace('-', '_')}_{plan.num_levels}"
-    return _derived(plan.total_qubits, tuple(_converter(plan)), label), plan
+    return _converter(plan), plan

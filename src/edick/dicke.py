@@ -8,7 +8,9 @@ one-hot or binary. The amplitudes are exact at every stage.
 
 The pipeline is emitted in place: the Y rotations and the inverse Dicke
 unitary are built on the physical qubits of the final register, followed
-by the conversion stage's gates from the converters' own routine. The
+by the conversion stage's gates from the converters' own routine. Each
+split & cyclic shift block is written once, in the pipeline's direction;
+build_scs and build_dicke_unitary invert it with Gate.inverse. The
 builders here return their circuits without a second width scan.
 """
 
@@ -22,19 +24,18 @@ from .converters import ConverterPlan, Direction, EvenMethod, _converter
 from .encodings import EncodingKind
 
 
-def _scs_gates(n: int, k: int, off: int, invert: bool) -> list[Gate]:
-    """Gates of build_scs(n, k) on qubits off..off+k, or of its inverse.
+def _scs_gates(n: int, k: int, off: int) -> list[Gate]:
+    """Gates of the inverse of build_scs(n, k) on qubits off..off+k.
 
-    Level l rotates qubit k-l by 2*arccos(sqrt(l/n)) between two equal
-    CNOTs, one gate object. The inverse runs the levels backwards and
-    negates each angle, as Gate.inverse does.
+    The block is written once, in the direction the pipeline runs it; the
+    forward builders invert it with Gate.inverse. Level l, from k down to 1,
+    rotates qubit k-l by -2*arccos(sqrt(l/n)) between two equal CNOTs, one
+    gate object.
     """
     top = off + k
     gates: list[Gate] = []
-    for level in range(k, 0, -1) if invert else range(1, k + 1):
-        angle = 2.0 * math.acos(math.sqrt(level / n))
-        if invert:
-            angle = -angle
+    for level in range(k, 0, -1):
+        angle = -2.0 * math.acos(math.sqrt(level / n))
         target = top - level
         pair = _gate(_CNOT, top, (target,))
         if level == 1:
@@ -49,7 +50,7 @@ def _staircase_gates(n: int, theta: float, off: int) -> list[Gate]:
     """Y rotations by theta, then the inverse Dicke unitary, on qubits off..off+n-1."""
     gates = [_gate(_RY, off + q, (), theta) for q in range(n)]
     for width in range(2, n + 1):
-        gates += _scs_gates(width, width - 1, off, invert=True)
+        gates += _scs_gates(width, width - 1, off)
     return gates
 
 
@@ -67,7 +68,7 @@ def build_scs(n: int, k: int) -> Circuit:
     n, k = _integer(n, "n must be an integer"), _integer(k, "k must be an integer")
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    return _derived(k + 1, tuple(_scs_gates(n, k, 0, invert=False)), f"scs_{n}_{k}")
+    return _derived(k + 1, tuple(map(Gate.inverse, reversed(_scs_gates(n, k, 0)))), f"scs_{n}_{k}")
 
 
 def build_dicke_unitary(num_qubits: int) -> Circuit:
@@ -80,9 +81,9 @@ def build_dicke_unitary(num_qubits: int) -> Circuit:
     if num_qubits < 2:
         raise ValueError("need at least two qubits")
     gates: list[Gate] = []
-    for width in range(num_qubits, 1, -1):
-        gates += _scs_gates(width, width - 1, 0, invert=False)
-    return _derived(num_qubits, tuple(gates), f"dicke_unitary_{num_qubits}")
+    for width in range(2, num_qubits + 1):
+        gates += _scs_gates(width, width - 1, 0)
+    return _derived(num_qubits, tuple(map(Gate.inverse, reversed(gates))), f"dicke_unitary_{num_qubits}")
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,6 @@ def build_binomial_pipeline(spec: BinomialSpec) -> tuple[Circuit, ConverterPlan]
     if plan.direction is Direction.EDICK_TO_ONEHOT:
         gates.append(_gate(_X, n))  # the |1> flag right of the staircase
     if plan.direction is not None:
-        gates += _converter(plan)
+        gates += _converter(plan).gates
     label = f"binomial_pipeline_{n}_{spec.target.value}"
     return _derived(plan.total_qubits, tuple(gates), label), plan

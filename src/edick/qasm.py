@@ -9,9 +9,9 @@ Angles are printed with ``repr``, so parse_text(emit_text(c)) reproduces
 the text byte for byte. emit_text formats each gate object once (by object,
 as equal gates may print differently: ``u1(0.0)`` and ``u1(-0.0)``).
 parse_text checks text wholly in emitted form by one pattern search and reads
-it in one numpy pass. Other text goes line by line, each distinct line once: it
-is split into operands, which accepts extra blanks and names what is wrong, and
-Gate() checks each gate.
+it in one numpy pass. Other text goes line by line, in one ordered pass: each
+line is split into operands, which accepts extra blanks and names what is
+wrong, and Gate() checks each gate.
 """
 
 from __future__ import annotations
@@ -209,14 +209,12 @@ def parse_text(text: str) -> Circuit:
     if num_qubits < 1:
         raise ValueError(f"line {pos + 1}: a circuit needs at least one qubit")
 
-    body = lines[pos + 1 :]
-    # Distinct lines in order of first occurrence, so a bad line raises where it first appears.
-    parsed: dict[str, Gate | None] = dict.fromkeys(body)
-    for raw in parsed:
+    gates: list[Gate] = []
+    for number, raw in enumerate(lines[pos + 1 :], pos + 2):
         line = raw.strip()
         if line and not line.startswith("//"):
             try:
-                parsed[raw] = _parse_gate(line, num_qubits)
+                gates.append(_parse_gate(line, num_qubits))
             except ValueError as exc:
-                raise ValueError(f"line {pos + 2 + body.index(raw)}: {exc}") from exc
-    return _derived(num_qubits, tuple(filter(None, map(parsed.__getitem__, body))), "")
+                raise ValueError(f"line {number}: {exc}") from exc
+    return _derived(num_qubits, tuple(gates), "")

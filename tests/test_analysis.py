@@ -161,6 +161,9 @@ def test_sweep_rejects_unknown_subjects() -> None:
     # A bare level count is not a list of them.
     with pytest.raises(ValueError, match="level_counts must be an iterable of level counts, got 5"):
         run_sweep(5, ["onehot"])
+    # Nor is a bare number a list of subjects.
+    with pytest.raises(ValueError, match="subjects must be a sequence of subject names, got 5"):
+        run_sweep([5], 5)
 
 
 @pytest.mark.parametrize("granularity", ["two-qubit-basis", "logical", None])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import edick.cli
-from edick import Direction, EvenMethod, parse_text
+from edick import ConverterPlan, Direction, EvenMethod, parse_text
 from edick.cli import main
 
 
@@ -326,6 +326,22 @@ def test_verify_rejects_registers_above_the_simulation_cap(capsys) -> None:
     assert "register width" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("direction", [d.value for d in Direction])
+def test_verify_derives_one_plan(direction: str, capsys, monkeypatch: pytest.MonkeyPatch) -> None:
+    # The converter is built from the plan whose width was checked, not a second one.
+    derived = []
+    post_init = ConverterPlan.__post_init__
+
+    def counting(self: ConverterPlan) -> None:
+        derived.append(self.direction)
+        post_init(self)
+
+    monkeypatch.setattr(ConverterPlan, "__post_init__", counting)
+    assert main(["verify", "--direction", direction, "--n", "6", "--trials", "1"]) == 0
+    assert derived == [Direction(direction)]
+    assert "verify: PASS" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -348,6 +364,7 @@ def test_too_wide_registers_are_refused_before_anything_is_built(
         raise AssertionError("built a circuit for a register that cannot be simulated")
 
     monkeypatch.setattr(edick.cli, "build_converter", refuse)
+    monkeypatch.setattr(edick.cli, "_converter", refuse)
     monkeypatch.setattr(edick.cli, "build_binomial_pipeline", refuse)
     assert main(argv) == 2
     assert "register width must be in 1..24" in capsys.readouterr().err

@@ -24,6 +24,8 @@ from edick import (
     build_binomial_pipeline,
     build_cnot_stair,
     build_converter,
+    build_dicke_unitary,
+    build_scs,
 )
 
 # Every level count to 130 and three large ones for the staircase builders.
@@ -137,3 +139,38 @@ def test_logical_converter_gates_match_their_golden_digest(case: tuple[str, str 
 @pytest.mark.parametrize("case", list(BINOMIAL_DIGESTS), ids=_case_id)
 def test_logical_binomial_gates_match_their_golden_digest(case: tuple[str, str]) -> None:
     assert binomial_digest(*case) == BINOMIAL_DIGESTS[case]
+
+
+# The Dicke blocks and the pipelines that run them, with object sharing: per
+# gate, the index where that gate object first appears in its circuit, so a
+# CNOT that one level uses twice, as one object, stays one object. Recorded
+# while each block was still written in both directions.
+BLOCK_DIGEST = "7f2358c35f851bb317674e35c05e08354d2bbebf7ac34cda41b213fd0d5efdc7"
+
+
+def _update_shared(digest, circuit) -> None:
+    first: dict[int, int] = {}
+    record = [circuit.num_qubits, circuit.label]
+    for i, gate in enumerate(circuit.gates):
+        angle = None if gate.angle is None else gate.angle.hex()
+        shared = first.setdefault(id(gate), i)
+        record.append((gate.kind.value, gate.target, gate.controls, angle, shared))
+    digest.update(repr(record).encode())
+
+
+def block_digest() -> str:
+    digest = hashlib.sha256()
+    for n in range(2, 13):
+        for k in range(1, n):
+            _update_shared(digest, build_scs(n, k))
+    for m in range(2, 25):
+        _update_shared(digest, build_dicke_unitary(m))
+    for target in EncodingKind:
+        for n in (2, 5, 17):
+            spec = BinomialSpec.from_probability(n, P, target)
+            _update_shared(digest, build_binomial_pipeline(spec)[0])
+    return digest.hexdigest()
+
+
+def test_dicke_blocks_and_pipelines_match_their_golden_digest() -> None:
+    assert block_digest() == BLOCK_DIGEST
