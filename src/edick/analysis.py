@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .circuit import Circuit, Granularity, _integer, cost
+from .circuit import Circuit, Granularity, _integer, _real, cost
 from .converters import Direction, EvenMethod, binary_width, build_converter
 from .encodings import _levels
 
@@ -59,6 +59,7 @@ class SweepRow:
             if value < 0:
                 raise ValueError("sweep metrics are finite and non-negative")
             object.__setattr__(self, key, value)
+        object.__setattr__(self, "build_time_ms", _real(self.build_time_ms, "build_time_ms must be a real number"))
         if not 0 <= self.build_time_ms < math.inf:  # NaN fails too
             raise ValueError("sweep metrics are finite and non-negative")
         if self.depth_logical > self.size_logical or self.depth_basis > self.size_basis:
@@ -187,24 +188,27 @@ class ScalingModel(Enum):
 
 
 def fit_scaling(
-    points: Sequence[tuple[int, float]],
+    points: Iterable[tuple[int, float]],
     model: ScalingModel,
 ) -> tuple[float, float]:
     """Least-squares one-coefficient fit and its worst relative residual.
 
     Returns (A, max over points of |y - A*g(N)| / y) where g is N or
-    log2(N)^2 per the model.
+    log2(N)^2 per the model. The points are read once, so any iterable serves.
     """
     if type(model) is not ScalingModel:
         raise ValueError(f"model must be a ScalingModel, got {model!r}")
-    if len(points) < 5:
+    try:
+        pairs = [(_levels(n), _real(y, "fit values must be real numbers")) for n, y in points]
+    except TypeError:
+        raise ValueError(f"points must be (level count, value) pairs, got {points!r}") from None
+    if len(pairs) < 5:
         raise ValueError("need at least five points to fit a trend")
-    levels = [_levels(n) for n, _ in points]
+    levels, values = zip(*pairs)
     if model is ScalingModel.LINEAR:
         basis = [float(n) for n in levels]
     else:
         basis = [math.log2(n) ** 2 for n in levels]
-    values = [float(y) for _, y in points]
     if not all(0 < y < math.inf for y in values):  # NaN fails too
         raise ValueError("scaling fits need positive, finite values")
     coefficient = sum(g * y for g, y in zip(basis, values)) / sum(g * g for g in basis)

@@ -22,7 +22,7 @@ from .analysis import SWEEP_SUBJECTS, rows_to_csv, run_sweep
 from .circuit import GateKind, Granularity
 from .converters import ConverterPlan, Direction, EvenMethod, _converter, build_converter
 from .decompose import decompose_to_basis
-from .dicke import BinomialSpec, _pipeline_plan, build_binomial_pipeline
+from .dicke import BinomialSpec, build_binomial_pipeline
 from .encodings import EncodingKind, random_vector
 from .qasm import _NAMES, emit_text
 from .statevector import _check_width, run, run_batch, zero_state
@@ -101,7 +101,7 @@ def _cmd_prepare_binomial(args: argparse.Namespace) -> int:
     out = _out_path(args.out)
     target = EncodingKind(args.target)
     spec = BinomialSpec.from_probability(args.n, args.p, target, EvenMethod(args.method))
-    _check_width(_pipeline_plan(spec).total_qubits)
+    _check_width(spec.plan.total_qubits)
     circuit, plan = build_binomial_pipeline(spec)
     state = run(zero_state(circuit.num_qubits), circuit)
 

@@ -6,12 +6,13 @@ backwards collapses each component onto the staircase string of k ones,
 after which the staircase converters can re-encode the distribution as
 one-hot or binary. The amplitudes are exact at every stage.
 
-The pipeline is emitted in place: the Y rotations and the inverse Dicke
-unitary are built on the physical qubits of the final register, followed
-by the conversion stage's gates from the converters' own routine. Each
-split & cyclic shift block is written once, in the pipeline's direction;
-build_scs and build_dicke_unitary invert it with Gate.inverse. The
-builders here return their circuits without a second width scan.
+A BinomialSpec derives its pipeline's ConverterPlan once, with its angle.
+The pipeline is emitted in place on that plan's register: the Y rotations
+and the inverse Dicke unitary, then the conversion stage's gates from the
+converters' own routine. Each split & cyclic shift block is written once,
+in the pipeline's direction; build_scs and build_dicke_unitary invert it
+with Gate.inverse. The builders here return their circuits without a
+second width scan.
 """
 
 from __future__ import annotations
@@ -88,13 +89,14 @@ def build_dicke_unitary(num_qubits: int) -> Circuit:
 
 @dataclass(frozen=True)
 class BinomialSpec:
-    """Parameters of one binomial-distribution preparation; theta = 2 asin(sqrt(p))."""
+    """One binomial-distribution preparation; derives theta = 2 asin(sqrt(p)) and `plan`."""
 
     trials: int
     p: float
     theta: float = field(init=False)
     target: EncodingKind
     method: EvenMethod
+    plan: ConverterPlan = field(init=False)  # the pipeline's register, known before any gate
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trials", _integer(self.trials, "trial count must be an integer"))
@@ -108,6 +110,7 @@ class BinomialSpec:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"probability {self.p} outside [0, 1]")
         object.__setattr__(self, "theta", 2.0 * math.asin(math.sqrt(self.p)))
+        object.__setattr__(self, "plan", ConverterPlan(self.trials + 1, self.method, _STAGES[self.target]))
 
     @staticmethod
     def from_probability(
@@ -124,20 +127,15 @@ _STAGES = {EncodingKind.EDICK: None, EncodingKind.ONE_HOT: Direction.EDICK_TO_ON
            EncodingKind.BINARY: Direction.EDICK_TO_BINARY}
 
 
-def _pipeline_plan(spec: BinomialSpec) -> ConverterPlan:
-    """The register of `spec`'s pipeline, known before any gate is built."""
-    return ConverterPlan(spec.trials + 1, spec.method, _STAGES[spec.target])
-
-
 def build_binomial_pipeline(spec: BinomialSpec) -> tuple[Circuit, ConverterPlan]:
     """Full preparation circuit from |0...0> to the encoded distribution.
 
     Level k of the output carries amplitude sqrt(C(N,k) p^k (1-p)^(N-k)),
     k = 0..N, i.e. N+1 levels. The returned plan describes the register of
     the conversion stage; with the EDICK target there is no conversion and
-    the plan's direction is None.
+    the plan's direction is None. The plan is `spec.plan` itself.
     """
-    n, plan = spec.trials, _pipeline_plan(spec)
+    n, plan = spec.trials, spec.plan
     gates = _staircase_gates(n, spec.theta, plan.ancilla)
     if plan.direction is Direction.EDICK_TO_ONEHOT:
         gates.append(_gate(_X, n))  # the |1> flag right of the staircase

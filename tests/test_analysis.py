@@ -201,6 +201,10 @@ def test_sweep_row_validation() -> None:
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             SweepRow(4, "recursion", 3, 0, 3, 0, 0, bad)
+    for bad in ("0", None, True):
+        with pytest.raises(ValueError, match="build_time_ms must be a real number"):
+            SweepRow(4, "recursion", 3, 0, 3, 0, 0, bad)
+    assert type(SweepRow(4, "recursion", 3, 0, 3, 0, 0, 2).build_time_ms) is float
 
 
 @pytest.mark.parametrize("num_levels", [0, 1, -3])
@@ -282,3 +286,12 @@ def test_fit_rejects_thin_or_degenerate_input() -> None:
         for bad in (9.0, True, "9"):
             with pytest.raises(ValueError, match="must be an integer"):
                 fit_scaling([(3, 1.0), (5, 2.0), (bad, 3.0), (17, 4.0), (33, 5.0)], model)
+        for bad in ("1.0", None, True):
+            with pytest.raises(ValueError, match="fit values must be real numbers"):
+                fit_scaling([(3, 1.0), (5, 2.0), (9, bad), (17, 4.0), (33, 5.0)], model)
+        for bad in (5, [3, 5, 9, 17, 33]):
+            with pytest.raises(ValueError, match="pairs"):
+                fit_scaling(bad, model)
+        # Any iterable of points is read once and fits as the list does.
+        points = [(3, 1.0), (5, 2.0), (9, 3.0), (17, 4.0), (33, 5.0)]
+        assert fit_scaling((point for point in points), model) == fit_scaling(points, model)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import edick.cli
-from edick import ConverterPlan, Direction, EvenMethod, parse_text
+from edick import ConverterPlan, Direction, EncodingKind, EvenMethod, parse_text
 from edick.cli import main
 
 
@@ -209,6 +209,36 @@ def test_prepare_binomial_matches_the_pmf(tmp_path) -> None:
         assert abs(float(probability) - expected) < 1e-9
 
 
+# sha256 of `prepare-binomial --p 0.3` stdout, recorded before the spec carried
+# its pipeline's plan. The staircase and one-hot targets ignore the method; the
+# binary target's probabilities differ in the last bits from method to method.
+_BINOMIAL_DIGESTS = {
+    2: "7abbd6bac975acbb32290471fc64c55cd2e8021bd6e6cc666fdd1e141f33212d",
+    5: "dc37f0564f4a2324522ffb978b121d9eb8548939cf068d49570f790baf749b15",
+    12: "f8ba6ff7a004836fa0cf0832063ad078554d4665f1206e47d9826c29ade26d54",
+}
+_BINARY_DIGESTS = {
+    ("recursion", 12): "9ab43635d15c18b945a5955a8c6c472a4a51a52c7b1168ef1ad69ae3412274a8",
+    ("expand-n-plus-1", 5): "a774b155553ba52e446a826fce815a69d8f3c17ffcbe0606ab022e13193e7ab5",
+    ("expand-n-plus-1", 12): "21388c836dcd67aa6c9b1ed854820682a65e01d08cddf2cbdce8d771840424fb",
+    ("expand-pow2", 12): "21388c836dcd67aa6c9b1ed854820682a65e01d08cddf2cbdce8d771840424fb",
+}
+
+
+@pytest.mark.parametrize("n", list(_BINOMIAL_DIGESTS))
+@pytest.mark.parametrize("method", [m.value for m in EvenMethod])
+@pytest.mark.parametrize("target", [k.value for k in EncodingKind])
+def test_prepare_binomial_output_matches_its_recorded_digest(
+    target: str, method: str, n: int, capsys
+) -> None:
+    argv = ["prepare-binomial", "--n", str(n), "--p", "0.3", "--target", target, "--method", method]
+    assert main(argv) == 0
+    expected = _BINOMIAL_DIGESTS[n]
+    if target == "binary":
+        expected = _BINARY_DIGESTS.get((method, n), expected)
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
+
 def test_prepare_binomial_defaults_to_staircase_target(capsys) -> None:
     assert main(["prepare-binomial", "--n", "3", "--p", "0.5"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
@@ -340,6 +370,22 @@ def test_verify_derives_one_plan(direction: str, capsys, monkeypatch: pytest.Mon
     assert main(["verify", "--direction", direction, "--n", "6", "--trials", "1"]) == 0
     assert derived == [Direction(direction)]
     assert "verify: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", [k.value for k in EncodingKind])
+def test_prepare_binomial_derives_one_plan(target: str, capsys, monkeypatch: pytest.MonkeyPatch) -> None:
+    # The pipeline is built from the plan whose width was checked, not a second one.
+    derived = []
+    post_init = ConverterPlan.__post_init__
+
+    def counting(self: ConverterPlan) -> None:
+        derived.append(self.direction)
+        post_init(self)
+
+    monkeypatch.setattr(ConverterPlan, "__post_init__", counting)
+    assert main(["prepare-binomial", "--n", "6", "--p", "0.3", "--target", target]) == 0
+    assert len(derived) == 1
+    assert len(capsys.readouterr().out.splitlines()) == 8
 
 
 @pytest.mark.parametrize(

@@ -233,7 +233,7 @@ def _spy_on_width_scans(monkeypatch: pytest.MonkeyPatch) -> list[str]:
 def test_pipeline_derives_one_plan(
     target: EncodingKind, method: EvenMethod, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    # The conversion stage is built from the pipeline's own plan, not a second one.
+    # The spec derives the pipeline's plan; the pipeline builds from it, not a second one.
     derived = []
     post_init = ConverterPlan.__post_init__
 
@@ -241,7 +241,8 @@ def test_pipeline_derives_one_plan(
         derived.append(self.direction)
         post_init(self)
 
-    spec = BinomialSpec.from_probability(6, 0.3, target, method)
     monkeypatch.setattr(ConverterPlan, "__post_init__", counting)
+    spec = BinomialSpec.from_probability(6, 0.3, target, method)
     _, plan = build_binomial_pipeline(spec)
     assert derived == [plan.direction]
+    assert plan is spec.plan
