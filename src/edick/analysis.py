@@ -205,12 +205,18 @@ def fit_scaling(
     if len(pairs) < 5:
         raise ValueError("need at least five points to fit a trend")
     levels, values = zip(*pairs)
-    if model is ScalingModel.LINEAR:
-        basis = [float(n) for n in levels]
-    else:
-        basis = [math.log2(n) ** 2 for n in levels]
     if not all(0 < y < math.inf for y in values):  # NaN fails too
         raise ValueError("scaling fits need positive, finite values")
-    coefficient = sum(g * y for g, y in zip(basis, values)) / sum(g * g for g in basis)
+    try:
+        if model is ScalingModel.LINEAR:
+            basis = [float(n) for n in levels]
+        else:
+            basis = [math.log2(n) ** 2 for n in levels]
+        scale = sum(g * g for g in basis)  # finite only if every g is
+    except OverflowError:  # a level count past the float range
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise ValueError("level counts too large to fit: the basis overflows the float range")
+    coefficient = sum(g * y for g, y in zip(basis, values)) / scale
     worst = max(abs(y - coefficient * g) / y for g, y in zip(basis, values))
     return coefficient, worst

@@ -14,11 +14,17 @@ that every gate is a Gate that fits the register. The builders size their
 registers from checked arguments, `compose` needs equal widths, `inverse`
 keeps the width, `remap` sends every qubit injectively into the new
 register, and lowering expands each gate on that gate's own qubits.
+
+Every entry point that makes gates one at a time runs under `_acyclic`, with
+the cyclic garbage collector paused: gates and their controls tuples are
+tracked containers, but no gate list holds a reference cycle.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import gc
 import math
 import numbers
 import operator
@@ -126,6 +132,32 @@ def _gate(kind, target, controls=(), angle=None) -> Gate:
     _set_controls(gate, controls)
     _set_angle(gate, angle)
     return gate
+
+
+def _acyclic(build):
+    """`build`, run with the cyclic garbage collector paused.
+
+    Gates, their controls tuples and the lists that hold them are containers
+    the collector tracks, and each few hundred new ones start a collection
+    that frees nothing: no gate list holds a reference cycle. Only a call that
+    finds the collector on pauses it, and it turns it back on when it returns
+    or raises; a nested call, or a call from another thread while one runs,
+    leaves the collector as it found it. Caveat: if another thread turns the
+    collector off while such a call runs, the call turns it back on when it
+    returns. Not for generators, which would keep it paused across yields.
+    """
+
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def _integer(value: object, message: str) -> int:
@@ -248,6 +280,7 @@ def compose(first: Circuit, second: Circuit, label: str = "") -> Circuit:
     return _derived(first.num_qubits, first.gates + second.gates, label or first.label)
 
 
+@_acyclic
 def inverse(circuit: Circuit) -> Circuit:
     """Exact inverse: reversed gate order, each gate inverted."""
     label = f"inverse({circuit.label})" if circuit.label else ""
@@ -255,6 +288,7 @@ def inverse(circuit: Circuit) -> Circuit:
     return _derived(circuit.num_qubits, gates, label)
 
 
+@_acyclic
 def remap(
     circuit: Circuit,
     mapping: dict[int, int] | list[int] | tuple[int, ...],

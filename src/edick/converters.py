@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .circuit import _CNOT, _CPHASE, _H, _MCX, _PHASE, _TOFFOLI, _X, Circuit, Gate, _gate
-from .circuit import _derived, _integer, _width
+from .circuit import _acyclic, _derived, _integer, _width
 from .encodings import EncodingKind, _levels, level_to_basis
 
 
@@ -179,6 +179,7 @@ def _adder_gates(qubits: tuple[int, ...], shift: int) -> list[Gate]:
     return qft + shifts + list(map(Gate.inverse, reversed(qft)))
 
 
+@_acyclic
 def build_adder(num_qubits: int, shift: int) -> Circuit:
     """Modular adder on a binary register; shift is reduced mod 2**n."""
     num_qubits = _width(num_qubits)
@@ -298,11 +299,15 @@ def build_binary_to_onehot(
 # every direction, from the unfolding and the compression
 
 
+@_acyclic
 def _converter(plan: ConverterPlan) -> Circuit:
     """The labelled circuit `plan` describes, unchecked; see `build_converter`."""
     direction, n, anc = plan.direction, plan.num_levels, plan.ancilla
     if direction is Direction.CNOT_STAIR:
-        gates = [_gate(_CNOT, t, (c,)) for c in range(n - 1) for t in range(c + 1, n)]
+        gates = []
+        for c in range(n - 1):
+            control = (c,)  # one tuple for the control's n-1-c gates
+            gates += [_gate(_CNOT, t, control) for t in range(c + 1, n)]
     elif direction is Direction.EDICK_TO_ONEHOT:
         gates = _onehot_gates(tuple(range(n)))
     else:

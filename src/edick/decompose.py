@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 
 from .circuit import _CCRY, _CNOT, _CPHASE, _CRY, _H, _MCX, _PHASE, _RY, _TOFFOLI, _X
-from .circuit import Circuit, Gate, _derived, _gate
+from .circuit import Circuit, Gate, _acyclic, _derived, _gate
 
 _PRIMITIVE = {_X, _H, _RY, _PHASE, _CNOT}
 _QUARTER = math.pi / 4.0
@@ -131,6 +131,7 @@ def _mcxpow_basis(s: float, controls: tuple[int, ...], t: int, pool: _Pool) -> l
     )
 
 
+@_acyclic
 def decompose_gate(gate: Gate) -> list[Gate]:
     """Exact expansion of one gate into {X, H, RY, Phase, CNOT}."""
     if gate.kind in _PRIMITIVE:
@@ -153,6 +154,7 @@ def _expand(gate: Gate, pool: _Pool, width: int) -> list[Gate]:
     raise ValueError(f"unsupported gate kind {kind}")  # pragma: no cover
 
 
+@_acyclic
 def decompose_to_basis(circuit: Circuit) -> Circuit:
     """Rewrite a circuit into single-qubit gates and CNOTs, exactly."""
     gates: list[Gate] = []

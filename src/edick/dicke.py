@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .circuit import _CCRY, _CNOT, _CRY, _RY, _X, Circuit, Gate, _derived, _gate, _integer, _real
+from .circuit import _CCRY, _CNOT, _CRY, _RY, _X, Circuit, Gate, _acyclic, _derived, _gate
+from .circuit import _integer, _real
 from .converters import ConverterPlan, Direction, EvenMethod, _converter
 from .encodings import EncodingKind
 
@@ -55,6 +56,7 @@ def _staircase_gates(n: int, theta: float, off: int) -> list[Gate]:
     return gates
 
 
+@_acyclic
 def build_scs(n: int, k: int) -> Circuit:
     """Split & cyclic shift block on k+1 qubits.
 
@@ -72,6 +74,7 @@ def build_scs(n: int, k: int) -> Circuit:
     return _derived(k + 1, tuple(map(Gate.inverse, reversed(_scs_gates(n, k, 0)))), f"scs_{n}_{k}")
 
 
+@_acyclic
 def build_dicke_unitary(num_qubits: int) -> Circuit:
     """Maps |0...01...1> with k ones to the uniform weight-k Dicke state.
 
@@ -127,6 +130,7 @@ _STAGES = {EncodingKind.EDICK: None, EncodingKind.ONE_HOT: Direction.EDICK_TO_ON
            EncodingKind.BINARY: Direction.EDICK_TO_BINARY}
 
 
+@_acyclic
 def build_binomial_pipeline(spec: BinomialSpec) -> tuple[Circuit, ConverterPlan]:
     """Full preparation circuit from |0...0> to the encoded distribution.
 

@@ -22,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .circuit import _RULES, Circuit, Gate, GateKind, _derived
+from .circuit import _RULES, Circuit, Gate, GateKind, _acyclic, _derived
 from .circuit import _set_angle, _set_controls, _set_kind, _set_target
 
 _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
@@ -176,12 +176,17 @@ def _bulk(text: str) -> Circuit | None:
         distinct[group] = gates = list(map(object.__new__, repeat(Gate, len(at))))
         deque(map(_set_kind, gates, repeat(kind)), 0)
         deque(map(_set_target, gates, target[at].tolist()), 0)
-        controls = zip(*[c[at].tolist() for c in (c0, c1)[:count]]) if count else repeat(())
+        controls = repeat(())
+        if count:  # one tuple per distinct control set of the kind, shared by its gates
+            _, first, which = np.unique(c0[at] * width + c1[at] + 1, return_index=True, return_inverse=True)
+            shared = list(zip(*[c[at[first]].tolist() for c in (c0, c1)[:count]]))
+            controls = map(shared.__getitem__, which.ravel().tolist())
         deque(map(_set_controls, gates, controls), 0)
         deque(map(_set_angle, gates, map(angles.__getitem__, angle_id[at].tolist())), 0)
     return _derived(int(match[1]), tuple(distinct[inverse.ravel()].tolist()), "")
 
 
+@_acyclic
 def parse_text(text: str) -> Circuit:
     """Parse OPENQASM 2.0 source restricted to the emitted subset.
 

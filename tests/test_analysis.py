@@ -280,6 +280,12 @@ def test_fit_rejects_thin_or_degenerate_input() -> None:
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             fit_scaling([(3, 1.0), (5, 2.0), (9, bad), (17, 4.0), (33, 5.0)], ScalingModel.LINEAR)
+    # Linear levels past the float range, or whose squares are: not OverflowError, not (0.0, 1.0).
+    for huge in (10**400, 10**200):
+        with pytest.raises(ValueError, match="overflows the float range"):
+            fit_scaling([(huge + i, 1.0) for i in range(5)], ScalingModel.LINEAR)
+    coefficient, worst = fit_scaling([(10**400 + i, 1.0) for i in range(5)], ScalingModel.LOG_SQUARED)
+    assert coefficient == pytest.approx(1.0 / math.log2(10**400) ** 2) and worst < 1e-12
     for model in ScalingModel:
         with pytest.raises(ValueError, match="at least two levels"):
             fit_scaling([(1, 1.0)] * 5, model)
