@@ -14,10 +14,6 @@ that every gate is a Gate that fits the register. The builders size their
 registers from checked arguments, `compose` needs equal widths, `inverse`
 keeps the width, `remap` sends every qubit injectively into the new
 register, and lowering expands each gate on that gate's own qubits.
-
-Every entry point that makes gates one at a time runs under `_acyclic`, with
-the cyclic garbage collector paused: gates and their controls tuples are
-tracked containers, but no gate list holds a reference cycle.
 """
 
 from __future__ import annotations
