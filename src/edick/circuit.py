@@ -140,7 +140,10 @@ def _acyclic(build):
     or raises; a nested call, or a call from another thread while one runs,
     leaves the collector as it found it. Caveat: if another thread turns the
     collector off while such a call runs, the call turns it back on when it
-    returns. Not for generators, which would keep it paused across yields.
+    returns. Not for generators, which would keep it paused across yields,
+    nor for calls that make a few hundred gates (one `build_scs` block, one
+    lowered gate): the collection the pause defers to the next allocation
+    then costs more than the pause saves.
     """
 
     @functools.wraps(build)

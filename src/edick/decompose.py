@@ -131,7 +131,6 @@ def _mcxpow_basis(s: float, controls: tuple[int, ...], t: int, pool: _Pool) -> l
     )
 
 
-@_acyclic
 def decompose_gate(gate: Gate) -> list[Gate]:
     """Exact expansion of one gate into {X, H, RY, Phase, CNOT}."""
     if gate.kind in _PRIMITIVE:

@@ -56,7 +56,6 @@ def _staircase_gates(n: int, theta: float, off: int) -> list[Gate]:
     return gates
 
 
-@_acyclic
 def build_scs(n: int, k: int) -> Circuit:
     """Split & cyclic shift block on k+1 qubits.
 

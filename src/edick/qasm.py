@@ -178,7 +178,8 @@ def _bulk(text: str) -> Circuit | None:
         deque(map(_set_target, gates, target[at].tolist()), 0)
         controls = repeat(())
         if count:  # one tuple per distinct control set of the kind, shared by its gates
-            _, first, which = np.unique(c0[at] * width + c1[at] + 1, return_index=True, return_inverse=True)
+            pairs = c0[at].astype(np.int64) * width + c1[at] + 1  # int64: c0 and c1 are int32
+            _, first, which = np.unique(pairs, return_index=True, return_inverse=True)
             shared = list(zip(*[c[at[first]].tolist() for c in (c0, c1)[:count]]))
             controls = map(shared.__getitem__, which.ravel().tolist())
         deque(map(_set_controls, gates, controls), 0)

@@ -1,6 +1,6 @@
 """The cyclic garbage collector pauses while the library makes gate lists.
 
-Every entry point that makes gates one at a time runs under
+Every entry point that can make thousands of gates runs under
 `circuit._acyclic`: the collector is off inside the call when it was on
 before, and the call leaves it as it found it, on return and on error,
 nested or from several threads at once. The pause is safe because no gate
@@ -30,10 +30,7 @@ from edick import (
     build_binomial_pipeline,
     build_converter,
     build_dicke_unitary,
-    build_scs,
-    ccry,
     cost,
-    decompose_gate,
     decompose_to_basis,
     emit_text,
     inverse,
@@ -53,9 +50,7 @@ CALLS = {
     "_converter": lambda: _converter(ConverterPlan(9, EvenMethod.EXPAND_TO_POW2, Direction.ONEHOT_TO_BINARY)),
     "build_adder": lambda: build_adder(4, 3),
     "decompose_to_basis": lambda: decompose_to_basis(SMALL),
-    "decompose_gate": lambda: decompose_gate(ccry(0.5, 0, 1, 2)),
     "build_binomial_pipeline": lambda: build_binomial_pipeline(SPEC),
-    "build_scs": lambda: build_scs(5, 3),
     "build_dicke_unitary": lambda: build_dicke_unitary(5),
     "parse_text": lambda: parse_text(TEXT),
     "parse_text, line path": lambda: parse_text(TEXT.replace("\n", "\n\n")),
@@ -66,7 +61,6 @@ REFUSALS = {
     "parse_text": lambda: parse_text(TEXT + "cx q[0],q[0];\n"),
     "remap": lambda: remap(SMALL, [0] * SMALL.num_qubits, SMALL.num_qubits),
     "build_adder": lambda: build_adder(0, 1),
-    "build_scs": lambda: build_scs(3, 3),
     "build_dicke_unitary": lambda: build_dicke_unitary(1),
 }
 
@@ -138,8 +132,7 @@ def test_each_wrapped_function_keeps_its_name() -> None:
     # bench/spans.py names its spans by __module__ and __name__.
     for module, name in [(edick.circuit, "inverse"), (edick.circuit, "remap"),
                          (edick.converters, "_converter"), (edick.converters, "build_adder"),
-                         (edick.decompose, "decompose_to_basis"), (edick.decompose, "decompose_gate"),
-                         (edick.dicke, "build_binomial_pipeline"), (edick.dicke, "build_scs"),
+                         (edick.decompose, "decompose_to_basis"), (edick.dicke, "build_binomial_pipeline"),
                          (edick.dicke, "build_dicke_unitary"), (edick.qasm, "parse_text")]:
         function = getattr(module, name)
         assert (function.__module__, function.__name__) == (module.__name__, name)

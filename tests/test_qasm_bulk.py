@@ -235,6 +235,9 @@ def test_angle_texts_are_told_apart_byte_for_byte(angles: list[str]) -> None:
     ("width", "line", "bulk"),
     [
         (100000, "cx q[99999],q[0];", True),  # past the 5-digit registers of the emitted tests
+        # Control sets whose keys c0 * width + c1 + 1 agree modulo 2**32 stay apart.
+        (100000, "ccx q[42950],q[0],q[1];\nccx q[0],q[32704],q[2];\nx q[99998];", True),
+        (524287, "cx q[0],q[1];\ncx q[8192],q[2];\nx q[524286];", True),
         (999999999, "ccx q[0],q[999999998],q[5];", False),  # row keys past int64: line path
         (2000000, "cu1(0.5) q[1999999],q[0];", False),
     ],
