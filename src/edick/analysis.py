@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -66,11 +66,7 @@ class SweepRow:
             raise ValueError("depth cannot exceed size")
 
     def to_csv(self) -> str:
-        return (
-            f"{self.num_levels},{self.method},{self.depth_logical},"
-            f"{self.depth_basis},{self.size_logical},{self.size_basis},"
-            f"{self.ancilla},{self.build_time_ms!r}"
-        )
+        return ",".join(map(str, astuple(self)))  # str of a float is its repr
 
 
 def predicted_edick_to_onehot_depth(num_levels: int) -> int:

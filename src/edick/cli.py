@@ -31,6 +31,7 @@ _FIDELITY_TOL = 1e-9
 
 _DIRECTION_CHOICES = [d.value for d in Direction]
 _METHOD_CHOICES = [m.value for m in EvenMethod]
+_GRANULARITIES = {"logical": Granularity.LOGICAL, "basis": Granularity.TWO_QUBIT_BASIS}
 
 _NEEDS_LOWERING = {kind for kind in GateKind if kind not in _NAMES}  # no QASM line
 
@@ -84,13 +85,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     subjects = [s.strip() for s in args.methods.split(",") if s.strip()]
     if not 2 <= args.n_min <= args.n_max:
         raise ValueError("need 2 <= n-min <= n-max")
-    granularity = (
-        Granularity.TWO_QUBIT_BASIS if args.granularity == "basis" else Granularity.LOGICAL
-    )
     rows = run_sweep(
         range(args.n_min, args.n_max + 1),
         subjects,
-        granularity,
+        _GRANULARITIES[args.granularity],
         measure_time=args.timings,
     )
     _write(rows_to_csv(rows), out)
@@ -171,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="recursion,expand-n-plus-1,expand-pow2",
         help=f"comma-separated subset of {','.join(SWEEP_SUBJECTS)}",
     )
-    sweep.add_argument("--granularity", choices=["logical", "basis"], default="basis")
+    sweep.add_argument("--granularity", choices=list(_GRANULARITIES), default="basis")
     sweep.add_argument(
         "--timings",
         action="store_true",

@@ -11,8 +11,9 @@ The pipeline is emitted in place on that plan's register: the Y rotations
 and the inverse Dicke unitary, then the conversion stage's gates from the
 converters' own routine. Each split & cyclic shift block is written once,
 in the pipeline's direction; build_scs and build_dicke_unitary invert it
-with Gate.inverse. The builders here return their circuits without a
-second width scan.
+with Gate.inverse. The order of the blocks, widths 2..n, is written once
+too: the pipeline and build_dicke_unitary read the same list. The builders
+here return their circuits without a second width scan.
 """
 
 from __future__ import annotations
@@ -48,12 +49,9 @@ def _scs_gates(n: int, k: int, off: int) -> list[Gate]:
     return gates
 
 
-def _staircase_gates(n: int, theta: float, off: int) -> list[Gate]:
-    """Y rotations by theta, then the inverse Dicke unitary, on qubits off..off+n-1."""
-    gates = [_gate(_RY, off + q, (), theta) for q in range(n)]
-    for width in range(2, n + 1):
-        gates += _scs_gates(width, width - 1, off)
-    return gates
+def _dicke_gates(n: int, off: int) -> list[Gate]:
+    """The inverse Dicke unitary on qubits off..off+n-1: its blocks of widths 2..n, in order."""
+    return [gate for width in range(2, n + 1) for gate in _scs_gates(width, width - 1, off)]
 
 
 def build_scs(n: int, k: int) -> Circuit:
@@ -83,10 +81,8 @@ def build_dicke_unitary(num_qubits: int) -> Circuit:
     num_qubits = _integer(num_qubits, "register width must be an integer")
     if num_qubits < 2:
         raise ValueError("need at least two qubits")
-    gates: list[Gate] = []
-    for width in range(2, num_qubits + 1):
-        gates += _scs_gates(width, width - 1, 0)
-    return _derived(num_qubits, tuple(map(Gate.inverse, reversed(gates))), f"dicke_unitary_{num_qubits}")
+    gates = tuple(map(Gate.inverse, reversed(_dicke_gates(num_qubits, 0))))
+    return _derived(num_qubits, gates, f"dicke_unitary_{num_qubits}")
 
 
 @dataclass(frozen=True)
@@ -138,8 +134,8 @@ def build_binomial_pipeline(spec: BinomialSpec) -> tuple[Circuit, ConverterPlan]
     the conversion stage; with the EDICK target there is no conversion and
     the plan's direction is None. The plan is `spec.plan` itself.
     """
-    n, plan = spec.trials, spec.plan
-    gates = _staircase_gates(n, spec.theta, plan.ancilla)
+    n, plan, off = spec.trials, spec.plan, spec.plan.ancilla
+    gates = [_gate(_RY, off + q, (), spec.theta) for q in range(n)] + _dicke_gates(n, off)
     if plan.direction is Direction.EDICK_TO_ONEHOT:
         gates.append(_gate(_X, n))  # the |1> flag right of the staircase
     if plan.direction is not None:

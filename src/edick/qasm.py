@@ -9,20 +9,23 @@ Angles are printed with ``repr``, so parse_text(emit_text(c)) reproduces
 the text byte for byte. emit_text formats each gate object once (by object,
 as equal gates may print differently: ``u1(0.0)`` and ``u1(-0.0)``).
 parse_text checks text wholly in emitted form by one pattern search and reads
-it in one numpy pass. Other text goes line by line, in one ordered pass: each
-line is split into operands, which accepts extra blanks and names what is
-wrong, and Gate() checks each gate.
+it in one numpy pass. Other text goes line by line: its statements (the lines
+that are neither blank nor ``//`` comments) are numbered once, the header is
+read from the front of that list, and each statement after it is split into
+operands, which accepts extra blanks and names what is wrong, and Gate()
+checks each gate. Both paths and emit_text take the header lines from one
+constant.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
-from .circuit import _RULES, Circuit, Gate, GateKind, _acyclic, _derived
+from .circuit import _RULES, Circuit, Gate, GateKind, _acyclic, _derived, _width
 from .circuit import _set_angle, _set_controls, _set_kind, _set_target
 
 _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
@@ -86,7 +89,7 @@ _FORMS = "|".join(f"{n}{_A if n in _TAKES_ANGLE else ''} {','.join([_Q] * _ARITY
 _ODD_LINE_RE = re.compile(  # a newline before a line in any other form, or not ending in one
     rf"\n(?!(?:{_FORMS});\n|\Z)"
 )
-_HEAD_RE = re.compile(r'OPENQASM 2\.0;\ninclude "qelib1\.inc";\nqreg q\[([1-9][0-9]{0,8})\];\n')
+_HEAD_RE = re.compile(re.escape(_HEADER) + r"qreg q\[([1-9][0-9]{0,8})\];\n")
 # Names by their first two bytes as a little-endian int, in order, and the kind of each.
 _LEADS, _LEAD_KINDS = zip(*sorted(
     (int.from_bytes(f"{name} "[:2].encode(), "little"), kind) for name, kind in _KINDS.items()))
@@ -107,15 +110,6 @@ def _parse_gate(line: str, num_qubits: int) -> Gate:
         raise ValueError(f"{line!r} exceeds register width {num_qubits}")
     angle = float(angle_text) if angle_text is not None else None
     return Gate(_KINDS[name], qubits[-1], qubits[:-1], angle)
-
-
-def _next_statement(lines: list[str], start: int) -> tuple[int, str | None]:
-    """Index and text of the first line at or after `start` that is not blank or a comment."""
-    for index in range(start, len(lines)):
-        line = lines[index].strip()
-        if line and not line.startswith("//"):
-            return index, line
-    return len(lines), None
 
 
 def _bulk(text: str) -> Circuit | None:
@@ -198,29 +192,23 @@ def parse_text(text: str) -> Circuit:
         raise ValueError(f"QASM text must be a str, got {type(text).__name__}")
     if (circuit := _bulk(text)) is not None:
         return circuit
-    lines = text.splitlines()
-    pos, line = _next_statement(lines, 0)
-    if line != "OPENQASM 2.0;":
-        where = "" if line is None else f"line {pos + 1}: "
+    version, include = _HEADER.splitlines()
+    statements = [(number, line) for number, line in enumerate(map(str.strip, text.splitlines()), 1)
+                  if line and not line.startswith("//")]
+    if not statements or statements[0][1] != version:
+        where = f"line {statements[0][0]}: " if statements else ""
         raise ValueError(f"{where}missing OPENQASM 2.0 header")
-    pos, line = _next_statement(lines, pos + 1)
-    if line == 'include "qelib1.inc";':
-        pos, line = _next_statement(lines, pos + 1)
-    if line is None:
+    pos = 2 if len(statements) > 1 and statements[1][1] == include else 1  # of the qreg line
+    if pos == len(statements):
         raise ValueError("missing qreg declaration")
-    qreg = _QREG_RE.match(line)
-    if qreg is None:
-        raise ValueError(f"line {pos + 1}: expected qreg declaration, got {line!r}")
-    num_qubits = int(qreg.group(1))
-    if num_qubits < 1:
-        raise ValueError(f"line {pos + 1}: a circuit needs at least one qubit")
-
     gates: list[Gate] = []
-    for number, raw in enumerate(lines[pos + 1 :], pos + 2):
-        line = raw.strip()
-        if line and not line.startswith("//"):
-            try:
-                gates.append(_parse_gate(line, num_qubits))
-            except ValueError as exc:
-                raise ValueError(f"line {number}: {exc}") from exc
+    number, line = statements[pos]
+    try:
+        if (qreg := _QREG_RE.match(line)) is None:
+            raise ValueError(f"expected qreg declaration, got {line!r}")
+        num_qubits = _width(int(qreg[1]))
+        for number, line in islice(statements, pos + 1, None):
+            gates.append(_parse_gate(line, num_qubits))
+    except ValueError as exc:
+        raise ValueError(f"line {number}: {exc}") from exc
     return _derived(num_qubits, tuple(gates), "")

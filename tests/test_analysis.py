@@ -181,6 +181,9 @@ def test_sweep_csv_shape() -> None:
     lines = text.strip().split("\n")
     assert lines[0] == SWEEP_CSV_HEADER
     assert lines[1] == "3,cnot-stair,3,0,3,0,0,0.0"
+    # The time column is the float's repr, also for a sum that prints long or an int given.
+    assert SweepRow(3, "cnot-stair", 3, 0, 3, 0, 0, 0.1 + 0.2).to_csv().endswith(",0.30000000000000004")
+    assert SweepRow(3, "cnot-stair", 3, 0, 3, 0, 0, 2).to_csv() == "3,cnot-stair,3,0,3,0,0,2.0"
 
 
 def test_sweep_stair_depth_column_is_2n_minus_3() -> None:

@@ -190,6 +190,15 @@ def test_sweep_logical_granularity_zeroes_basis_columns(tmp_path) -> None:
     assert (row[3], row[5]) == ("0", "0")
 
 
+def test_sweep_granularity_basis_is_the_default_and_unknown_names_exit_2(tmp_path) -> None:
+    argv = ["sweep", "--n-min", "4", "--n-max", "6", "--methods", "recursion,onehot"]
+    assert main(argv + ["--out", str(tmp_path / "default.csv")]) == 0
+    assert main(argv + ["--granularity", "basis", "--out", str(tmp_path / "basis.csv")]) == 0
+    assert (tmp_path / "basis.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+    assert main(argv + ["--granularity", "two-qubit-basis", "--out", str(tmp_path / "bad.csv")]) == 2
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_prepare_binomial_matches_the_pmf(tmp_path) -> None:
     out = tmp_path / "probs.csv"
     code = main(

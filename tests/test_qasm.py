@@ -149,6 +149,33 @@ def test_parse_errors_name_the_source_line_counting_blanks_and_comments() -> Non
         parse_text("\n// a comment\nqreg q[1];\n")
 
 
+_VERSION, _INCLUDE = "OPENQASM 2.0;\n", 'include "qelib1.inc";\n'
+
+
+# Header walks, with their messages recorded before the header and the gate
+# lines were read from one list of numbered statements.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "missing OPENQASM 2.0 header"),
+        ("\n  \n// c\n\t// d\n", "missing OPENQASM 2.0 header"),
+        (_VERSION, "missing qreg declaration"),
+        (_VERSION + _INCLUDE + "// c\n\n", "missing qreg declaration"),
+        (_INCLUDE + _VERSION + "qreg q[1];\n", "line 1: missing OPENQASM 2.0 header"),
+        (_VERSION + "// a\n\n" + _INCLUDE + "// b\n\nqreg q[0];\nx q[0];\n",
+         "line 7: a circuit needs at least one qubit"),
+        (_PREFIX + "x q[0];\nqreg q[3];\n", "line 5: unsupported statement 'qreg q[3];'"),
+        ("// top\r\nOPENQASM 2.0;\r\n// mid\r\n\r\ninclude \"qelib1.inc\";\r\n  // more\r\n"
+         "qreg q[2];\r\n// g\r\ncx q[0],q[1];\r\nmeasure q[0];\r\n", "line 10: unsupported statement 'measure q[0];'"),
+    ],
+    ids=["empty", "only-comments", "version-only", "no-qreg", "include-first", "qreg-0", "second-qreg", "crlf"],
+)
+def test_header_errors_are_pinned(text: str, message: str) -> None:
+    with pytest.raises(ValueError) as info:
+        parse_text(text)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize(
     "statement, message",
     [

@@ -6,6 +6,9 @@ Each generated program is parsed twice, once by that parser alone (the bulk
 pass switched off), and both must give the same gates (signed zeros
 included) or the same error. Near-canonical programs, which the bulk pass
 reads or hands on, are held against the line path the same way.
+`_reference_parse` is the line path as it was when the header was walked
+statement by statement apart from the gate loop; generated header variants
+are held against it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import edick.qasm
-from edick import Gate, GateKind, parse_text
+from edick import Circuit, Gate, GateKind, parse_text
 
 _GATE_RE = re.compile(r"^(x|h|cx|ccx|ry|u1|cu1)(?:\(([^)]+)\))? ([^;]+);$")
 _QUBIT_RE = re.compile(r"^q\[(\d+)\]$")
@@ -55,6 +58,42 @@ def _reference_parse_gate(line: str, num_qubits: int) -> Gate:
     return Gate(_KINDS[name], qubits[-1], qubits[:-1], angle)
 
 
+def _reference_next_statement(lines: list[str], start: int) -> tuple[int, str | None]:
+    for index in range(start, len(lines)):
+        line = lines[index].strip()
+        if line and not line.startswith("//"):
+            return index, line
+    return len(lines), None
+
+
+def _reference_parse(text: str) -> Circuit:
+    lines = text.splitlines()
+    pos, line = _reference_next_statement(lines, 0)
+    if line != "OPENQASM 2.0;":
+        where = "" if line is None else f"line {pos + 1}: "
+        raise ValueError(f"{where}missing OPENQASM 2.0 header")
+    pos, line = _reference_next_statement(lines, pos + 1)
+    if line == 'include "qelib1.inc";':
+        pos, line = _reference_next_statement(lines, pos + 1)
+    if line is None:
+        raise ValueError("missing qreg declaration")
+    qreg = re.match(r"^qreg q\[(\d+)\];$", line)
+    if qreg is None:
+        raise ValueError(f"line {pos + 1}: expected qreg declaration, got {line!r}")
+    num_qubits = int(qreg.group(1))
+    if num_qubits < 1:
+        raise ValueError(f"line {pos + 1}: a circuit needs at least one qubit")
+    gates = []
+    for number, raw in enumerate(lines[pos + 1 :], pos + 2):
+        line = raw.strip()
+        if line and not line.startswith("//"):
+            try:
+                gates.append(_reference_parse_gate(line, num_qubits))
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from exc
+    return Circuit(num_qubits, tuple(gates))
+
+
 def _reference_outcome(text: str):
     with mock.patch.object(edick.qasm, "_parse_gate", _reference_parse_gate):
         return _line_path_outcome(text)
@@ -65,9 +104,9 @@ def _line_path_outcome(text: str):
         return _outcome(text)
 
 
-def _outcome(text: str):
+def _outcome(text: str, parse=parse_text):
     try:
-        circuit = parse_text(text)
+        circuit = parse(text)
     except ValueError as exc:
         return "error", str(exc)
     return "ok", circuit.num_qubits, [
@@ -194,3 +233,35 @@ def test_near_canonical_programs_match_the_line_path(num_qubits, lines, end, com
     text = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{num_qubits}];\n' + "\n".join(lines)
     text = text + end if end != "\r\n" else text.replace("\n", end) + end
     assert _outcome(text) == _line_path_outcome(text)
+
+
+_MOSTLY = st.sampled_from([True] * 5 + [False])
+# Each header line as emitted most of the time, or else one of a few departures.
+_VERSIONS = st.sampled_from(["OPENQASM 2.0;"] * 6 + [" OPENQASM 2.0;\t", "OPENQASM 3.0;", "OPENQASM 2.0"])
+_INCLUDES = st.sampled_from(['include "qelib1.inc";'] * 6 + ['  include "qelib1.inc"; ', 'include "x.inc";'])
+_QREGS = st.one_of(
+    st.integers(0, 7).map("qreg q[{}];".format),
+    st.sampled_from(["qreg q[02];", "qreg q[];", "qreg r[2];", "qreg q[2]", "qreg q[-1];", " qreg q[3]; "]),
+)
+
+
+@st.composite
+def _header_text(draw) -> str:
+    """A program whose header lines may be missing, repeated, out of order or malformed."""
+    parts = [draw(kind) for kind in (_VERSIONS, _INCLUDES, _QREGS) if draw(_MOSTLY)]
+    if parts and not draw(_MOSTLY):
+        parts = list(draw(st.permutations(parts)))
+    if parts and not draw(_MOSTLY):
+        parts.insert(draw(st.integers(0, len(parts))), draw(st.sampled_from(parts)))
+    parts += draw(st.lists(st.one_of(_valid_line(), _any_line()), max_size=3))
+    lines = []
+    for part in parts:
+        lines += draw(st.lists(_FILLER, max_size=2)) + [part]
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return end.join(lines + draw(st.lists(_FILLER, max_size=2))) + draw(st.sampled_from([end, ""]))
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_header_text())
+def test_header_variants_match_the_statement_by_statement_header_walk(text) -> None:
+    assert _line_path_outcome(text) == _outcome(text, _reference_parse)
