@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -23,13 +23,9 @@ from .circuit import Circuit, Granularity, _integer, _real, cost
 from .converters import Direction, EvenMethod, binary_width, build_converter
 from .encodings import _levels
 
-SWEEP_CSV_HEADER = (
-    "N,method,depth_logical,depth_basis,size_logical,size_basis,ancilla,build_time_ms"
-)
-
 # Sweep subjects that are a direction of their own; the rest are methods of edick-to-binary.
 _SUBJECT_DIRECTIONS = {"onehot": Direction.EDICK_TO_ONEHOT, "cnot-stair": Direction.CNOT_STAIR}
-# Buildable subjects of a sweep: the three staircase-to-binary methods,
+# Buildable subjects of a sweep: each staircase-to-binary method of EvenMethod,
 # the staircase-to-one-hot converter, and its quadratic baseline.
 SWEEP_SUBJECTS = tuple(m.value for m in EvenMethod) + tuple(_SUBJECT_DIRECTIONS)
 
@@ -53,8 +49,7 @@ class SweepRow:
     def __post_init__(self) -> None:
         _check_subject(self.method)
         object.__setattr__(self, "num_levels", _levels(self.num_levels))
-        for key in ("num_levels", "depth_logical", "depth_basis", "size_logical",
-                    "size_basis", "ancilla"):
+        for key in [f.name for f in fields(self) if f.type == "int"]:  # a string: annotations are postponed
             value = _integer(getattr(self, key), f"{key} must be an integer")
             if value < 0:
                 raise ValueError("sweep metrics are finite and non-negative")
@@ -67,6 +62,10 @@ class SweepRow:
 
     def to_csv(self) -> str:
         return ",".join(map(str, astuple(self)))  # str of a float is its repr
+
+
+# The sweep CSV columns are SweepRow's fields in order, with the level count named N.
+SWEEP_CSV_HEADER = ",".join(["N"] + [f.name for f in fields(SweepRow)[1:]])
 
 
 def predicted_edick_to_onehot_depth(num_levels: int) -> int:
@@ -119,7 +118,7 @@ def _build_subject(subject: str, num_levels: int) -> tuple[Circuit, int]:
 
 def run_sweep(
     level_counts: Iterable[int],
-    subjects: Sequence[str] = ("recursion", "expand-n-plus-1", "expand-pow2"),
+    subjects: Sequence[str] = tuple(m.value for m in EvenMethod),
     granularity: Granularity = Granularity.TWO_QUBIT_BASIS,
     measure_time: bool = False,
 ) -> list[SweepRow]:

@@ -31,6 +31,12 @@ _FIDELITY_TOL = 1e-9
 
 _DIRECTION_CHOICES = [d.value for d in Direction]
 _METHOD_CHOICES = [m.value for m in EvenMethod]
+# The --method option of build, verify and prepare-binomial.
+_METHOD_OPTION = {
+    "choices": _METHOD_CHOICES,
+    "default": EvenMethod.EXPAND_TO_POW2.value,
+    "help": "strategy for even level counts",
+}
 _GRANULARITIES = {"logical": Granularity.LOGICAL, "basis": Granularity.TWO_QUBIT_BASIS}
 
 _NEEDS_LOWERING = {kind for kind in GateKind if kind not in _NAMES}  # no QASM line
@@ -134,12 +140,7 @@ def _write(text: str, path: Path | None) -> None:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--direction", required=True, choices=_DIRECTION_CHOICES)
     sub.add_argument("--n", required=True, type=int, help="number of levels")
-    sub.add_argument(
-        "--method",
-        choices=_METHOD_CHOICES,
-        default=EvenMethod.EXPAND_TO_POW2.value,
-        help="strategy for even level counts",
-    )
+    sub.add_argument("--method", **_METHOD_OPTION)
 
 
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
@@ -166,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--n-max", required=True, type=int)
     sweep.add_argument(
         "--methods",
-        default="recursion,expand-n-plus-1,expand-pow2",
+        default=",".join(_METHOD_CHOICES),
         help=f"comma-separated subset of {','.join(SWEEP_SUBJECTS)}",
     )
     sweep.add_argument("--granularity", choices=list(_GRANULARITIES), default="basis")
@@ -188,11 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[k.value for k in EncodingKind],
         default=EncodingKind.EDICK.value,
     )
-    binomial.add_argument(
-        "--method",
-        choices=_METHOD_CHOICES,
-        default=EvenMethod.EXPAND_TO_POW2.value,
-    )
+    binomial.add_argument("--method", **_METHOD_OPTION)
     binomial.add_argument("--out", help="output path (default: stdout)")
     binomial.set_defaults(handler=_cmd_prepare_binomial)
 

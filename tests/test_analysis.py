@@ -184,6 +184,8 @@ def test_sweep_csv_shape() -> None:
     # The time column is the float's repr, also for a sum that prints long or an int given.
     assert SweepRow(3, "cnot-stair", 3, 0, 3, 0, 0, 0.1 + 0.2).to_csv().endswith(",0.30000000000000004")
     assert SweepRow(3, "cnot-stair", 3, 0, 3, 0, 0, 2).to_csv() == "3,cnot-stair,3,0,3,0,0,2.0"
+    # The header is the row's fields in order, the level count named N.
+    assert SWEEP_CSV_HEADER == "N,method,depth_logical,depth_basis,size_logical,size_basis,ancilla,build_time_ms"
 
 
 def test_sweep_stair_depth_column_is_2n_minus_3() -> None:
@@ -208,6 +210,26 @@ def test_sweep_row_validation() -> None:
         with pytest.raises(ValueError, match="build_time_ms must be a real number"):
             SweepRow(4, "recursion", 3, 0, 3, 0, 0, bad)
     assert type(SweepRow(4, "recursion", 3, 0, 3, 0, 0, 2).build_time_ms) is float
+    # Each integer column refuses a negative value and non-integers, with these messages.
+    messages = {
+        0: ("need at least two levels", "level count must be an integer"),
+        2: ("sweep metrics are finite and non-negative", "depth_logical must be an integer"),
+        3: ("sweep metrics are finite and non-negative", "depth_basis must be an integer"),
+        4: ("sweep metrics are finite and non-negative", "size_logical must be an integer"),
+        5: ("sweep metrics are finite and non-negative", "size_basis must be an integer"),
+        6: ("sweep metrics are finite and non-negative", "ancilla must be an integer"),
+    }
+    for column, (negative, not_integer) in messages.items():
+        cases = [(-1, negative)] + [(bad, f"{not_integer}, got {bad!r}") for bad in (1.5, True, "3")]
+        for bad, message in cases:
+            row = [4, "recursion", 3, 0, 3, 0, 0, 0.0]
+            row[column] = bad
+            with pytest.raises(ValueError) as raised:
+                SweepRow(*row)
+            assert str(raised.value) == message
+    # The columns are checked in field order.
+    with pytest.raises(ValueError, match="^depth_basis must be an integer, got 1.5$"):
+        SweepRow(4, "recursion", 3, 1.5, 3, -1, -1, 0.0)
 
 
 @pytest.mark.parametrize("num_levels", [0, 1, -3])

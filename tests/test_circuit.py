@@ -56,6 +56,7 @@ def test_constructors_carry_kind_and_operands() -> None:
 
 
 def test_mcx_collapses_small_control_counts() -> None:
+    assert mcx((), 3) == x(3)
     assert mcx([0], 3).kind is GateKind.CNOT
     assert mcx([0, 1], 3).kind is GateKind.TOFFOLI
     assert mcx([0, 1, 2], 3).kind is GateKind.MCX

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import inspect
 import math
 import os
 import subprocess
@@ -13,7 +15,17 @@ import numpy as np
 import pytest
 
 import edick.cli
-from edick import ConverterPlan, Direction, EncodingKind, EvenMethod, parse_text
+from edick import (
+    ConverterPlan,
+    Direction,
+    EncodingKind,
+    EvenMethod,
+    build_converter,
+    decompose_to_basis,
+    emit_text,
+    parse_text,
+    run_sweep,
+)
 from edick.cli import main
 
 
@@ -34,6 +46,22 @@ def test_build_defaults_to_stdout(capsys) -> None:
     text = capsys.readouterr().out
     assert text.startswith("OPENQASM 2.0;\n")
     assert parse_text(text).num_qubits == 4
+
+
+@pytest.mark.parametrize("direction", ["onehot-to-binary", "edick-to-binary", "binary-to-onehot"])
+def test_build_lowers_only_a_circuit_with_gates_qasm_cannot_name(direction: str, capsys) -> None:
+    # The recursion method's MCX has no QASM line, so the whole circuit goes to the basis.
+    circuit, _ = build_converter(Direction(direction), 6, EvenMethod.RECURSION)
+    assert main(["build", "--direction", direction, "--n", "6", "--method", "recursion"]) == 0
+    text = capsys.readouterr().out
+    assert text == emit_text(decompose_to_basis(circuit))
+    assert not any(line.startswith("ccx ") for line in text.splitlines())
+    # expand-pow2 builds Toffolis at most, and they are emitted as they are.
+    circuit, _ = build_converter(Direction(direction), 6, EvenMethod.EXPAND_TO_POW2)
+    assert main(["build", "--direction", direction, "--n", "6", "--method", "expand-pow2"]) == 0
+    text = capsys.readouterr().out
+    assert text == emit_text(circuit)
+    assert any(line.startswith("ccx ") for line in text.splitlines())
 
 
 @pytest.mark.parametrize(
@@ -338,6 +366,23 @@ def test_calls_share_the_parser_but_no_parsed_state(capsys, tmp_path) -> None:
     assert not timed.read_text().splitlines()[1].endswith(",0.0")
     assert plain.read_text().splitlines()[1].endswith(",0.0")
     assert edick.cli._build_parser() is edick.cli._build_parser()
+
+
+def test_method_option_and_method_list_have_one_source() -> None:
+    parser = edick.cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    options = [
+        next(a for a in commands[name]._actions if "--method" in a.option_strings)
+        for name in ("build", "verify", "prepare-binomial")
+    ]
+    methods = tuple(m.value for m in EvenMethod)
+    for option in options:
+        assert (tuple(option.choices), option.default, option.help) == (
+            methods, "expand-pow2", "strategy for even level counts"
+        )
+    assert inspect.signature(run_sweep).parameters["subjects"].default == methods
+    args = parser.parse_args(["sweep", "--n-min", "2", "--n-max", "3"])
+    assert tuple(args.methods.split(",")) == methods
 
 
 def test_help_and_usage_errors_repeat_byte_for_byte(capsys) -> None:

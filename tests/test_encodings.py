@@ -47,6 +47,9 @@ def test_level_to_basis_range_errors() -> None:
         level_to_basis(EncodingKind.BINARY, -1, 3)
     with pytest.raises(ValueError, match="must be an EncodingKind"):
         level_to_basis("edick", 0, 4)
+    for kind in EncodingKind:
+        with pytest.raises(ValueError, match="width must be at least 1"):
+            level_to_basis(kind, 0, 0)
 
 
 def test_amplitude_vector_validation() -> None:
