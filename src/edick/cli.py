@@ -52,8 +52,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.trials < 0:
-        raise ValueError("--trials must be non-negative")
+    for flag, value in (("--trials", args.trials), ("--seed", args.seed)):
+        if value < 0:
+            raise ValueError(f"{flag} must be non-negative")
     direction, method = Direction(args.direction), EvenMethod(args.method)
     plan = ConverterPlan(args.n, method, direction)
     _check_width(plan.total_qubits)

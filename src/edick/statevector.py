@@ -9,12 +9,14 @@ matrix arithmetic, so they are float-exact.
 one-state case. A batch is given as basis rows that hold every nonzero input
 amplitude and an (S, B) block of the amplitudes at those rows, one column per
 state. A permutation gate rewrites the rows with bit operations. An arithmetic
-gate (H, RY, PHASE and their controlled forms) gathers the (G, B) blocks of the
-pairs it meets, adding zero rows for partners outside the held rows, and
-applies the dense kernel's elementwise formulas, so every amplitude is
-bit-identical to dense simulation. A verifier's inputs share N of 2**n indices.
-Once the held rows are too many for this to pay, each state goes on alone,
-densely and gate by gate.
+gate (H, RY, PHASE and their controlled forms) adds zero rows for the partners
+its active rows lack, takes each pair once from its target-0 row and applies
+the dense kernel's elementwise formulas to the (G, B) blocks, so every amplitude
+is bit-identical to dense simulation. A verifier's inputs share N of 2**n
+indices. Once the held rows are too many for this to pay, each state goes on
+alone, densely and gate by gate. In both paths a state's norm is checked where
+it enters and after every gate that changes amplitudes; the states yielded are
+not checked again.
 """
 
 from __future__ import annotations
@@ -48,6 +50,13 @@ def _check_width(num_qubits: object) -> int:
     return num_qubits
 
 
+def _complex(values: object) -> np.ndarray:
+    try:
+        return np.ascontiguousarray(values, dtype=np.complex128)
+    except (TypeError, OverflowError):  # numpy's errors for values that are not numbers
+        raise ValueError("amplitudes must be complex numbers") from None
+
+
 def _norm_drift(amps: np.ndarray) -> float:
     """|norm - 1| of a contiguous complex128 array, as one dot over its float64 view."""
     f = amps.view(np.float64)
@@ -61,11 +70,11 @@ class Statevector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "num_qubits", _check_width(self.num_qubits))
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128).reshape(-1)
+        amps = _complex(self.amplitudes).reshape(-1)
         if amps.shape != (2**self.num_qubits,):
             raise ValueError("amplitude count must be 2**num_qubits")
         if not _norm_drift(amps) <= _NORM_TOL:  # NaN fails too
-            raise ValueError("statevector must be normalized to 1 within 1e-10")
+            raise ValueError(f"statevector must be normalized to 1 within {_NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
 
 
@@ -122,11 +131,6 @@ def _mixed(kind: GateKind, angle: float | None, a, b):
     return a, b * complex(math.cos(angle), math.sin(angle))
 
 
-def apply(state: Statevector, gate: Gate) -> Statevector:
-    """Apply one gate, returning a fresh statevector."""
-    return run(state, Circuit(state.num_qubits, (gate,)))
-
-
 def _sparse_pays(rows: int, states: int, size: int) -> bool:
     """Whether an arithmetic step on `rows` held rows of `states` states beats dense passes.
 
@@ -142,14 +146,14 @@ def _sparse_pays(rows: int, states: int, size: int) -> bool:
 
 def _check(drift: float, label: object) -> None:
     if not drift <= _NORM_TOL:  # NaN fails too
-        raise AssertionError(f"norm drifted past 1e-10 after {label}")
+        raise AssertionError(f"norm drifted past {_NORM_TOL} after {label}")
 
 
 def _sparse(idx: np.ndarray, columns: np.ndarray, circuit: Circuit):
     """Walk the states of `columns`, held at rows `idx`, through the circuit while sparse steps pay.
 
     Returns the held rows, the block of their amplitudes (a column per state)
-    and the first gate left for the dense path, or None.
+    and the index of the first gate left for the dense path, or the gate count.
     """
     n, (rows, count), size = circuit.num_qubits, columns.shape, 1 << circuit.num_qubits
     pos = np.full(size, -1, dtype=np.int32)  # the row of each index, or -1
@@ -173,24 +177,18 @@ def _sparse(idx: np.ndarray, columns: np.ndarray, circuit: Circuit):
             hit = np.flatnonzero((idx & (cmask | bit)) == cmask | bit)
             block[hit] = _mixed(kind, gate.angle, None, block[hit])[1]
         else:
-            own = np.flatnonzero((idx & cmask) == cmask) if cmask else np.arange(rows)
-            sub = idx[own] if cmask else idx
-            high = (sub & bit) != 0
-            partner = pos[sub ^ bit]
-            missing = partner < 0
-            added = np.count_nonzero(missing)
+            partners = idx[(idx & cmask) == cmask] ^ bit
+            joined = partners[pos[partners] < 0]
+            added = joined.size
             if added:  # zero rows for the partners outside the held rows
-                joined = sub[missing] ^ bit
-                partner[missing] = pos[joined] = np.arange(rows, rows + added, dtype=np.int32)
+                pos[joined] = np.arange(rows, rows + added, dtype=np.int32)
                 idx = synced = np.concatenate((idx, joined))
                 if rows + added > len(block):
                     room = (rows + 2 * added, count)  # twice the rows in use after the step
                     block = np.concatenate((block[:rows], np.zeros(room, np.complex128)))
                 rows += added
-            # Each pair once: from its target-0 row, or from a target-1 row just given one.
-            keep = ~high | missing
-            low = np.where(high, partner, own)[keep]
-            up = np.where(high, own, partner)[keep]
+            low = np.flatnonzero((idx & (cmask | bit)) == cmask)  # each pair once, from its target-0 row
+            up = pos[idx[low] ^ bit]
             piece = max(1, _PIECE // count)  # pairs at a time, bounding the temporaries
             for p in range(0, low.size, piece):
                 lo, hi = low[p : p + piece], up[p : p + piece]
@@ -198,16 +196,20 @@ def _sparse(idx: np.ndarray, columns: np.ndarray, circuit: Circuit):
         f = block[:rows].view(np.float64)
         norms = np.einsum("ij,ij->j", f, f).reshape(count, 2).sum(1)
         _check(np.max(np.abs(np.sqrt(norms) - 1.0)), gate)  # NaN propagates
-    return idx, block[:rows], None
+    return idx, block[:rows], len(circuit.gates)
 
 
 def _dense(amps: np.ndarray, gates: tuple[Gate, ...], num_qubits: int) -> Statevector:
-    """Apply `gates` one by one to a dense state, checking its norm after each."""
+    """Apply `gates` one by one to a checked dense state, checking its norm after each arithmetic gate."""
     tensor = amps.reshape([2] * num_qubits)
     for gate in gates:
         _apply_inplace(tensor, gate, num_qubits)
-        _check(_norm_drift(amps), gate)
-    return Statevector(num_qubits, amps)
+        if gate.kind not in _PERMUTATIONS:
+            _check(_norm_drift(amps), gate)
+    state = object.__new__(Statevector)  # no rescan: checked on entry and after each amplitude change
+    object.__setattr__(state, "num_qubits", num_qubits)
+    object.__setattr__(state, "amplitudes", amps)
+    return state
 
 
 def run_batch(rows, amplitudes, circuit: Circuit) -> Iterator[Statevector]:
@@ -217,34 +219,33 @@ def run_batch(rows, amplitudes, circuit: Circuit) -> Iterator[Statevector]:
     distinct basis indices `rows`; every other amplitude is zero. Columns go
     through in chunks of at most `_CHUNK` and of at most `_BLOCK_MAX` held
     amplitudes, held as their rows (see the module docstring) while the
-    arithmetic steps pay (`_sparse_pays`); from the first that does not, each
-    state goes on alone, densely and gate by gate. The norm of every state is
-    checked after every gate that changes amplitudes; a drift names the gate.
+    arithmetic steps pay (`_sparse_pays`), then each state alone, densely. In
+    both paths every norm is checked on entry and after every gate that changes
+    amplitudes, and a drift names the gate; the states yielded are not checked again.
     """
     n, size = _check_width(circuit.num_qubits), 1 << circuit.num_qubits
     idx = np.asarray(rows)
     if idx.ndim != 1 or idx.dtype.kind not in "iu":
         raise ValueError("rows must be a 1-D array of integers")
     idx = idx.astype(np.int64)
-    block = np.asarray(amplitudes, dtype=np.complex128)
+    block = _complex(amplitudes)
     if block.ndim != 2 or block.shape[0] != idx.size:
         raise ValueError(f"amplitudes must be a ({idx.size}, B) block, one row per basis row")
     if np.unique(idx).size < idx.size or np.any((idx < 0) | (idx >= size)):
         raise ValueError(f"rows must be distinct basis indices in 0..{size - 1}")
     if not np.all(np.abs(np.linalg.norm(block, axis=0) - 1.0) <= _NORM_TOL):  # NaN fails too
-        raise ValueError("every column must be normalized to 1 within 1e-10")
+        raise ValueError(f"every column must be normalized to 1 within {_NORM_TOL}")
     per = max(1, min(_CHUNK, _BLOCK_MAX // max(1, idx.size)))
     for start in range(0, block.shape[1], per):
-        held, columns, dense_from = _sparse(idx, block[:, start : start + per], circuit)
-        rest = None if dense_from is None else circuit.gates[dense_from:]
+        held, columns, k = _sparse(idx, block[:, start : start + per], circuit)
         for j in range(columns.shape[1]):
             amps = np.zeros(size, dtype=np.complex128)
             amps[held] = columns[:, j]
-            yield Statevector(n, amps) if rest is None else _dense(amps, rest, n)
+            yield _dense(amps, circuit.gates[k:], n)
 
 
 def run(state: Statevector, circuit: Circuit) -> Statevector:
-    """Apply a whole circuit, checking the norm after every gate: `run_batch` on the nonzero rows.
+    """Apply a whole circuit, checking the norm after every arithmetic gate: `run_batch` on the nonzero rows.
 
     A drift names the gate. The result is bit-identical to dense gate-by-gate
     simulation.

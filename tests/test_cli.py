@@ -404,6 +404,16 @@ def test_verify_rejects_negative_trials(capsys) -> None:
     assert "--trials" in captured.err
 
 
+def test_verify_rejects_a_negative_seed_before_any_work(capsys, monkeypatch) -> None:
+    def planned(*args):
+        raise AssertionError("a plan was made")
+
+    monkeypatch.setattr(edick.cli, "ConverterPlan", planned)
+    assert main(["verify", "--direction", "edick-to-binary", "--n", "5", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --seed must be non-negative\n"
+
+
 def test_verify_rejects_registers_above_the_simulation_cap(capsys) -> None:
     # 45 levels need a 49-qubit register, 8 PiB of amplitudes: far past any allocation.
     assert main(["verify", "--direction", "edick-to-binary", "--n", "45"]) == 2

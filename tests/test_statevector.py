@@ -10,7 +10,6 @@ import pytest
 from edick import (
     Circuit,
     Statevector,
-    apply,
     basis_state,
     ccry,
     cnot,
@@ -47,6 +46,8 @@ def test_state_validation() -> None:
         Statevector(2, np.array([1.0, 0.0], dtype=np.complex128))  # wrong length
     with pytest.raises(ValueError):
         Statevector(2, [0.5, 0, 0, 0])  # not normalized
+    with pytest.raises(ValueError, match="complex numbers"):
+        Statevector(1, [object(), 1])
     with pytest.raises(ValueError):
         zero_state(25)  # above the simulation cap
 
@@ -91,20 +92,20 @@ def test_register_width_is_checked_before_allocating(width: int) -> None:
 
 def test_x_flips_the_addressed_qubit() -> None:
     # Qubit 0 is the leftmost bit of the ket string.
-    state = apply(zero_state(3), x(0))
+    state = run(zero_state(3), Circuit(3, (x(0),)))
     assert amplitudes_of(state)[4] == 1.0
-    state = apply(state, x(2))
+    state = run(state, Circuit(3, (x(2),)))
     assert amplitudes_of(state)[5] == 1.0
 
 
 def test_h_creates_uniform_pair() -> None:
-    state = apply(zero_state(1), h(0))
+    state = run(zero_state(1), Circuit(1, (h(0),)))
     np.testing.assert_allclose(amplitudes_of(state), [1 / math.sqrt(2)] * 2)
 
 
 def test_ry_rotates_zero_to_cos_sin() -> None:
     theta = 0.8
-    state = apply(zero_state(1), ry(theta, 0))
+    state = run(zero_state(1), Circuit(1, (ry(theta, 0),)))
     np.testing.assert_allclose(
         amplitudes_of(state), [math.cos(theta / 2), math.sin(theta / 2)], atol=1e-15
     )
@@ -112,44 +113,44 @@ def test_ry_rotates_zero_to_cos_sin() -> None:
 
 def test_phase_gates_touch_only_the_one_component() -> None:
     lam = 0.9
-    state = apply(basis_state(1, 1), phase(lam, 0))
+    state = run(basis_state(1, 1), Circuit(1, (phase(lam, 0),)))
     assert amplitudes_of(state)[1] == pytest.approx(np.exp(1j * lam))
     # cphase fires only when control and target are both 1
-    state = apply(basis_state(2, 3), cphase(lam, 0, 1))
+    state = run(basis_state(2, 3), Circuit(2, (cphase(lam, 0, 1),)))
     assert amplitudes_of(state)[3] == pytest.approx(np.exp(1j * lam))
-    state = apply(basis_state(2, 2), cphase(lam, 0, 1))
+    state = run(basis_state(2, 2), Circuit(2, (cphase(lam, 0, 1),)))
     assert amplitudes_of(state)[2] == 1.0
 
 
 def test_cnot_and_toffoli_truth_tables() -> None:
     for source, expected in [(0, 0), (1, 1), (2, 3), (3, 2)]:
-        out = apply(basis_state(2, source), cnot(0, 1))
+        out = run(basis_state(2, source), Circuit(2, (cnot(0, 1),)))
         assert amplitudes_of(out)[expected] == 1.0
     for source, expected in [(6, 7), (7, 6), (5, 5), (3, 3)]:
-        out = apply(basis_state(3, source), toffoli(0, 1, 2))
+        out = run(basis_state(3, source), Circuit(3, (toffoli(0, 1, 2),)))
         assert amplitudes_of(out)[expected] == 1.0
 
 
 def test_mcx_fires_on_all_controls_set() -> None:
     gate = mcx([0, 1, 2], 3)
-    out = apply(basis_state(4, 0b1110), gate)
+    out = run(basis_state(4, 0b1110), Circuit(4, (gate,)))
     assert amplitudes_of(out)[0b1111] == 1.0
-    out = apply(basis_state(4, 0b0110), gate)
+    out = run(basis_state(4, 0b0110), Circuit(4, (gate,)))
     assert amplitudes_of(out)[0b0110] == 1.0
 
 
 def test_controlled_rotations_match_block_matrices() -> None:
     theta = 1.1
-    out = apply(basis_state(2, 2), cry(theta, 0, 1))
+    out = run(basis_state(2, 2), Circuit(2, (cry(theta, 0, 1),)))
     np.testing.assert_allclose(
         amplitudes_of(out)[2:], [math.cos(theta / 2), math.sin(theta / 2)], atol=1e-15
     )
-    out = apply(basis_state(3, 6), ccry(theta, 0, 1, 2))
+    out = run(basis_state(3, 6), Circuit(3, (ccry(theta, 0, 1, 2),)))
     np.testing.assert_allclose(
         amplitudes_of(out)[6:], [math.cos(theta / 2), math.sin(theta / 2)], atol=1e-15
     )
     # Unsatisfied controls leave the state alone.
-    out = apply(basis_state(3, 2), ccry(theta, 0, 1, 2))
+    out = run(basis_state(3, 2), Circuit(3, (ccry(theta, 0, 1, 2),)))
     assert amplitudes_of(out)[2] == 1.0
 
 
@@ -165,11 +166,11 @@ def test_run_rejects_width_mismatch() -> None:
     with pytest.raises(ValueError):
         run(zero_state(2), Circuit(3, (x(0),)))
     with pytest.raises(ValueError):
-        apply(zero_state(2), x(2))
+        run(zero_state(2), Circuit(2, (x(2),)))
 
 
 def test_fidelity_is_abs_overlap() -> None:
-    a = apply(zero_state(1), h(0))
+    a = run(zero_state(1), Circuit(1, (h(0),)))
     assert fidelity(a, a) == pytest.approx(1.0)
     assert fidelity(zero_state(1), basis_state(1, 1)) == pytest.approx(0.0)
     assert fidelity(zero_state(1), a) == pytest.approx(1 / math.sqrt(2))

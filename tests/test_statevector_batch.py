@@ -56,7 +56,8 @@ def test_run_batch_equals_per_state_runs_bit_for_bit(
     go_dense = statevector._dense
 
     def recording(amps, gates, num_qubits):
-        dense.append(len(gates))
+        if gates:
+            dense.append(len(gates))
         return go_dense(amps, gates, num_qubits)
 
     for n in range(2, 13):
@@ -107,9 +108,10 @@ _HALF = np.full((2, 1), math.sqrt(0.5))
         ([0, 1], _HALF[:, 0], r"\(2, B\) block"),
         ([0, 1], _HALF * 1.001, "normalized"),
         ([0, 1], np.hstack([_HALF, np.full((2, 1), np.nan)]), "normalized"),
+        ([0], [[object()]], "complex numbers"),
     ],
     ids=["2-d", "float", "bool", "duplicate", "negative", "too-high", "row-count", "1-d-block",
-         "unnormalized", "nan"],
+         "unnormalized", "nan", "object"],
 )
 def test_run_batch_rejects_a_bad_batch_before_simulating(rows, amplitudes, match: str) -> None:
     with pytest.raises(ValueError, match=match):

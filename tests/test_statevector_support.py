@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from edick import Circuit, Gate, GateKind, Statevector, basis_state, cnot, h, run, toffoli, x
+from edick import Circuit, Gate, GateKind, Statevector, basis_state, cnot, cphase, h, run, ry, toffoli, x
 from edick import statevector
 
 _ARITHMETIC = [GateKind.H, GateKind.RY, GateKind.PHASE, GateKind.CRY, GateKind.CPHASE, GateKind.CCRY]
@@ -139,3 +139,74 @@ def test_a_nan_amplitude_fails_the_norm_check(sparse: bool, monkeypatch: pytest.
     gate = Gate(GateKind.RY, 1, (), 0.5)
     with pytest.raises(AssertionError, match=re.escape(f"after {gate}")):
         run(basis_state(2, 0), Circuit(2, (gate,)))
+
+
+_MIXED = Circuit(3, (x(0), h(1), cnot(1, 2), ry(0.3, 2), toffoli(0, 1, 2), cphase(0.4, 0, 2), h(0), x(1)))
+_MIXED_ARITHMETIC = [g for g in _MIXED.gates if g.kind not in statevector._PERMUTATIONS]
+# How many arithmetic steps go sparse before the rest goes dense: none, some, all.
+_STEPS = pytest.mark.parametrize("steps", [0, 2, 4], ids=["dense", "sparse-then-dense", "sparse"])
+
+
+def _sparse_for(steps: int):
+    """A `_sparse_pays` that lets the first `steps` arithmetic steps go sparse and no more."""
+    asked: list[int] = []
+
+    def rule(rows, states, size):
+        asked.append(rows)
+        return len(asked) <= steps
+
+    return rule
+
+
+@_STEPS
+def test_yielded_states_are_not_checked_again(steps: int, monkeypatch: pytest.MonkeyPatch) -> None:
+    inputs = [basis_state(3, 0), basis_state(3, 5)]
+    expected = [run(s, _MIXED).amplitudes for s in inputs]
+    checked: list[Statevector] = []
+    post_init = Statevector.__post_init__
+
+    def recording(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Statevector, "__post_init__", recording)
+    monkeypatch.setattr(statevector, "_sparse_pays", _sparse_for(steps))
+    outputs = list(_run_batch(inputs, _MIXED))
+    assert all(np.array_equal(o.amplitudes, e) for o, e in zip(outputs, expected, strict=True))
+    assert checked == []
+    # A state made by a caller is still checked.
+    Statevector(1, [1.0, 0.0])
+    assert len(checked) == 1
+    with pytest.raises(ValueError, match="normalized"):
+        Statevector(1, [0.5, 0.0])
+
+
+@_STEPS
+def test_dense_takes_one_norm_per_arithmetic_gate_left(steps: int, monkeypatch: pytest.MonkeyPatch) -> None:
+    inputs = [basis_state(3, 0), basis_state(3, 5)]  # made first: `Statevector` takes a norm too
+    drifts: list[float] = []
+    checked: list[object] = []
+    norm_drift, check = statevector._norm_drift, statevector._check
+
+    def drift(amps):
+        drifts.append(norm_drift(amps))
+        return drifts[-1]
+
+    def recording(value, label):
+        checked.append(label)
+        check(value, label)
+
+    monkeypatch.setattr(statevector, "_norm_drift", drift)
+    monkeypatch.setattr(statevector, "_check", recording)
+    monkeypatch.setattr(statevector, "_sparse_pays", _sparse_for(steps))
+    list(_run_batch(inputs, _MIXED))
+    # The sparse steps check the batch once each; then each state alone, per arithmetic gate.
+    dense = _MIXED_ARITHMETIC[steps:]
+    assert checked == _MIXED_ARITHMETIC[:steps] + dense * len(inputs)
+    assert len(drifts) == len(dense) * len(inputs)
+    # A drift at the first dense step names its gate.
+    monkeypatch.setattr(statevector, "_norm_drift", lambda amps: 1.0)
+    monkeypatch.setattr(statevector, "_sparse_pays", _sparse_for(steps))
+    if dense:
+        with pytest.raises(AssertionError, match=re.escape(f"after {dense[0]}")):
+            list(_run_batch(inputs, _MIXED))
