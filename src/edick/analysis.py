@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .circuit import Circuit, Granularity, _integer, _real, cost
-from .converters import Direction, EvenMethod, binary_width, build_converter
+from .converters import _DEFAULT_METHOD, Direction, EvenMethod, binary_width, build_converter
 from .encodings import _levels
 
 # Sweep subjects that are a direction of their own; the rest are methods of edick-to-binary.
@@ -111,7 +111,7 @@ def edick_to_onehot_size(num_levels: int) -> int:
 
 def _build_subject(subject: str, num_levels: int) -> tuple[Circuit, int]:
     direction = _SUBJECT_DIRECTIONS.get(subject, Direction.EDICK_TO_BINARY)
-    method = EvenMethod.EXPAND_TO_POW2 if subject in _SUBJECT_DIRECTIONS else EvenMethod(subject)
+    method = _DEFAULT_METHOD if subject in _SUBJECT_DIRECTIONS else EvenMethod(subject)
     circuit, plan = build_converter(direction, num_levels, method)
     return circuit, plan.ancilla
 

@@ -180,6 +180,12 @@ def _index(q: object) -> int:
     return _integer(q, "qubit indices must be integers")
 
 
+def _label(label: object) -> str:
+    if not isinstance(label, str):
+        raise ValueError(f"circuit label must be a str, got {label!r}")
+    return label
+
+
 def _width(n: object) -> int:
     """A register width, checked like a qubit index, and at least 1."""
     n = _integer(n, "register width must be an integer")
@@ -246,6 +252,7 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "num_qubits", _width(self.num_qubits))
+        _label(self.label)
         try:
             object.__setattr__(self, "gates", tuple(self.gates))
         except TypeError:  # not iterable
@@ -276,7 +283,7 @@ def compose(first: Circuit, second: Circuit, label: str = "") -> Circuit:
         raise ValueError(
             f"cannot compose circuits of widths {first.num_qubits} and {second.num_qubits}"
         )
-    return _derived(first.num_qubits, first.gates + second.gates, label or first.label)
+    return _derived(first.num_qubits, first.gates + second.gates, _label(label) or first.label)
 
 
 @_acyclic

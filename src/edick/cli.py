@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import SWEEP_SUBJECTS, rows_to_csv, run_sweep
 from .circuit import GateKind, Granularity
-from .converters import ConverterPlan, Direction, EvenMethod, _converter, build_converter
+from .converters import _DEFAULT_METHOD, ConverterPlan, Direction, EvenMethod, _converter, build_converter
 from .decompose import decompose_to_basis
 from .dicke import BinomialSpec, build_binomial_pipeline
 from .encodings import EncodingKind, random_vector
@@ -34,7 +34,7 @@ _METHOD_CHOICES = [m.value for m in EvenMethod]
 # The --method option of build, verify and prepare-binomial.
 _METHOD_OPTION = {
     "choices": _METHOD_CHOICES,
-    "default": EvenMethod.EXPAND_TO_POW2.value,
+    "default": _DEFAULT_METHOD.value,
     "help": "strategy for even level counts",
 }
 _GRANULARITIES = {"logical": Granularity.LOGICAL, "basis": Granularity.TWO_QUBIT_BASIS}

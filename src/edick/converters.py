@@ -46,6 +46,8 @@ class Direction(Enum):
     CNOT_STAIR = "cnot-stair"  # quadratic baseline of edick-to-onehot
 
 
+_DEFAULT_METHOD = EvenMethod.EXPAND_TO_POW2  # of the builders, BinomialSpec, the CLI and the sweep
+
 # Where each end of a converter keeps level i (see build_converter): an encoding,
 # plus 1 when a |1> flag qubit sits at the far right, so the unfolding reads
 # (2 << i) - 1 and one-hot <-> binary (i << 1) | 1. The None plan (the
@@ -275,21 +277,21 @@ def _recursion_gates(view: tuple[int, ...]) -> list[Gate]:
 
 
 def build_edick_to_binary(
-    num_levels: int, method: EvenMethod = EvenMethod.EXPAND_TO_POW2
+    num_levels: int, method: EvenMethod = _DEFAULT_METHOD
 ) -> tuple[Circuit, ConverterPlan]:
     """The edick-to-binary compression; see `build_converter` for its contract."""
     return build_converter(Direction.EDICK_TO_BINARY, num_levels, method)
 
 
 def build_onehot_to_binary(
-    num_levels: int, method: EvenMethod = EvenMethod.EXPAND_TO_POW2
+    num_levels: int, method: EvenMethod = _DEFAULT_METHOD
 ) -> tuple[Circuit, ConverterPlan]:
     """The onehot-to-binary converter; see `build_converter` for its contract."""
     return build_converter(Direction.ONEHOT_TO_BINARY, num_levels, method)
 
 
 def build_binary_to_onehot(
-    num_levels: int, method: EvenMethod = EvenMethod.EXPAND_TO_POW2
+    num_levels: int, method: EvenMethod = _DEFAULT_METHOD
 ) -> tuple[Circuit, ConverterPlan]:
     """The binary-to-onehot converter; see `build_converter` for its contract."""
     return build_converter(Direction.BINARY_TO_ONEHOT, num_levels, method)
@@ -322,7 +324,7 @@ def _converter(plan: ConverterPlan) -> Circuit:
 
 
 def build_converter(
-    direction: Direction, num_levels: int, method: EvenMethod = EvenMethod.EXPAND_TO_POW2
+    direction: Direction, num_levels: int, method: EvenMethod = _DEFAULT_METHOD
 ) -> tuple[Circuit, ConverterPlan]:
     """The circuit `_converter(plan)` and the plan of any direction, cnot-stair included.
 

@@ -9,9 +9,9 @@ qubits that it borrows from the register and restores exactly, whatever
 their state (Barenco et al. 1995, Lemma 7.2). It takes the idle qubits
 strictly between its lowest and highest qubit nearest the target first,
 then the nearest ones outside that span. The choice depends only on the
-gate and the register width. A lone gate (decompose_gate) or a register
-with too few idle qubits recurses through controlled powers of X instead,
-where X**s = H . Phase(pi*s) . H, at about 3^k gates.
+gate and the register width. An MCX whose register has fewer than k-2 idle
+qubits recurses through controlled powers of X instead, where
+X**s = H . Phase(pi*s) . H, at about 3^k gates.
 
 decompose_to_basis expands each distinct gate once per call and reuses that
 expansion for its repeats. Equal gates may differ in the sign of a zero angle,
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 
-from .circuit import _CCRY, _CNOT, _CPHASE, _CRY, _H, _MCX, _PHASE, _RY, _TOFFOLI, _X
+from .circuit import _CCRY, _CNOT, _CPHASE, _CRY, _H, _PHASE, _RY, _TOFFOLI, _X
 from .circuit import Circuit, Gate, _acyclic, _derived, _gate
 
 _PRIMITIVE = {_X, _H, _RY, _PHASE, _CNOT}
@@ -87,8 +87,8 @@ def _cxpow_basis(s: float, c: int, t: int, pool: _Pool) -> list[Gate]:
 
 def _borrowed(controls: tuple[int, ...], t: int, width: int) -> list[int]:
     # Idle qubits inside the gate's span nearest the target first, then the
-    # nearest ones outside it; ties go to the lower index. A lone gate
-    # (width 0) has no register to borrow from.
+    # nearest ones outside it; ties go to the lower index. The inner gates of
+    # _mcxpow_basis pass width 0: they borrow nothing.
     busy = {*controls, t}
     lo, hi = min(busy), max(busy)
     if hi >= width:
@@ -131,13 +131,6 @@ def _mcxpow_basis(s: float, controls: tuple[int, ...], t: int, pool: _Pool) -> l
     )
 
 
-def decompose_gate(gate: Gate) -> list[Gate]:
-    """Exact expansion of one gate into {X, H, RY, Phase, CNOT}."""
-    if gate.kind in _PRIMITIVE:
-        return [gate]
-    return _expand(gate, _Pool(), 0)
-
-
 def _expand(gate: Gate, pool: _Pool, width: int) -> list[Gate]:
     kind = gate.kind
     if kind is _CPHASE:
@@ -148,9 +141,7 @@ def _expand(gate: Gate, pool: _Pool, width: int) -> list[Gate]:
         return _ccry_basis(gate.angle, gate.controls[0], gate.controls[1], gate.target, pool)
     if kind is _TOFFOLI:
         return _toffoli_basis(gate.controls[0], gate.controls[1], gate.target, pool)
-    if kind is _MCX:
-        return _mcx_basis(gate.controls, gate.target, pool, width)
-    raise ValueError(f"unsupported gate kind {kind}")  # pragma: no cover
+    return _mcx_basis(gate.controls, gate.target, pool, width)  # MCX, the one kind left
 
 
 @_acyclic

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .circuit import _CCRY, _CNOT, _CRY, _RY, _X, Circuit, Gate, _acyclic, _derived, _gate
 from .circuit import _integer, _real
-from .converters import ConverterPlan, Direction, EvenMethod, _converter
+from .converters import _DEFAULT_METHOD, ConverterPlan, Direction, EvenMethod, _converter
 from .encodings import EncodingKind
 
 
@@ -115,7 +115,7 @@ class BinomialSpec:
         trials: int,
         p: float,
         target: EncodingKind = EncodingKind.EDICK,
-        method: EvenMethod = EvenMethod.EXPAND_TO_POW2,
+        method: EvenMethod = _DEFAULT_METHOD,
     ) -> "BinomialSpec":
         return BinomialSpec(trials, p, target, method)
 

@@ -16,6 +16,7 @@ takes no amplitude vector; it is the target of the Dicke preparation unitary.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from .circuit import _integer
-from .statevector import _NORM_TOL, Statevector, _check_width
+from .statevector import _NORM_TOL, Statevector, _check_width, _state
 
 _STRAY_TOL = 1e-9
 
@@ -86,6 +87,8 @@ class AmplitudeVector:
     def normalized(values) -> "AmplitudeVector":
         """Scale arbitrary non-zero coefficients to unit norm, by their largest part first if need be."""
         alphas = _coefficients(values)
+        if not all(map(cmath.isfinite, alphas)):
+            raise ValueError("amplitudes must be finite to be normalized")
         norm_sq = _sum_of_squares(alphas)
         if not sys.float_info.min <= norm_sq < math.inf:  # squares past the normal range
             scale = max((max(abs(a.real), abs(a.imag)) for a in alphas), default=0.0)
@@ -151,10 +154,9 @@ def build_state(kind: EncodingKind, amplitudes: AmplitudeVector, width: int) -> 
         raise ValueError(f"kind must be an EncodingKind, got {kind!r}")
     if type(amplitudes) is not AmplitudeVector:
         raise ValueError(f"amplitudes must be an AmplitudeVector, got {amplitudes!r}")
-    vec = np.zeros(1 << width, dtype=np.complex128)
-    for level, alpha in enumerate(amplitudes.alphas):
-        vec[level_to_basis(kind, level, width)] = alpha
-    return Statevector(width, vec)
+    levels = amplitudes.num_levels
+    rows = np.fromiter((level_to_basis(kind, i, width) for i in range(levels)), np.int64, count=levels)
+    return _state(width, rows, amplitudes.alphas)
 
 
 def dicke_state(num_qubits: int, weight: int) -> Statevector:
@@ -165,12 +167,10 @@ def dicke_state(num_qubits: int, weight: int) -> Statevector:
         raise ValueError("Dicke weight must be non-negative")
     if weight > num_qubits:
         raise ValueError(f"weight {weight} exceeds {num_qubits} qubits")
-    vec = np.zeros(1 << num_qubits, dtype=np.complex128)
-    amp = 1.0 / math.sqrt(math.comb(num_qubits, weight))
-    for positions in combinations(range(num_qubits), weight):
-        index = sum(1 << (num_qubits - 1 - q) for q in positions)
-        vec[index] = amp
-    return Statevector(num_qubits, vec)
+    count = math.comb(num_qubits, weight)
+    bits = [1 << (num_qubits - 1 - q) for q in range(num_qubits)]
+    rows = np.fromiter(map(sum, combinations(bits, weight)), np.int64, count=count)
+    return _state(num_qubits, rows, 1.0 / math.sqrt(count))
 
 
 def read_state(kind: EncodingKind, state: Statevector, num_levels: int) -> AmplitudeVector:

@@ -14,9 +14,11 @@ its active rows lack, takes each pair once from its target-0 row and applies
 the dense kernel's elementwise formulas to the (G, B) blocks, so every amplitude
 is bit-identical to dense simulation. A verifier's inputs share N of 2**n
 indices. Once the held rows are too many for this to pay, each state goes on
-alone, densely and gate by gate. In both paths a state's norm is checked where
-it enters and after every gate that changes amplitudes; the states yielded are
-not checked again.
+alone, densely and gate by gate. `run_batch` checks its arguments at the call.
+In both paths a state's norm is checked where it enters and after every gate
+that changes amplitudes. Only a `Statevector(...)` that a caller constructs is
+checked: the library's own states (`basis_state`, `build_state`, `dicke_state`
+and those `run_batch` yields) come from checked parts through `_state`.
 """
 
 from __future__ import annotations
@@ -63,6 +65,12 @@ def _norm_drift(amps: np.ndarray) -> float:
     return abs(math.sqrt(f.dot(f)) - 1.0)
 
 
+def _drifts(block: np.ndarray) -> np.ndarray:
+    """|norm - 1| of each column of a C-contiguous complex128 block, by one einsum over its float64 view."""
+    f = block.view(np.float64)
+    return np.abs(np.sqrt(np.einsum("ij,ij->j", f, f).reshape(-1, 2).sum(1)) - 1.0)
+
+
 @dataclass(frozen=True, eq=False)  # the amplitudes are an array, so states compare by identity
 class Statevector:
     num_qubits: int
@@ -78,6 +86,16 @@ class Statevector:
         object.__setattr__(self, "amplitudes", amps)
 
 
+def _state(num_qubits: int, rows, values) -> Statevector:
+    """`values` at basis indices `rows`, zeros elsewhere; unchecked, for a checked width, rows and norm."""
+    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+    amps[rows] = values
+    state = object.__new__(Statevector)
+    object.__setattr__(state, "num_qubits", num_qubits)
+    object.__setattr__(state, "amplitudes", amps)
+    return state
+
+
 def zero_state(num_qubits: int) -> Statevector:
     return basis_state(num_qubits, 0)
 
@@ -87,9 +105,7 @@ def basis_state(num_qubits: int, index: int) -> Statevector:
     index = _integer(index, "basis index must be an integer")
     if not 0 <= index < 2**num_qubits:
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
-    amps = np.zeros(2**num_qubits, dtype=np.complex128)
-    amps[index] = 1.0
-    return Statevector(num_qubits, amps)
+    return _state(num_qubits, index, 1.0)
 
 
 def _apply_inplace(tensor: np.ndarray, gate: Gate, num_qubits: int) -> None:
@@ -193,23 +209,17 @@ def _sparse(idx: np.ndarray, columns: np.ndarray, circuit: Circuit):
             for p in range(0, low.size, piece):
                 lo, hi = low[p : p + piece], up[p : p + piece]
                 block[lo], block[hi] = _mixed(kind, gate.angle, block[lo], block[hi])
-        f = block[:rows].view(np.float64)
-        norms = np.einsum("ij,ij->j", f, f).reshape(count, 2).sum(1)
-        _check(np.max(np.abs(np.sqrt(norms) - 1.0)), gate)  # NaN propagates
+        _check(np.max(_drifts(block[:rows])), gate)  # NaN propagates
     return idx, block[:rows], len(circuit.gates)
 
 
-def _dense(amps: np.ndarray, gates: tuple[Gate, ...], num_qubits: int) -> Statevector:
-    """Apply `gates` one by one to a checked dense state, checking its norm after each arithmetic gate."""
+def _dense(amps: np.ndarray, gates: tuple[Gate, ...], num_qubits: int) -> None:
+    """Apply `gates` in place to checked dense amplitudes, checking the norm after each arithmetic gate."""
     tensor = amps.reshape([2] * num_qubits)
     for gate in gates:
         _apply_inplace(tensor, gate, num_qubits)
         if gate.kind not in _PERMUTATIONS:
             _check(_norm_drift(amps), gate)
-    state = object.__new__(Statevector)  # no rescan: checked on entry and after each amplitude change
-    object.__setattr__(state, "num_qubits", num_qubits)
-    object.__setattr__(state, "amplitudes", amps)
-    return state
 
 
 def run_batch(rows, amplitudes, circuit: Circuit) -> Iterator[Statevector]:
@@ -219,9 +229,9 @@ def run_batch(rows, amplitudes, circuit: Circuit) -> Iterator[Statevector]:
     distinct basis indices `rows`; every other amplitude is zero. Columns go
     through in chunks of at most `_CHUNK` and of at most `_BLOCK_MAX` held
     amplitudes, held as their rows (see the module docstring) while the
-    arithmetic steps pay (`_sparse_pays`), then each state alone, densely. In
-    both paths every norm is checked on entry and after every gate that changes
-    amplitudes, and a drift names the gate; the states yielded are not checked again.
+    arithmetic steps pay (`_sparse_pays`), then each state alone, densely. The
+    arguments are checked at the call, not at the first `next()`; every norm on
+    entry and after every gate that changes amplitudes, and a drift names the gate.
     """
     n, size = _check_width(circuit.num_qubits), 1 << circuit.num_qubits
     idx = np.asarray(rows)
@@ -233,15 +243,19 @@ def run_batch(rows, amplitudes, circuit: Circuit) -> Iterator[Statevector]:
         raise ValueError(f"amplitudes must be a ({idx.size}, B) block, one row per basis row")
     if np.unique(idx).size < idx.size or np.any((idx < 0) | (idx >= size)):
         raise ValueError(f"rows must be distinct basis indices in 0..{size - 1}")
-    if not np.all(np.abs(np.linalg.norm(block, axis=0) - 1.0) <= _NORM_TOL):  # NaN fails too
+    if not np.all(_drifts(block) <= _NORM_TOL):  # NaN fails too
         raise ValueError(f"every column must be normalized to 1 within {_NORM_TOL}")
     per = max(1, min(_CHUNK, _BLOCK_MAX // max(1, idx.size)))
-    for start in range(0, block.shape[1], per):
-        held, columns, k = _sparse(idx, block[:, start : start + per], circuit)
-        for j in range(columns.shape[1]):
-            amps = np.zeros(size, dtype=np.complex128)
-            amps[held] = columns[:, j]
-            yield _dense(amps, circuit.gates[k:], n)
+
+    def walk() -> Iterator[Statevector]:
+        for start in range(0, block.shape[1], per):
+            held, columns, k = _sparse(idx, block[:, start : start + per], circuit)
+            for j in range(columns.shape[1]):
+                state = _state(n, held, columns[:, j])
+                _dense(state.amplitudes, circuit.gates[k:], n)
+                yield state
+
+    return walk()
 
 
 def run(state: Statevector, circuit: Circuit) -> Statevector:

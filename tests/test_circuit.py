@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 from unittest import mock
 
 import numpy as np
@@ -291,6 +292,16 @@ def test_circuit_rejects_out_of_range_gates() -> None:
 def test_circuit_refuses_gates_that_are_not_gates(gates) -> None:
     with pytest.raises(ValueError, match="gates must be"):
         Circuit(2, gates)
+
+
+@pytest.mark.parametrize("label", [5, None, b"x", ("a",), 1.5], ids=repr)
+def test_circuit_and_compose_refuse_labels_that_are_not_str(label) -> None:
+    message = f"circuit label must be a str, got {label!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Circuit(2, (), label=label)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        compose(Circuit(2, ()), Circuit(2, ()), label=label)
+    assert inverse(Circuit(2, (), label="five")).label == "inverse(five)"
 
 
 def test_compose_concatenates_and_checks_width() -> None:

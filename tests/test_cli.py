@@ -383,6 +383,13 @@ def test_method_option_and_method_list_have_one_source() -> None:
     assert inspect.signature(run_sweep).parameters["subjects"].default == methods
     args = parser.parse_args(["sweep", "--n-min", "2", "--n-max", "3"])
     assert tuple(args.methods.split(",")) == methods
+    # One default method: the builders, BinomialSpec and --method read it.
+    default = edick.converters._DEFAULT_METHOD
+    builders = (build_converter, edick.build_edick_to_binary, edick.build_onehot_to_binary,
+                edick.build_binary_to_onehot, edick.BinomialSpec.from_probability)
+    for builder in builders:
+        assert inspect.signature(builder).parameters["method"].default is default, builder
+    assert all(option.default == default.value for option in options)
 
 
 def test_help_and_usage_errors_repeat_byte_for_byte(capsys) -> None:

@@ -25,7 +25,6 @@ from edick import (
     cost,
     cphase,
     cry,
-    decompose_gate,
     decompose_to_basis,
     emit_text,
     h,
@@ -42,6 +41,11 @@ from edick.decompose import _PRIMITIVE, _borrowed
 ANGLES = [0.3, 1.1, -0.8, np.pi / 2]
 
 
+def _lowered(gate) -> list:
+    """`gate` lowered alone, on a register of its own qubits."""
+    return list(decompose_to_basis(Circuit(max(gate.qubits) + 1, (gate,))).gates)
+
+
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Column j is the circuit applied to basis state j."""
     dim = 1 << circuit.num_qubits
@@ -55,14 +59,14 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
 
 def assert_same_unitary(gate, width: int) -> None:
     native = unitary_of(Circuit(width, (gate,)))
-    lowered = unitary_of(Circuit(width, tuple(decompose_gate(gate))))
+    lowered = unitary_of(Circuit(width, tuple(_lowered(gate))))
     np.testing.assert_allclose(lowered, native, atol=1e-13)
 
 
 def test_primitives_pass_through_unchanged() -> None:
     for gate in (x(0), h(1), cnot(0, 1), cphase(0.4, 0, 1)):
         if gate.kind in _PRIMITIVE:
-            assert decompose_gate(gate) == [gate]
+            assert _lowered(gate) == [gate]
 
 
 @pytest.mark.parametrize("theta", ANGLES)
@@ -79,7 +83,7 @@ def test_ccry_lowering_is_exact(theta: float) -> None:
 
 def test_toffoli_lowering_is_exact_and_sized() -> None:
     assert_same_unitary(toffoli(0, 1, 2), 3)
-    gates = decompose_gate(toffoli(0, 1, 2))
+    gates = _lowered(toffoli(0, 1, 2))
     assert len(gates) == 15
     assert sum(1 for g in gates if g.kind is GateKind.CNOT) == 6
 
@@ -112,7 +116,7 @@ def test_lowering_a_basis_circuit_changes_nothing() -> None:
 @pytest.mark.parametrize("lam", ANGLES)
 def test_cphase_lowering_is_exact(lam: float) -> None:
     assert_same_unitary(cphase(lam, 0, 1), 2)
-    gates = decompose_gate(cphase(lam, 0, 1))
+    gates = _lowered(cphase(lam, 0, 1))
     assert len(gates) == 5
 
 
@@ -128,7 +132,7 @@ def test_lowering_keeps_the_sign_of_zero_angles() -> None:
         ccry(-0.0, 0, 1, 2),
     )
     assert gates[0] == gates[1] and gates[2] == gates[3]
-    expected = Circuit(3, tuple(g for gate in gates for g in decompose_gate(gate)))
+    expected = Circuit(3, tuple(g for gate in gates for g in _lowered(gate)))
     assert emit_text(decompose_to_basis(Circuit(3, gates))) == emit_text(expected)
 
 
@@ -153,9 +157,9 @@ def _exact(gates) -> list:
 @pytest.mark.parametrize("theta", [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 0.7, -2.9])
 def test_shared_template_rotations_match_the_gate_by_gate_expansion(theta: float) -> None:
     # The CRY and CCRY templates reuse one RY object per value and sign of zero.
-    assert _exact(decompose_gate(cry(theta, 0, 1))) == _exact(_cry_by_gates(theta, 0, 1))
+    assert _exact(_lowered(cry(theta, 0, 1))) == _exact(_cry_by_gates(theta, 0, 1))
     expected = _ccry_by_gates(theta, 2, 0, 1)
-    assert _exact(decompose_gate(ccry(theta, 2, 0, 1))) == _exact(expected)
+    assert _exact(_lowered(ccry(theta, 2, 0, 1))) == _exact(expected)
     lowered = decompose_to_basis(Circuit(3, (ccry(theta, 2, 0, 1), cry(theta, 0, 1))))
     assert _exact(lowered.gates) == _exact(expected + _cry_by_gates(theta, 0, 1))
 
@@ -175,7 +179,7 @@ def _dense_ccry(theta: float, c0: int, c1: int, t: int) -> np.ndarray:
 @pytest.mark.parametrize("theta", [0.0, -0.0, 5e-324, -5e-324, 0.7, -2.9, math.pi])
 def test_ccry_lowering_equals_the_dense_ccry_in_every_qubit_order(theta: float) -> None:
     for c0, c1, t in itertools.permutations(range(3)):
-        lowered = unitary_of(Circuit(3, tuple(decompose_gate(ccry(theta, c0, c1, t)))))
+        lowered = unitary_of(Circuit(3, tuple(_lowered(ccry(theta, c0, c1, t)))))
         np.testing.assert_allclose(lowered, _dense_ccry(theta, c0, c1, t), rtol=0, atol=1e-15)
 
 
@@ -185,7 +189,7 @@ def test_a_lowered_ccry_is_eight_gates_over_two_ry_and_two_cnot_objects() -> Non
     for kind in (GateKind.RY, GateKind.CNOT):
         assert len({id(g) for g in gates if g.kind is kind}) == 2
     for theta in (0.0, -0.0):
-        signs = {math.copysign(1.0, g.angle) for g in decompose_gate(ccry(theta, 0, 1, 2))
+        signs = {math.copysign(1.0, g.angle) for g in _lowered(ccry(theta, 0, 1, 2))
                  if g.kind is GateKind.RY}
         assert signs == {1.0, -1.0}
 
@@ -208,7 +212,7 @@ def test_lowered_toffolis_share_one_h_and_one_phase_object_per_qubit_and_sign() 
         assert all(len(ids) == 1 for ids in objects.values())  # one per qubit, kind and sign
         calls.append((gates, set().union(*objects.values())))  # the gates keep their ids apart
     assert not calls[0][1] & calls[1][1]  # no table outlives its call
-    lone = [g for g in decompose_gate(toffoli(0, 1, 2)) if g.kind is not GateKind.CNOT]
+    lone = [g for g in _lowered(toffoli(0, 1, 2)) if g.kind is not GateKind.CNOT]
     assert len(lone) == 9
     assert len({id(g) for g in lone}) == len(set(lone)) == 6
 
@@ -243,7 +247,7 @@ def test_repeated_gates_lower_like_their_first_copy() -> None:
     gates = (toffoli(0, 1, 2), mcx([0, 1, 2], 3), cphase(0.4, 1, 3))
     gates += gates
     lowered = decompose_to_basis(Circuit(4, gates))
-    assert lowered.gates == tuple(g for gate in gates for g in decompose_gate(gate))
+    assert lowered.gates == tuple(g for gate in gates for g in _lowered(gate))
 
 
 def test_a_circuit_with_nothing_to_lower_is_returned_as_it_is() -> None:
@@ -283,7 +287,8 @@ def test_borrowed_qubits_are_the_idle_ones_nearest_the_target() -> None:
     # Too few inside: then the nearest outside the span.
     assert _borrowed((3, 4, 5, 6), 2, 9) == [1, 0]
     assert _borrowed((1, 3, 4, 5, 6), 7, 10) == [2, 8, 9]
-    # What the register cannot supply is left short; a lone gate borrows nothing.
+    # What the register cannot supply is left short; width 0 (the inner gates of
+    # the controlled-power recursion) borrows nothing.
     assert _borrowed((0, 1, 2, 3, 4), 5, 7) == [6]
     assert _borrowed((0, 2, 4), 6, 0) == []
 
@@ -292,15 +297,15 @@ def test_too_few_idle_qubits_keep_the_controlled_power_recursion() -> None:
     for k, width in ((3, 4), (4, 6), (5, 7), (6, 10)):
         gate = mcx(list(range(1, k + 1)), 0)
         lowered = decompose_to_basis(Circuit(width, (gate,)))
-        assert lowered.gates == tuple(decompose_gate(gate))
+        assert lowered.gates == tuple(_lowered(gate))
 
 
 def test_lone_mcx_lowering_is_unchanged() -> None:
-    # decompose_gate sees no register, so it borrows nothing.
+    # On a register of its own qubits an MCX has no idle qubit to borrow.
     digest = hashlib.sha256()
     for k in range(3, 7):
         for gate in (mcx(list(range(k)), k), mcx(list(range(k, 0, -1)), 0)):
-            digest.update(emit_text(Circuit(k + 1, tuple(decompose_gate(gate)))).encode())
+            digest.update(emit_text(Circuit(k + 1, tuple(_lowered(gate)))).encode())
     assert digest.hexdigest() == "0a8ad5ce8f31efbed0e913e8e2a0ad80b0e64bc6104a1f3f5ccb6e2dbd90d8be"
 
 

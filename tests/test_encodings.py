@@ -81,6 +81,27 @@ def test_normalized_rescales_and_rejects_zero() -> None:
 
 
 @pytest.mark.parametrize(
+    "values",
+    [[math.inf, 0], [-math.inf, 0], [math.nan, 0], [0.6, -math.inf], [complex(math.inf, 0), 1],
+     [complex(0, math.nan), 1], [1j, complex(-math.inf, math.inf)]],
+    ids=repr)
+def test_normalized_refuses_coefficients_that_are_not_finite(values) -> None:
+    with pytest.raises(ValueError, match="^amplitudes must be finite to be normalized$"):
+        AmplitudeVector.normalized(values)
+
+
+def test_normalized_keeps_its_other_refusals_byte_for_byte() -> None:
+    for values, message in [
+        ([None, 1], "amplitudes must be numbers in the float range, got None"),
+        ([10**400, 0], f"amplitudes must be numbers in the float range, got {10**400!r}"),
+        ([0.0, 0.0], "cannot normalize the zero vector"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            AmplitudeVector.normalized(values)
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
     "alphas",
     [(None, 1), ("0.6", "0.8"), (True, False), (np.True_, np.False_), (0.6, b"0.8"), (10**400, 0),
      None, 5],

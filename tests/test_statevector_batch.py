@@ -95,7 +95,7 @@ def test_run_batch_checks_every_width_and_yields_nothing_for_no_states() -> None
 _HALF = np.full((2, 1), math.sqrt(0.5))
 
 
-@pytest.mark.parametrize(
+_BAD_BATCHES = pytest.mark.parametrize(
     "rows, amplitudes, match",
     [
         ([[0, 1]], _HALF, "1-D array of integers"),
@@ -113,9 +113,39 @@ _HALF = np.full((2, 1), math.sqrt(0.5))
     ids=["2-d", "float", "bool", "duplicate", "negative", "too-high", "row-count", "1-d-block",
          "unnormalized", "nan", "object"],
 )
+
+
+@_BAD_BATCHES
 def test_run_batch_rejects_a_bad_batch_before_simulating(rows, amplitudes, match: str) -> None:
     with pytest.raises(ValueError, match=match):
         next(statevector.run_batch(rows, amplitudes, Circuit(3, (x(0),))))
+
+
+@_BAD_BATCHES
+def test_run_batch_rejects_a_bad_batch_at_the_call(rows, amplitudes, match: str) -> None:
+    with pytest.raises(ValueError, match=match):
+        statevector.run_batch(rows, amplitudes, Circuit(3, (x(0),)))  # never iterated
+
+
+def test_column_drifts_give_the_norm_rule_of_np_linalg_norm() -> None:
+    """`_drifts` accepts and rejects the columns that |np.linalg.norm(column) - 1| <= tol does."""
+    rng = np.random.default_rng(11)
+    # Scales that put a column well inside, near and past the tolerance, and at zero.
+    scales = [1.0, 1 + 1e-13, 1 - 3e-11, 1 + 8e-11, 1 - 1.2e-10, 1 + 4e-10, 1.5, 0.0]
+    verdicts = set()
+    for _ in range(200):
+        shape = (int(rng.integers(1, 40)), int(rng.integers(0, 12)))
+        block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        block /= np.linalg.norm(block, axis=0)
+        block *= rng.choice(scales, size=shape[1])
+        if shape[1] and rng.random() < 0.3:
+            block[rng.integers(shape[0]), rng.integers(shape[1])] = rng.choice([np.nan, complex(0, np.nan)])
+        block = np.ascontiguousarray(block)
+        for piece in (block, block[:0], block[:, :0]):  # and with no rows, and with no columns
+            expected = np.abs(np.linalg.norm(piece, axis=0) - 1.0) <= statevector._NORM_TOL
+            assert np.array_equal(statevector._drifts(piece) <= statevector._NORM_TOL, expected), piece
+            verdicts.update(expected.tolist())
+    assert verdicts == {True, False}
 
 
 def test_chunks_are_capped_by_state_count_and_by_held_amplitudes(

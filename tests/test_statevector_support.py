@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
 import pytest
 
-from edick import Circuit, Gate, GateKind, Statevector, basis_state, cnot, cphase, h, run, ry, toffoli, x
-from edick import statevector
+from edick import Circuit, EncodingKind, Gate, GateKind, Statevector, basis_state, build_state
+from edick import cnot, cphase, dicke_state, h, run, ry, statevector, toffoli, x, zero_state
+from edick.encodings import random_vector
 
 _ARITHMETIC = [GateKind.H, GateKind.RY, GateKind.PHASE, GateKind.CRY, GateKind.CPHASE, GateKind.CCRY]
 _CONTROLS = {GateKind.CRY: 1, GateKind.CPHASE: 1, GateKind.CCRY: 2, GateKind.CNOT: 1, GateKind.TOFFOLI: 2}
@@ -173,6 +175,49 @@ def test_yielded_states_are_not_checked_again(steps: int, monkeypatch: pytest.Mo
     monkeypatch.setattr(statevector, "_sparse_pays", _sparse_for(steps))
     outputs = list(_run_batch(inputs, _MIXED))
     assert all(np.array_equal(o.amplitudes, e) for o, e in zip(outputs, expected, strict=True))
+    assert checked == []
+    # A state made by a caller is still checked.
+    Statevector(1, [1.0, 0.0])
+    assert len(checked) == 1
+    with pytest.raises(ValueError, match="normalized"):
+        Statevector(1, [0.5, 0.0])
+
+
+def test_library_states_are_not_checked_again(monkeypatch: pytest.MonkeyPatch) -> None:
+    """`basis_state`, `zero_state`, `build_state` and `dicke_state` equal a zeros-and-loop reference, unchecked."""
+    checked: list[Statevector] = []
+    post_init = Statevector.__post_init__
+
+    def recording(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Statevector, "__post_init__", recording)
+    made: list[tuple[Statevector, np.ndarray]] = []
+    rng = np.random.default_rng(5)
+    rows = {EncodingKind.ONE_HOT: lambda i: 1 << i, EncodingKind.BINARY: lambda i: i,
+            EncodingKind.EDICK: lambda i: (1 << i) - 1}
+    levels = {EncodingKind.ONE_HOT: lambda n: n, EncodingKind.BINARY: lambda n: 1 << n,
+              EncodingKind.EDICK: lambda n: n + 1}
+    for n in range(1, 6):
+        basis = np.eye(1 << n, dtype=np.complex128)
+        made += [(basis_state(n, index), basis[index]) for index in range(1 << n)]
+        made.append((zero_state(n), basis[0]))
+        for kind in EncodingKind:
+            for count in range(2, levels[kind](n) + 1):
+                vector = random_vector(count, rng)
+                reference = np.zeros(1 << n, dtype=np.complex128)
+                for level, alpha in enumerate(vector.alphas):
+                    reference[rows[kind](level)] = alpha
+                made.append((build_state(kind, vector, n), reference))
+        for weight in range(n + 1):
+            reference = np.zeros(1 << n, dtype=np.complex128)
+            for index in range(1 << n):
+                if index.bit_count() == weight:
+                    reference[index] = 1.0 / math.sqrt(math.comb(n, weight))
+            made.append((dicke_state(n, weight), reference))
+    for state, reference in made:
+        assert state.amplitudes.dtype == np.complex128 and np.array_equal(state.amplitudes, reference)
     assert checked == []
     # A state made by a caller is still checked.
     Statevector(1, [1.0, 0.0])
