@@ -19,7 +19,7 @@ from enum import Enum
 
 from .circuit import _CNOT, _CPHASE, _H, _MCX, _PHASE, _TOFFOLI, _X, Circuit, Gate, _gate
 from .circuit import _acyclic, _derived, _integer, _width
-from .encodings import EncodingKind, _levels, level_to_basis
+from .encodings import _KIND_LAYOUT, EncodingKind, _levels
 
 
 class EvenMethod(Enum):
@@ -104,7 +104,7 @@ class ConverterPlan:
         level = _integer(level, "level must be an integer")
         if not 0 <= level < self.num_levels:
             raise ValueError(f"level {level} outside 0..{self.num_levels - 1}")
-        return (level_to_basis(kind, level, self.total_qubits - flag) << flag) | flag
+        return (_KIND_LAYOUT[kind].row(level) << flag) | flag  # the register holds every level
 
 
 def binary_width(num_levels: int) -> int:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 
-from .circuit import _CCRY, _CNOT, _CPHASE, _CRY, _H, _PHASE, _RY, _TOFFOLI, _X
+from .circuit import _CCRY, _CNOT, _CPHASE, _CRY, _H, _PHASE, _RY, _X
 from .circuit import Circuit, Gate, _acyclic, _derived, _gate
 
 _PRIMITIVE = {_X, _H, _RY, _PHASE, _CNOT}
@@ -139,9 +139,7 @@ def _expand(gate: Gate, pool: _Pool, width: int) -> list[Gate]:
         return _cry_basis(gate.angle, gate.controls[0], gate.target, pool)
     if kind is _CCRY:
         return _ccry_basis(gate.angle, gate.controls[0], gate.controls[1], gate.target, pool)
-    if kind is _TOFFOLI:
-        return _toffoli_basis(gate.controls[0], gate.controls[1], gate.target, pool)
-    return _mcx_basis(gate.controls, gate.target, pool, width)  # MCX, the one kind left
+    return _mcx_basis(gate.controls, gate.target, pool, width)  # MCX or TOFFOLI, the kinds left
 
 
 @_acyclic

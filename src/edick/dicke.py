@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .circuit import _CCRY, _CNOT, _CRY, _RY, _X, Circuit, Gate, _acyclic, _derived, _gate
 from .circuit import _integer, _real
-from .converters import _DEFAULT_METHOD, ConverterPlan, Direction, EvenMethod, _converter
+from .converters import _DEFAULT_METHOD, _LAYOUTS, ConverterPlan, Direction, EvenMethod, _converter
 from .encodings import EncodingKind
 
 
@@ -136,8 +136,8 @@ def build_binomial_pipeline(spec: BinomialSpec) -> tuple[Circuit, ConverterPlan]
     """
     n, plan, off = spec.trials, spec.plan, spec.plan.ancilla
     gates = [_gate(_RY, off + q, (), spec.theta) for q in range(n)] + _dicke_gates(n, off)
-    if plan.direction is Direction.EDICK_TO_ONEHOT:
-        gates.append(_gate(_X, n))  # the |1> flag right of the staircase
+    if _LAYOUTS[plan.direction][0][1]:
+        gates.append(_gate(_X, plan.total_qubits - 1))  # the stage's |1> input flag
     if plan.direction is not None:
         gates += _converter(plan).gates
     label = f"binomial_pipeline_{n}_{spec.target.value}"

@@ -9,9 +9,10 @@ a register three ways, all sharing the notion of a "level" i:
 * edick: level i occupies the string of i right-aligned ones, basis
   integer 2**i - 1 (a staircase, the transition form between the other two).
 
-`build_state` places an amplitude vector in one of these layouts. `dicke_state`
-builds the uniform superposition over all strings of one Hamming weight, which
-takes no amplitude vector; it is the target of the Dicke preparation unitary.
+`_KIND_LAYOUT` is the one home of these layouts, and `build_state` places an
+amplitude vector in one of them. `dicke_state` builds the uniform superposition
+over all strings of one Hamming weight, which takes no amplitude vector; it is
+the target of the Dicke preparation unitary.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -37,6 +39,14 @@ class EncodingKind(Enum):
     ONE_HOT = "onehot"
     BINARY = "binary"
     EDICK = "edick"
+
+
+_Layout = namedtuple("_Layout", "name fits row")  # name in messages, (level, width) fit, row of int/int64 levels
+_KIND_LAYOUT = {
+    EncodingKind.ONE_HOT: _Layout("one-hot", lambda level, width: level < width, lambda i: 1 << i),
+    EncodingKind.BINARY: _Layout("binary", lambda level, width: level >> width == 0, lambda i: i),
+    EncodingKind.EDICK: _Layout("edick", lambda level, width: level <= width, lambda i: (1 << i) - 1),
+}
 
 
 def _sum_of_squares(alphas: tuple[complex, ...]) -> float:
@@ -72,8 +82,9 @@ class AmplitudeVector:
 
     def __post_init__(self) -> None:
         alphas = _coefficients(self.alphas)
-        if len(alphas) < 2:
-            raise ValueError("need at least two levels")
+        _levels(len(alphas))
+        if not all(map(cmath.isfinite, alphas)):
+            raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "alphas", alphas)
         norm_sq = _sum_of_squares(alphas)
         if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails too
@@ -129,19 +140,12 @@ def level_to_basis(kind: EncodingKind, level: int, width: int) -> int:
         raise ValueError("width must be at least 1")
     if level < 0:
         raise ValueError(f"level {level} out of range")
-    if kind is EncodingKind.ONE_HOT:
-        if level >= width:
-            raise ValueError(f"one-hot level {level} needs more than {width} qubits")
-        return 1 << level
-    if kind is EncodingKind.BINARY:
-        if level >= (1 << width):
-            raise ValueError(f"binary level {level} needs more than {width} qubits")
-        return level
-    if kind is EncodingKind.EDICK:
-        if level > width:
-            raise ValueError(f"edick level {level} needs more than {width} qubits")
-        return (1 << level) - 1
-    raise ValueError(f"kind must be an EncodingKind, got {kind!r}")
+    if type(kind) is not EncodingKind:
+        raise ValueError(f"kind must be an EncodingKind, got {kind!r}")
+    name, fits, row = _KIND_LAYOUT[kind]
+    if not fits(level, width):
+        raise ValueError(f"{name} level {level} needs more than {width} qubits")
+    return row(level)
 
 
 def build_state(kind: EncodingKind, amplitudes: AmplitudeVector, width: int) -> Statevector:
@@ -154,8 +158,8 @@ def build_state(kind: EncodingKind, amplitudes: AmplitudeVector, width: int) -> 
         raise ValueError(f"kind must be an EncodingKind, got {kind!r}")
     if type(amplitudes) is not AmplitudeVector:
         raise ValueError(f"amplitudes must be an AmplitudeVector, got {amplitudes!r}")
-    levels = amplitudes.num_levels
-    rows = np.fromiter((level_to_basis(kind, i, width) for i in range(levels)), np.int64, count=levels)
+    level_to_basis(kind, amplitudes.num_levels - 1, width)  # the highest level fits, so every level does
+    rows = _KIND_LAYOUT[kind].row(np.arange(amplitudes.num_levels, dtype=np.int64))
     return _state(width, rows, amplitudes.alphas)
 
 
@@ -181,13 +185,11 @@ def read_state(kind: EncodingKind, state: Statevector, num_levels: int) -> Ampli
     tolerance is looser than the AmplitudeVector norm invariant).
     """
     num_levels = _levels(num_levels)
-    indices = [level_to_basis(kind, i, state.num_qubits) for i in range(num_levels)]
-    extracted = state.amplitudes[indices]
+    level_to_basis(kind, num_levels - 1, state.num_qubits)  # the highest level fits, so every level does
+    extracted = state.amplitudes[_KIND_LAYOUT[kind].row(np.arange(num_levels, dtype=np.int64))]
     kept = float(np.sum(np.abs(extracted) ** 2))
     stray = 1.0 - kept
     if stray > _STRAY_TOL:
-        raise ValueError(
-            f"state has {stray:.3e} probability mass outside {kind.value} positions"
-        )
+        raise ValueError(f"state has {stray:.3e} probability mass outside {kind.value} positions")
     extracted = extracted / math.sqrt(kept)
     return AmplitudeVector(tuple(extracted))

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from edick import (
     AmplitudeVector,
+    ConverterPlan,
+    Direction,
     EncodingKind,
+    EvenMethod,
     Statevector,
     basis_state,
     build_state,
@@ -18,6 +22,7 @@ from edick import (
     random_vector,
     read_state,
 )
+from edick.encodings import _KIND_LAYOUT
 
 
 def test_level_to_basis_per_kind() -> None:
@@ -60,6 +65,9 @@ def test_amplitude_vector_validation() -> None:
     for big in ((1e200, 0.0), (1e308 + 1e308j, 0.0)):  # squares past the float range
         with pytest.raises(ValueError, match="not normalized"):
             AmplitudeVector(big)
+    for bad in ((math.inf, 0.0), (math.nan, 0.0), (complex(0, math.inf), 0.0)):  # not finite
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            AmplitudeVector(bad)
     ok = AmplitudeVector((1.0, 0.0))
     assert ok.num_levels == 2
 
@@ -207,3 +215,117 @@ def test_dicke_state_refuses_wide_registers_before_enumerating(width: int, monke
     monkeypatch.setattr("edick.encodings.combinations", _refuse)
     with pytest.raises(ValueError, match="register width"):
         dicke_state(width, 2)
+
+
+# The layouts as closed forms, independent of the table: row formula, and the
+# largest level a register of `width` qubits holds.
+_ROWS = {EncodingKind.ONE_HOT: lambda i: 1 << i, EncodingKind.BINARY: lambda i: i,
+         EncodingKind.EDICK: lambda i: (1 << i) - 1}
+_TOP = {EncodingKind.ONE_HOT: lambda w: w - 1, EncodingKind.BINARY: lambda w: (1 << w) - 1,
+        EncodingKind.EDICK: lambda w: w}
+_CHUNK = 1 << 20  # levels per array, so binary width 24 stays a few MB at a time
+
+
+@pytest.mark.parametrize("kind", list(EncodingKind), ids=str)
+def test_layout_table_rows_and_fit_tests_equal_the_closed_forms(kind: EncodingKind) -> None:
+    layout = _KIND_LAYOUT[kind]
+    for level in range(64):
+        assert layout.row(level) == _ROWS[kind](level)
+    for width in range(1, 25):
+        top = _TOP[kind](width)
+        for start in range(0, top + 2, _CHUNK):
+            levels = np.arange(start, min(start + _CHUNK, top + 2), dtype=np.int64)
+            rows = layout.row(levels)
+            assert rows.dtype == np.int64
+            assert np.array_equal(rows, _ROWS[kind](levels))
+            assert np.array_equal(layout.fits(levels, width), levels <= top)
+        for level in range(max(top - 3, 0), top + 3):  # the boundary as ints
+            assert layout.fits(level, width) is (level <= top)
+            if level <= top:
+                assert layout.row(level) == level_to_basis(kind, level, width)
+            else:
+                with pytest.raises(ValueError, match=f"^{layout.name} level {level} needs more than {width} qubits$"):
+                    level_to_basis(kind, level, width)
+
+
+def _spy(monkeypatch) -> list[tuple]:
+    """Records each call of `level_to_basis` made through the encodings (and converters) module."""
+    calls: list[tuple] = []
+
+    def spy(*args):
+        calls.append(args)
+        return level_to_basis(*args)
+
+    monkeypatch.setattr("edick.encodings.level_to_basis", spy)
+    monkeypatch.setattr("edick.converters.level_to_basis", spy, raising=False)
+    return calls
+
+
+def _reference_amplitudes(kind: EncodingKind, vector: AmplitudeVector, width: int) -> np.ndarray:
+    amps = np.zeros(1 << width, dtype=np.complex128)
+    for level, alpha in enumerate(vector.alphas):
+        amps[level_to_basis(kind, level, width)] = alpha
+    return amps
+
+
+_GRID = [(kind, levels, width) for kind in EncodingKind for levels in (2, 3, 5, 8)
+         for width in range(1, levels + 2) if _TOP[kind](width) >= levels - 1]
+
+
+@pytest.mark.parametrize("kind, num_levels, width", _GRID + [(EncodingKind.BINARY, 1 << 16, 16)],
+                         ids=lambda v: str(v))
+def test_build_and_read_state_check_one_level_and_match_the_per_level_map(
+    kind: EncodingKind, num_levels: int, width: int, monkeypatch
+) -> None:
+    vector = random_vector(num_levels, np.random.default_rng(num_levels + width))
+    expected = _reference_amplitudes(kind, vector, width)
+    calls = _spy(monkeypatch)
+    state = build_state(kind, vector, width)
+    assert calls == [(kind, num_levels - 1, width)]
+    assert np.array_equal(state.amplitudes, expected)
+    calls.clear()
+    back = read_state(kind, state, num_levels)
+    assert calls == [(kind, num_levels - 1, width)]
+    indices = [level_to_basis(kind, level, width) for level in range(num_levels)]
+    extracted = expected[indices]
+    reference = extracted / math.sqrt(float(np.sum(np.abs(extracted) ** 2)))
+    assert np.array_equal(np.array(back.alphas), reference)
+
+
+@pytest.mark.parametrize("direction", list(Direction), ids=str)
+@pytest.mark.parametrize("num_levels", [2, 5, 8, 17])
+def test_converter_plan_indices_make_no_level_to_basis_call(direction: Direction, num_levels: int,
+                                                           monkeypatch) -> None:
+    plan = ConverterPlan(num_levels, EvenMethod.EXPAND_TO_POW2, direction)
+    calls = _spy(monkeypatch)
+    for level in range(num_levels):
+        plan.input_index(level)
+        plan.output_index(level)
+    assert calls == []
+
+
+def test_binary_fit_test_builds_no_power_of_the_width() -> None:
+    tracemalloc.start()
+    try:
+        assert level_to_basis(EncodingKind.BINARY, 3, 10**8) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    with pytest.raises(ValueError, match="^binary level 1099511627776 needs more than 40 qubits$"):
+        level_to_basis(EncodingKind.BINARY, 2**40, 40)
+
+
+@pytest.mark.parametrize("kind, num_levels, width, message", [
+    (EncodingKind.BINARY, 9, 3, "binary level 8 needs more than 3 qubits"),  # capacity + 1
+    (EncodingKind.ONE_HOT, 9, 5, "one-hot level 8 needs more than 5 qubits"),
+    (EncodingKind.EDICK, 9, 5, "edick level 8 needs more than 5 qubits"),
+], ids=str)
+def test_a_level_count_past_capacity_names_the_highest_level(kind, num_levels, width, message) -> None:
+    vector = random_vector(num_levels, np.random.default_rng(1))
+    with pytest.raises(ValueError) as raised:
+        build_state(kind, vector, width)
+    assert str(raised.value) == message
+    with pytest.raises(ValueError) as raised:
+        read_state(kind, basis_state(width, 0), num_levels)
+    assert str(raised.value) == message
