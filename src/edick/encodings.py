@@ -57,9 +57,18 @@ def _sum_of_squares(alphas: tuple[complex, ...]) -> float:
         return math.inf
 
 
+def _holding(vector: "AmplitudeVector", alphas: tuple[complex, ...]) -> "AmplitudeVector":
+    """`vector` given the finite complex coefficients `alphas`, once their sum of squares is checked."""
+    object.__setattr__(vector, "alphas", alphas)
+    norm_sq = _sum_of_squares(alphas)
+    if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails too
+        raise ValueError(f"amplitudes are not normalized: sum of squares {norm_sq}")
+    return vector
+
+
 def _coefficient(value: object) -> complex:
     """`value` as a complex; strings, bools and what is not a float-range number raise ValueError."""
-    try:  # complex values, which `normalized` passes on, skip the isinstance check
+    try:  # complex values, which `read_state` passes on, skip the isinstance check
         if type(value) is complex or not isinstance(value, (str, bool, np.bool_)):
             return complex(value)
     except (TypeError, OverflowError):  # not a number, or an integer past the float range
@@ -85,10 +94,7 @@ class AmplitudeVector:
         _levels(len(alphas))
         if not all(map(cmath.isfinite, alphas)):
             raise ValueError("amplitudes must be finite")
-        object.__setattr__(self, "alphas", alphas)
-        norm_sq = _sum_of_squares(alphas)
-        if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails too
-            raise ValueError(f"amplitudes are not normalized: sum of squares {norm_sq}")
+        _holding(self, alphas)
 
     @property
     def num_levels(self) -> int:
@@ -108,7 +114,8 @@ class AmplitudeVector:
         norm = math.sqrt(norm_sq)
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return AmplitudeVector(tuple(a / norm for a in alphas))
+        _levels(len(alphas))  # the quotients are finite complex values: only the count and the norm are checked
+        return _holding(object.__new__(AmplitudeVector), tuple(a / norm for a in alphas))
 
 
 def _levels(num_levels: object) -> int:
@@ -192,4 +199,4 @@ def read_state(kind: EncodingKind, state: Statevector, num_levels: int) -> Ampli
     if stray > _STRAY_TOL:
         raise ValueError(f"state has {stray:.3e} probability mass outside {kind.value} positions")
     extracted = extracted / math.sqrt(kept)
-    return AmplitudeVector(tuple(extracted))
+    return AmplitudeVector(extracted.tolist())  # plain complex values take `_coefficient`'s fast path

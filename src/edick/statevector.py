@@ -14,7 +14,8 @@ its active rows lack, takes each pair once from its target-0 row and applies
 the dense kernel's elementwise formulas to the (G, B) blocks, so every amplitude
 is bit-identical to dense simulation. A verifier's inputs share N of 2**n
 indices. Once the held rows are too many for this to pay, each state goes on
-alone, densely and gate by gate. `run_batch` checks its arguments at the call.
+alone, densely and gate by gate. `run_rows` returns only the outputs at given
+indices, from the held rows where a batch stays sparse; both check at the call.
 In both paths a state's norm is checked where it enters and after every gate
 that changes amplitudes. Only a `Statevector(...)` that a caller constructs is
 checked: the library's own states (`basis_state`, `build_state`, `dicke_state`
@@ -172,9 +173,7 @@ def _sparse(idx: np.ndarray, columns: np.ndarray, circuit: Circuit):
     and the index of the first gate left for the dense path, or the gate count.
     """
     n, (rows, count), size = circuit.num_qubits, columns.shape, 1 << circuit.num_qubits
-    pos = np.full(size, -1, dtype=np.int32)  # the row of each index, or -1
-    pos[idx] = np.arange(rows, dtype=np.int32)
-    synced = idx  # the indices `pos` holds
+    pos, synced = None, idx[:0]  # at the first arithmetic step, the row of each index or -1; the indices it holds
     block = np.zeros((2 * rows, count), np.complex128)
     block[:rows] = columns
     for k, gate in enumerate(circuit.gates):
@@ -186,6 +185,7 @@ def _sparse(idx: np.ndarray, columns: np.ndarray, circuit: Circuit):
         if not _sparse_pays(rows, count, size):
             return idx, block[:rows], k
         if idx is not synced:
+            pos = np.full(size, -1, dtype=np.int32) if pos is None else pos
             pos[synced] = -1
             pos[idx] = np.arange(rows, dtype=np.int32)
             synced = idx
@@ -222,18 +222,9 @@ def _dense(amps: np.ndarray, gates: tuple[Gate, ...], num_qubits: int) -> None:
             _check(_norm_drift(amps), gate)
 
 
-def run_batch(rows, amplitudes, circuit: Circuit) -> Iterator[Statevector]:
-    """Yield `circuit` applied to each column of `amplitudes`, in order, from one pass.
-
-    Column j of the (len(rows), B) block holds state j's amplitudes at the
-    distinct basis indices `rows`; every other amplitude is zero. Columns go
-    through in chunks of at most `_CHUNK` and of at most `_BLOCK_MAX` held
-    amplitudes, held as their rows (see the module docstring) while the
-    arithmetic steps pay (`_sparse_pays`), then each state alone, densely. The
-    arguments are checked at the call, not at the first `next()`; every norm on
-    entry and after every gate that changes amplitudes, and a drift names the gate.
-    """
-    n, size = _check_width(circuit.num_qubits), 1 << circuit.num_qubits
+def _chunks(rows, amplitudes, circuit: Circuit) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """Check a batch now; then yield `_sparse` of each chunk of up to `_CHUNK` states and `_BLOCK_MAX` amplitudes."""
+    size = 1 << _check_width(circuit.num_qubits)
     idx = np.asarray(rows)
     if idx.ndim != 1 or idx.dtype.kind not in "iu":
         raise ValueError("rows must be a 1-D array of integers")
@@ -246,16 +237,50 @@ def run_batch(rows, amplitudes, circuit: Circuit) -> Iterator[Statevector]:
     if not np.all(_drifts(block) <= _NORM_TOL):  # NaN fails too
         raise ValueError(f"every column must be normalized to 1 within {_NORM_TOL}")
     per = max(1, min(_CHUNK, _BLOCK_MAX // max(1, idx.size)))
+    return (_sparse(idx, block[:, start : start + per], circuit) for start in range(0, block.shape[1], per))
 
-    def walk() -> Iterator[Statevector]:
-        for start in range(0, block.shape[1], per):
-            held, columns, k = _sparse(idx, block[:, start : start + per], circuit)
-            for j in range(columns.shape[1]):
-                state = _state(n, held, columns[:, j])
-                _dense(state.amplitudes, circuit.gates[k:], n)
-                yield state
 
-    return walk()
+def _finish(held: np.ndarray, column: np.ndarray, circuit: Circuit, k: int) -> Statevector:
+    """A column of a chunk as a state, taken densely through the gates from `k` on."""
+    state = _state(circuit.num_qubits, held, column)
+    _dense(state.amplitudes, circuit.gates[k:], circuit.num_qubits)
+    return state
+
+
+def run_batch(rows, amplitudes, circuit: Circuit) -> Iterator[Statevector]:
+    """Yield `circuit` applied to each column of `amplitudes`, in order, from one pass.
+
+    Column j of the (len(rows), B) block holds state j's amplitudes at the
+    distinct basis indices `rows`; every other amplitude is zero. Columns go
+    through in chunks of at most `_CHUNK` and of at most `_BLOCK_MAX` held
+    amplitudes, held as their rows (see the module docstring) while the
+    arithmetic steps pay (`_sparse_pays`), then each state alone, densely. The
+    arguments are checked at the call, not at the first `next()`; every norm on
+    entry and after every gate that changes amplitudes, and a drift names the gate.
+    """
+    chunks = _chunks(rows, amplitudes, circuit)
+    return (_finish(held, column, circuit, k) for held, columns, k in chunks for column in columns.T)
+
+
+def run_rows(rows, amplitudes, circuit: Circuit, read) -> np.ndarray:
+    """The (len(read), B) block of `run_batch`'s output amplitudes at the basis indices `read`.
+
+    The arguments are checked at the call. A chunk that ends sparse is read from
+    its held rows, where an index not held reads 0, and makes no 2**n state.
+    """
+    chunks, size = _chunks(rows, amplitudes, circuit), 1 << circuit.num_qubits
+    read = np.asarray(read)
+    if read.ndim != 1 or read.dtype.kind not in "iu" or np.any((read < 0) | (read >= size)):
+        raise ValueError(f"read must be a 1-D array of basis indices in 0..{size - 1}")
+    pieces = [np.zeros((read.size, 0), np.complex128)]
+    for held, columns, k in chunks:
+        if k < len(circuit.gates):
+            pieces.append(np.array([_finish(held, c, circuit, k).amplitudes[read] for c in columns.T]).T)
+        else:  # the held row of each read index, if any, by a search of the sorted rows
+            order = np.argsort(held)
+            at = order[np.searchsorted(held, read, sorter=order).clip(max=held.size - 1)]
+            pieces.append(np.where((held[at] == read)[:, None], columns[at], 0))
+    return np.concatenate(pieces, axis=1)
 
 
 def run(state: Statevector, circuit: Circuit) -> Statevector:

@@ -88,18 +88,19 @@ def test_verify_is_deterministic(capsys) -> None:
     assert first == second
 
 
-# Recorded before support-restricted simulation; the fidelities are printed
-# with repr, so any change in the last bit of an amplitude shows here.
+# Recorded when trial overlaps became a fixed-order sum over the N output rows;
+# the fidelities are printed with repr, so any change in the last bit of an
+# amplitude, or in the order of that sum, shows here.
 _GOLDEN_VERIFY = {
-    ("binary-to-onehot", 15, "expand-pow2"): ("0.9999999999999982", "trial 10"),
-    ("onehot-to-binary", 16, "recursion"): ("0.999999999999996", "trial 11"),
-    ("edick-to-binary", 14, "expand-n-plus-1"): ("0.9999999999999982", "trial 0"),
-    ("onehot-to-binary", 13, "expand-pow2"): ("0.9999999999999959", "trial 5"),
+    ("binary-to-onehot", 15, "expand-pow2"): ("0.9999999999999981", "trial 3"),
+    ("onehot-to-binary", 16, "recursion"): ("0.9999999999999959", "trial 13"),
+    ("edick-to-binary", 14, "expand-n-plus-1"): ("0.9999999999999982", "trial 3"),
+    ("onehot-to-binary", 13, "expand-pow2"): ("0.9999999999999958", "trial 15"),
     # These two spread over much of the register partway through the circuit.
     ("edick-to-binary", 16, "recursion"): ("0.9999999999999959", "trial 13"),
-    ("edick-to-binary", 16, "expand-n-plus-1"): ("0.9999999999999998", "trial 0"),
+    ("edick-to-binary", 16, "expand-n-plus-1"): ("0.9999999999999996", "trial 0"),
     # Permutation gates only, on 17 qubits.
-    ("edick-to-onehot", 17, "expand-pow2"): ("0.9999999999999997", "trial 0"),
+    ("edick-to-onehot", 17, "expand-pow2"): ("0.9999999999999998", "trial 2"),
 }
 
 # Basis levels only (--trials 0), recorded like the cases above.
@@ -138,8 +139,8 @@ def test_verify_without_trials_is_byte_identical_to_the_recorded_output(case, ca
 
 # sha256, in order, over f"{exit code}\n{stdout}" of `verify` with 3 trials at
 # seed 1, over every direction, then every even-count method, then N = 2..11.
-# Recorded before the simulator took a batch as rows and amplitude columns.
-_VERIFY_DIGEST = "aebe3cc2da69afa22ac8c0d085a2bf72991d8217fa3cace32d765518fc718930"
+# Recorded when trial overlaps became a fixed-order sum over the N output rows.
+_VERIFY_DIGEST = "4fc0f336715906ab98502068003d4a9efcce0fd9252f4d60383c64f646146bde"
 
 
 def test_verify_output_over_every_small_case_matches_its_recorded_digest(capsys) -> None:
@@ -153,28 +154,94 @@ def test_verify_output_over_every_small_case_matches_its_recorded_digest(capsys)
     assert digest.hexdigest() == _VERIFY_DIGEST
 
 
-class _Output:
-    """Stands in for a statevector that `run_batch` would never yield: it is not normalized."""
+@pytest.mark.parametrize("case", list(_GOLDEN_VERIFY), ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+def test_verify_fidelities_are_within_1e_15_of_dense_states_and_vdot(case, capsys, monkeypatch) -> None:
+    """The re-recorded outputs are a rounding change: every fidelity is within 1e-15 of the dense one."""
+    direction, n, method = case
+    calls = []
+    real = edick.cli.run_rows
 
-    def __init__(self, amplitudes) -> None:
-        self.amplitudes = amplitudes
+    def recording(rows, amplitudes, circuit, read):
+        calls.append((rows, amplitudes, circuit, read, real(rows, amplitudes, circuit, read)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(edick.cli, "run_rows", recording)
+    argv = ["verify", "--direction", direction, "--n", str(n), "--method", method,
+            "--trials", "20", "--seed", "1"]
+    assert main(argv) == 0
+    [(rows, columns, circuit, read, block)] = calls
+    new = [abs(block[k, k]) for k in range(n)]
+    new += list(np.abs(np.sum(np.conj(columns[:, n:]) * block[:, n:], axis=0)))
+    old, expected = [], np.zeros(1 << circuit.num_qubits, dtype=np.complex128)
+    for k, state in enumerate(edick.run_batch(rows, columns, circuit)):
+        if k < n:
+            old.append(abs(state.amplitudes[read[k]]))
+        else:
+            expected[read] = columns[:, k]
+            old.append(abs(np.vdot(state.amplitudes, expected)))
+    assert len(new) == len(old) == n + 20
+    assert [v.hex() for v in new[:n]] == [v.hex() for v in old[:n]]  # levels keep their bits
+    assert max(abs(a - b) for a, b in zip(new, old)) <= 1e-15
+    k = min(range(len(new)), key=new.__getitem__)
+    where = f"level {k}" if k < n else f"trial {k - n}"
+    assert capsys.readouterr().out.splitlines()[1] == f"worst fidelity {float(new[k])!r} at {where}"
+
+
+def _nan_in_column(bad: int):
+    """A `run_rows` whose block has NaN in column `bad`: a state no simulation would pass."""
+    real = edick.cli.run_rows
+
+    def with_nan(rows, amplitudes, circuit, read):
+        block = real(rows, amplitudes, circuit, read)
+        block[:, bad] = np.nan
+        return block
+
+    return with_nan
 
 
 @pytest.mark.parametrize("bad", [0, 1, 4], ids=["level-0", "level-1", "trial-1"])
 def test_verify_fails_on_a_nan_fidelity(bad: int, monkeypatch, capsys) -> None:
-    real = edick.cli.run_batch
-
-    def with_nan(rows, amplitudes, circuit):
-        for k, output in enumerate(real(rows, amplitudes, circuit)):
-            yield _Output(np.full_like(output.amplitudes, np.nan)) if k == bad else output
-
-    monkeypatch.setattr(edick.cli, "run_batch", with_nan)
+    monkeypatch.setattr(edick.cli, "run_rows", _nan_in_column(bad))
     argv = ["verify", "--direction", "edick-to-onehot", "--n", "3", "--trials", "2", "--seed", "1"]
     assert main(argv) == 1
     where = f"level {bad}" if bad < 3 else f"trial {bad - 3}"
     assert capsys.readouterr().out.splitlines()[1:] == [
         f"worst fidelity nan at {where}", "verify: FAIL"
     ]
+
+
+def test_verify_fails_on_a_nan_fidelity_read_from_the_dense_fallback(monkeypatch, capsys) -> None:
+    made = []
+    state = edick.statevector._state
+
+    def recording(num_qubits, rows, values):
+        made.append(num_qubits)
+        return state(num_qubits, rows, values)
+
+    monkeypatch.setattr(edick.statevector, "_sparse_pays", lambda rows, states, size: False)
+    monkeypatch.setattr(edick.statevector, "_state", recording)
+    monkeypatch.setattr(edick.cli, "run_rows", _nan_in_column(8))
+    # 7 recursion levels have arithmetic gates, so every state leaves the held rows at the first.
+    argv = ["verify", "--direction", "edick-to-binary", "--n", "7", "--method", "recursion",
+            "--trials", "2", "--seed", "1"]
+    assert main(argv) == 1
+    assert made == [6] * 9
+    assert capsys.readouterr().out.splitlines()[1:] == ["worst fidelity nan at trial 1", "verify: FAIL"]
+
+
+def test_verify_makes_no_dense_state_on_the_sparse_path(monkeypatch, capsys) -> None:
+    # Permutation gates only: every chunk stays on its held rows, so no 2**17 state is made.
+    made = []
+    state = edick.statevector._state
+
+    def recording(num_qubits, rows, values):
+        made.append(num_qubits)
+        return state(num_qubits, rows, values)
+
+    monkeypatch.setattr(edick.statevector, "_state", recording)
+    assert main(["verify", "--direction", "edick-to-onehot", "--n", "17", "--trials", "20", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "verify: PASS"
+    assert made == []
 
 
 def test_sweep_writes_csv(tmp_path) -> None:

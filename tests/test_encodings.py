@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from edick import (
     random_vector,
     read_state,
 )
-from edick.encodings import _KIND_LAYOUT
+from edick.encodings import _KIND_LAYOUT, _sum_of_squares
 
 
 def test_level_to_basis_per_kind() -> None:
@@ -169,6 +170,35 @@ def test_read_state_rejects_stray_mass() -> None:
     # |010> is not a staircase pattern, so reading Edick levels must fail.
     with pytest.raises(ValueError, match="outside"):
         read_state(EncodingKind.EDICK, basis_state(3, 0b010), 4)
+
+
+def _bits(vector: AmplitudeVector) -> list[tuple[type, str, str]]:
+    return [(type(a), a.real.hex(), a.imag.hex()) for a in vector.alphas]
+
+
+def test_normalized_and_read_state_give_the_alphas_of_the_checking_constructor() -> None:
+    """Bit for bit, as plain complex values: what `AmplitudeVector(...)` made of the same quotients."""
+    rng = np.random.default_rng(19)
+    cases = [rng.standard_normal(n).tolist() for n in (2, 3, 14, 100)]
+    cases += [(rng.standard_normal(5) + 1j * rng.standard_normal(5)).tolist(), [3, 4]]
+    cases += [[1e200, -3e200], [5e-324, 1e-320j]]  # squares past the normal range: scaled first
+    for values in cases:
+        alphas = tuple(map(complex, values))
+        if not sys.float_info.min <= _sum_of_squares(alphas) < math.inf:
+            scale = max(max(abs(a.real), abs(a.imag)) for a in alphas)
+            alphas = tuple(a / scale for a in alphas)
+        norm = math.sqrt(_sum_of_squares(alphas))
+        assert _bits(AmplitudeVector.normalized(values)) == _bits(AmplitudeVector(tuple(a / norm for a in alphas)))
+    for kind in EncodingKind:
+        for num_levels in (2, 5, 9):
+            rows = [level_to_basis(kind, level, 10) for level in range(num_levels)]
+            amps = np.zeros(1 << 10, dtype=np.complex128)
+            amps[rows] = rng.standard_normal(num_levels) + 1j * rng.standard_normal(num_levels)
+            amps[(set(range(1 << 10)) - set(rows)).pop()] = 1e-6  # stray mass, so the read renormalizes
+            state = Statevector(10, amps / np.linalg.norm(amps))
+            extracted = state.amplitudes[rows]
+            extracted = extracted / math.sqrt(float(np.sum(np.abs(extracted) ** 2)))
+            assert _bits(read_state(kind, state, num_levels)) == _bits(AmplitudeVector(tuple(extracted)))
 
 
 def test_read_state_renormalizes_within_tolerance() -> None:

@@ -127,6 +127,33 @@ def test_run_batch_rejects_a_bad_batch_at_the_call(rows, amplitudes, match: str)
         statevector.run_batch(rows, amplitudes, Circuit(3, (x(0),)))  # never iterated
 
 
+@_BAD_BATCHES
+def test_run_rows_rejects_a_bad_batch_at_the_call(rows, amplitudes, match: str) -> None:
+    with pytest.raises(ValueError, match=match):
+        statevector.run_rows(rows, amplitudes, Circuit(3, (x(0),)), [0])
+
+
+@pytest.mark.parametrize(
+    "read", [[8], [-1], [0, 1 << 40], [[0, 1]], 3, [0.0], [True], []],
+    ids=["too-high", "negative", "far-too-high", "2-d", "scalar", "float", "bool", "empty-list"],
+)
+def test_run_rows_rejects_a_bad_read_at_the_call(read) -> None:
+    with pytest.raises(ValueError, match=r"read must be a 1-D array of basis indices in 0\.\.7"):
+        statevector.run_rows([0, 1], _HALF, Circuit(3, (x(0),)), read)
+
+
+def test_run_rows_reads_zero_where_no_row_is_held() -> None:
+    # X on qubit 0 moves rows 0 and 1 to 4 and 5; rows 0..3 and 6, 7 hold nothing.
+    read = np.arange(8, dtype=np.uint8)
+    block = statevector.run_rows([0, 1], np.hstack([_HALF, [[1.0], [0.0]]]), Circuit(3, (x(0),)), read)
+    expected = np.zeros((8, 2), dtype=np.complex128)
+    expected[4:6] = np.hstack([_HALF, [[1.0], [0.0]]])
+    assert np.array_equal(block, expected)
+    assert not np.signbit(block.view(np.float64)).any()  # zeros, not negative zeros
+    assert statevector.run_rows([0], [[1.0]], Circuit(3, ()), np.array([], np.int64)).shape == (0, 1)
+    assert statevector.run_rows([1, 2], np.zeros((2, 0)), Circuit(3, ()), [0, 7]).shape == (2, 0)
+
+
 def test_column_drifts_give_the_norm_rule_of_np_linalg_norm() -> None:
     """`_drifts` accepts and rejects the columns that |np.linalg.norm(column) - 1| <= tol does."""
     rng = np.random.default_rng(11)

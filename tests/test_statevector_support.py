@@ -29,10 +29,15 @@ def sparse_steps(monkeypatch: pytest.MonkeyPatch) -> list[tuple[int, int, int]]:
     return asked
 
 
+def _batch(states: list[Statevector]) -> tuple[np.ndarray, np.ndarray]:
+    """The union of the states' nonzero rows, and the block of their amplitudes there, a column per state."""
+    rows = np.unique(np.concatenate([np.flatnonzero(s.amplitudes) for s in states]))
+    return rows, np.array([s.amplitudes[rows] for s in states]).T
+
+
 def _run_batch(states: list[Statevector], circuit: Circuit):
     """`statevector.run_batch` on the union of the states' nonzero rows, with a column per state."""
-    rows = np.unique(np.concatenate([np.flatnonzero(s.amplitudes) for s in states]))
-    return statevector.run_batch(rows, np.array([s.amplitudes[rows] for s in states]).T, circuit)
+    return statevector.run_batch(*_batch(states), circuit)
 
 
 def _random_gate(rng: np.random.Generator, num_qubits: int) -> Gate:
@@ -44,7 +49,7 @@ def _random_gate(rng: np.random.Generator, num_qubits: int) -> Gate:
 
 
 def _sparse_state(rng: np.random.Generator, num_qubits: int) -> Statevector:
-    nonzero = rng.choice(1 << num_qubits, size=int(rng.integers(1, 10)), replace=False)
+    nonzero = rng.choice(1 << num_qubits, size=min(int(rng.integers(1, 10)), 1 << num_qubits), replace=False)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[nonzero] = rng.normal(size=nonzero.size) + 1j * rng.normal(size=nonzero.size)
     return Statevector(num_qubits, amps / np.linalg.norm(amps))
@@ -255,3 +260,33 @@ def test_dense_takes_one_norm_per_arithmetic_gate_left(steps: int, monkeypatch: 
     if dense:
         with pytest.raises(AssertionError, match=re.escape(f"after {dense[0]}")):
             list(_run_batch(inputs, _MIXED))
+
+
+@_STEPS
+def test_run_rows_equals_the_run_batch_states_at_the_read_indices(
+    steps: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """Bit for bit, from the held rows when sparse to the end, else from each dense state."""
+    made: list[int] = []
+    state = statevector._state
+
+    def recording(num_qubits, rows, values):
+        made.append(num_qubits)
+        return state(num_qubits, rows, values)
+
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        rows, block = _batch([_sparse_state(rng, 3) for _ in range(int(rng.integers(1, 4)))])
+        read = rng.integers(0, 8, size=int(rng.integers(0, 12)))  # any order, repeats too
+        monkeypatch.setattr(statevector, "_sparse_pays", _sparse_for(steps))
+        states = statevector.run_batch(rows, block, _MIXED)
+        expected = np.array([s.amplitudes[read] for s in states]).T
+        monkeypatch.setattr(statevector, "_sparse_pays", _sparse_for(steps))
+        monkeypatch.setattr(statevector, "_state", recording)
+        got = statevector.run_rows(rows, block, _MIXED, read)
+        monkeypatch.undo()
+        assert got.shape == (read.size, block.shape[1]) and got.dtype == np.complex128
+        assert np.array_equal(got, expected)
+        # Sparse to the end makes no dense state; otherwise every state goes dense.
+        assert made == ([] if steps == len(_MIXED_ARITHMETIC) else [3] * block.shape[1])
+        made.clear()
