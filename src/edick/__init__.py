@@ -11,11 +11,7 @@ from .analysis import (
     SWEEP_SUBJECTS,
     ScalingModel,
     SweepRow,
-    edick_to_onehot_size,
-    edick_to_onehot_size_bound,
     fit_scaling,
-    measured_edick_to_onehot_depth,
-    predicted_edick_to_onehot_depth,
     rows_to_csv,
     run_sweep,
 )
@@ -75,7 +71,6 @@ from .statevector import (
     basis_state,
     fidelity,
     run,
-    run_batch,
     run_rows,
     zero_state,
 )
@@ -120,8 +115,6 @@ __all__ = [
     "cry",
     "decompose_to_basis",
     "dicke_state",
-    "edick_to_onehot_size",
-    "edick_to_onehot_size_bound",
     "emit_text",
     "fidelity",
     "fit_scaling",
@@ -129,16 +122,13 @@ __all__ = [
     "inverse",
     "level_to_basis",
     "mcx",
-    "measured_edick_to_onehot_depth",
     "parse_text",
     "phase",
-    "predicted_edick_to_onehot_depth",
     "random_vector",
     "read_state",
     "remap",
     "rows_to_csv",
     "run",
-    "run_batch",
     "run_rows",
     "run_sweep",
     "ry",

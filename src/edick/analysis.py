@@ -1,4 +1,4 @@
-"""Cost oracles, sweep runner, and scaling-trend fits.
+"""Sweep runner and scaling-trend fits.
 
 Depth is greedy earliest-slot layering over disjoint qubits; size is the
 gate count. Both are reported at two granularities: the logical gate set
@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .circuit import Circuit, Granularity, _integer, _real, cost
-from .converters import _DEFAULT_METHOD, Direction, EvenMethod, binary_width, build_converter
+from .converters import _DEFAULT_METHOD, Direction, EvenMethod, build_converter
 from .encodings import _levels
 
 # Sweep subjects that are a direction of their own; the rest are methods of edick-to-binary.
@@ -66,47 +66,6 @@ class SweepRow:
 
 # The sweep CSV columns are SweepRow's fields in order, with the level count named N.
 SWEEP_CSV_HEADER = ",".join(["N"] + [f.name for f in fields(SweepRow)[1:]])
-
-
-def predicted_edick_to_onehot_depth(num_levels: int) -> int:
-    """Analytic depth claim for the one-hot unfolding: 2*ceil(log2 N) - 1.
-
-    The built circuit attains this exactly at powers of two; see
-    measured_edick_to_onehot_depth for the value the construction
-    actually realizes at every N.
-    """
-    return 2 * binary_width(num_levels) - 1
-
-
-def measured_edick_to_onehot_depth(num_levels: int) -> int:
-    """Closed form of the greedy depth the built unfolding realizes.
-
-    With b = bit_length(N): depth = 2b - 3, plus 1 when the second
-    highest bit of N is set. Agrees with the 2*ceil(log2 N) - 1 claim
-    exactly when N is a power of two.
-    """
-    num_levels = _levels(num_levels)
-    if num_levels == 2:
-        return 1
-    bits = num_levels.bit_length()
-    second_bit = (num_levels >> (bits - 2)) & 1
-    return 2 * bits - 3 + second_bit
-
-
-def edick_to_onehot_size_bound(num_levels: int) -> float:
-    """Analytic size bound claim for the one-hot unfolding: 1 + N + log2 N."""
-    num_levels = _levels(num_levels)
-    return 1.0 + num_levels + math.log2(num_levels)
-
-
-def edick_to_onehot_size(num_levels: int) -> int:
-    """Gate-count recurrence of the unfolding: s(2N)=s(N)+2N-1, s(N+1)=s(N)+1."""
-    num_levels = _levels(num_levels)
-    if num_levels == 2:
-        return 1
-    if num_levels % 2 == 0:
-        return edick_to_onehot_size(num_levels // 2) + num_levels - 1
-    return edick_to_onehot_size(num_levels - 1) + 1
 
 
 def _build_subject(subject: str, num_levels: int) -> tuple[Circuit, int]:

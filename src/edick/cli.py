@@ -25,7 +25,7 @@ from .decompose import decompose_to_basis
 from .dicke import BinomialSpec, build_binomial_pipeline
 from .encodings import EncodingKind, random_vector
 from .qasm import _NAMES, emit_text
-from .statevector import _check_width, run, run_rows, zero_state
+from .statevector import _check_width, run_rows
 
 _FIDELITY_TOL = 1e-9
 
@@ -106,11 +106,11 @@ def _cmd_prepare_binomial(args: argparse.Namespace) -> int:
     spec = BinomialSpec.from_probability(args.n, args.p, target, EvenMethod(args.method))
     _check_width(spec.plan.total_qubits)
     circuit, plan = build_binomial_pipeline(spec)
-    state = run(zero_state(circuit.num_qubits), circuit)
+    amplitudes = run_rows([0], [[1.0]], circuit, [plan.output_index(k) for k in range(args.n + 1)])[:, 0]
 
     lines = ["level,probability,pmf,abs_error"]
     for k in range(args.n + 1):
-        probability = float(abs(state.amplitudes[plan.output_index(k)]) ** 2)
+        probability = float(abs(amplitudes[k]) ** 2)
         pmf = math.comb(args.n, k) * args.p**k * (1.0 - args.p) ** (args.n - k)
         lines.append(f"{k},{probability!r},{pmf!r},{abs(probability - pmf)!r}")
     _write("\n".join(lines) + "\n", out)

@@ -5,8 +5,9 @@ circuit convention (qubit 0 is the leftmost ket position).  Purely classical
 permutation gates (X, CNOT, Toffoli, MCX) only move amplitudes, never do
 matrix arithmetic, so they are float-exact.
 
-`run_batch` simulates many states in one pass over a circuit, and `run` is its
-one-state case. A batch is given as basis rows that hold every nonzero input
+`run_rows` simulates many states in one pass over a circuit and returns their
+output amplitudes at given basis indices; `run` takes one state through the
+same pass. A batch is given as basis rows that hold every nonzero input
 amplitude and an (S, B) block of the amplitudes at those rows, one column per
 state. A permutation gate rewrites the rows with bit operations. An arithmetic
 gate (H, RY, PHASE and their controlled forms) adds zero rows for the partners
@@ -14,12 +15,12 @@ its active rows lack, takes each pair once from its target-0 row and applies
 the dense kernel's elementwise formulas to the (G, B) blocks, so every amplitude
 is bit-identical to dense simulation. A verifier's inputs share N of 2**n
 indices. Once the held rows are too many for this to pay, each state goes on
-alone, densely and gate by gate. `run_rows` returns only the outputs at given
-indices, from the held rows where a batch stays sparse; both check at the call.
-In both paths a state's norm is checked where it enters and after every gate
-that changes amplitudes. Only a `Statevector(...)` that a caller constructs is
-checked: the library's own states (`basis_state`, `build_state`, `dicke_state`
-and those `run_batch` yields) come from checked parts through `_state`.
+alone, densely and gate by gate. A batch that stays sparse to the end is read
+from its held rows and makes no 2**n state. Both check their arguments at the
+call. In both paths a state's norm is checked where it enters and after every
+gate that changes amplitudes. Only a `Statevector(...)` that a caller
+constructs is checked: the library's own states (`basis_state`, `build_state`,
+`dicke_state` and those `run` returns) come from checked parts through `_state`.
 """
 
 from __future__ import annotations
@@ -247,26 +248,18 @@ def _finish(held: np.ndarray, column: np.ndarray, circuit: Circuit, k: int) -> S
     return state
 
 
-def run_batch(rows, amplitudes, circuit: Circuit) -> Iterator[Statevector]:
-    """Yield `circuit` applied to each column of `amplitudes`, in order, from one pass.
-
-    Column j of the (len(rows), B) block holds state j's amplitudes at the
-    distinct basis indices `rows`; every other amplitude is zero. Columns go
-    through in chunks of at most `_CHUNK` and of at most `_BLOCK_MAX` held
-    amplitudes, held as their rows (see the module docstring) while the
-    arithmetic steps pay (`_sparse_pays`), then each state alone, densely. The
-    arguments are checked at the call, not at the first `next()`; every norm on
-    entry and after every gate that changes amplitudes, and a drift names the gate.
-    """
-    chunks = _chunks(rows, amplitudes, circuit)
-    return (_finish(held, column, circuit, k) for held, columns, k in chunks for column in columns.T)
-
-
 def run_rows(rows, amplitudes, circuit: Circuit, read) -> np.ndarray:
-    """The (len(read), B) block of `run_batch`'s output amplitudes at the basis indices `read`.
+    """The (len(read), B) block of `circuit`'s output amplitudes at the basis indices `read`, from one pass.
 
-    The arguments are checked at the call. A chunk that ends sparse is read from
-    its held rows, where an index not held reads 0, and makes no 2**n state.
+    Column j of the (len(rows), B) block `amplitudes` holds state j's
+    amplitudes at the distinct basis indices `rows`; every other amplitude is
+    zero. Columns go through in chunks of at most `_CHUNK` and of at most
+    `_BLOCK_MAX` held amplitudes, held as their rows (see the module docstring)
+    while the arithmetic steps pay (`_sparse_pays`), then each state alone,
+    densely. A chunk that ends sparse is read from its held rows, where an
+    index not held reads 0, and makes no 2**n state. The arguments are checked
+    at the call; every norm on entry and after every gate that changes
+    amplitudes, and a drift names the gate.
     """
     chunks, size = _chunks(rows, amplitudes, circuit), 1 << circuit.num_qubits
     read = np.asarray(read)
@@ -284,17 +277,19 @@ def run_rows(rows, amplitudes, circuit: Circuit, read) -> np.ndarray:
 
 
 def run(state: Statevector, circuit: Circuit) -> Statevector:
-    """Apply a whole circuit, checking the norm after every arithmetic gate: `run_batch` on the nonzero rows.
+    """Apply a whole circuit, checking the norm after every arithmetic gate: one chunk of `run_rows`'s pass.
 
-    A drift names the gate. The result is bit-identical to dense gate-by-gate
-    simulation.
+    The state is checked again at the call, so amplitudes changed since it was
+    made are refused. A drift names the gate. The result is bit-identical to
+    dense gate-by-gate simulation.
     """
     if state.num_qubits != circuit.num_qubits:
         raise ValueError(f"circuit width {circuit.num_qubits} does not match state width {state.num_qubits}")
     amps = state.amplitudes
     # An amplitude is nonzero when either of its two bytes of flags is.
     index = np.flatnonzero((amps.view(np.float64) != 0).view(np.uint16))
-    return next(run_batch(index, amps[index, None], circuit))
+    held, columns, k = next(_chunks(index, amps[index, None], circuit))
+    return _finish(held, columns[:, 0], circuit, k)
 
 
 def fidelity(a: Statevector, b: Statevector) -> float:

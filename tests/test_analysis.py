@@ -22,11 +22,7 @@ from edick import (
     build_edick_to_binary,
     build_edick_to_onehot,
     cost,
-    edick_to_onehot_size,
-    edick_to_onehot_size_bound,
     fit_scaling,
-    measured_edick_to_onehot_depth,
-    predicted_edick_to_onehot_depth,
     rows_to_csv,
     run_sweep,
 )
@@ -47,50 +43,48 @@ def pow2_rows() -> list[SweepRow]:
 # -- closed forms for the staircase unfolding ----------------------------------
 
 
-def test_predicted_depth_is_the_ceil_log_formula() -> None:
-    assert [predicted_edick_to_onehot_depth(n) for n in (2, 3, 4, 5, 8, 9, 16)] == [
-        1, 3, 3, 5, 5, 7, 7,
-    ]
+def _unfolding_depth(num_levels: int) -> int:
+    """Greedy depth of the unfolding: 2b - 3 for b = bit_length(N), plus 1 when N's second highest bit is set."""
+    if num_levels == 2:
+        return 1
+    bits = num_levels.bit_length()
+    return 2 * bits - 3 + ((num_levels >> (bits - 2)) & 1)
 
 
-@pytest.mark.parametrize("num_levels", range(2, 65))
+def _unfolding_size(num_levels: int) -> int:
+    """Gate count of the unfolding: s(2)=1, s(2N)=s(N)+2N-1, s(N+1)=s(N)+1."""
+    if num_levels == 2:
+        return 1
+    if num_levels % 2 == 0:
+        return _unfolding_size(num_levels // 2) + num_levels - 1
+    return _unfolding_size(num_levels - 1) + 1
+
+
+@pytest.mark.parametrize("num_levels", [*range(2, 131), 257, 513, 1024, 1025])
 def test_measured_depth_closed_form_is_exact(num_levels: int) -> None:
     report = cost(build_edick_to_onehot(num_levels))
-    assert report.depth == measured_edick_to_onehot_depth(num_levels)
-    assert report.size == edick_to_onehot_size(num_levels)
-
-
-def test_size_recurrence_closed_form() -> None:
-    # s(2)=1, s(2N)=s(N)+2N-1, s(N+1)=s(N)+1 pin the function completely.
-    assert edick_to_onehot_size(2) == 1
-    for n in range(2, 33):
-        assert edick_to_onehot_size(2 * n) == edick_to_onehot_size(n) + 2 * n - 1
-    for n in range(2, 64, 2):
-        assert edick_to_onehot_size(n + 1) == edick_to_onehot_size(n) + 1
+    assert report.depth == _unfolding_depth(num_levels)
+    assert report.size == _unfolding_size(num_levels)
 
 
 def test_formula_depth_is_attained_exactly_at_powers_of_two() -> None:
-    agree = {
-        n
-        for n in range(2, 65)
-        if measured_edick_to_onehot_depth(n) == predicted_edick_to_onehot_depth(n)
-    }
+    agree = {n for n in range(2, 65) if _unfolding_depth(n) == 2 * math.ceil(math.log2(n)) - 1}
     assert agree == {2, 4, 8, 16, 32, 64}
 
 
 def test_measured_depth_never_exceeds_the_formula() -> None:
     for n in range(2, 65):
-        assert measured_edick_to_onehot_depth(n) <= predicted_edick_to_onehot_depth(n)
+        assert _unfolding_depth(n) <= 2 * math.ceil(math.log2(n)) - 1
 
 
 def test_size_stays_under_twice_the_levels() -> None:
     # The stated 1+N+log2(N) bound holds only through N=11; 2N always does.
     for n in range(2, 65):
-        size = edick_to_onehot_size(n)
+        size = _unfolding_size(n)
         assert size < 2 * n
         if n <= 11:
-            assert size < edick_to_onehot_size_bound(n)
-    assert edick_to_onehot_size(12) >= edick_to_onehot_size_bound(12)
+            assert size < 1 + n + math.log2(n)
+    assert _unfolding_size(12) >= 1 + 12 + math.log2(12)
 
 
 # -- sweep runner ---------------------------------------------------------------

@@ -29,7 +29,6 @@ from edick import (
     compose,
     cost,
     cphase,
-    cry,
     decompose_to_basis,
     emit_text,
     h,

@@ -30,7 +30,7 @@ from edick import (
     h,
     mcx,
     run,
-    run_batch,
+    run_rows,
     ry,
     toffoli,
     x,
@@ -321,9 +321,10 @@ def test_lowered_recursion_maps_every_level_up_to_17_qubits(direction: str) -> N
             break
         lowered = decompose_to_basis(circuit)
         inputs = [plan.input_index(level) for level in range(n)]
-        for level, out in enumerate(run_batch(inputs, np.eye(n), lowered)):
-            amps = np.asarray(out.amplitudes)
-            assert abs(amps[plan.output_index(level)] - 1.0) < 1e-9, (n, level)
+        outputs = [plan.output_index(level) for level in range(n)]
+        block = run_rows(inputs, np.eye(n), lowered, outputs)
+        for level in range(n):
+            assert abs(block[level, level] - 1.0) < 1e-9, (n, level)
         n += 1
     assert n >= 18
 

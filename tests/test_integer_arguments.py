@@ -28,10 +28,7 @@ from edick import (
     build_edick_to_onehot,
     build_scs,
     dicke_state,
-    edick_to_onehot_size,
-    edick_to_onehot_size_bound,
     level_to_basis,
-    measured_edick_to_onehot_depth,
     random_vector,
     zero_state,
 )
@@ -58,9 +55,6 @@ ENTRY_POINTS = {
     "input_index": _PLAN.input_index,
     "output_index": _PLAN.output_index,
     "from_probability": lambda v: BinomialSpec.from_probability(v, 0.3),
-    "measured_edick_to_onehot_depth": measured_edick_to_onehot_depth,
-    "edick_to_onehot_size": edick_to_onehot_size,
-    "edick_to_onehot_size_bound": edick_to_onehot_size_bound,
     **{
         f"SweepRow[{key}]": lambda v, key=key: replace(_ROW, **{key: v})
         for key in ("num_levels", "depth_logical", "depth_basis", "size_logical", "size_basis",

@@ -1,4 +1,4 @@
-"""`run_batch`: each state's result equals `run` and dense gate-by-gate simulation, bit for bit."""
+"""`run_rows`: each state's outputs equal `run` and dense gate-by-gate simulation, bit for bit."""
 
 from __future__ import annotations
 
@@ -41,15 +41,17 @@ def _contract(direction: Direction, n: int, method: EvenMethod):
     return circuit, inputs, scores
 
 
-def _run_batch(states: list[Statevector], circuit: Circuit):
-    """`run_batch` on the union of the states' nonzero rows, with a column per state."""
+def _outputs(states: list[Statevector], circuit: Circuit) -> np.ndarray:
+    """`run_rows` on the union of the states' nonzero rows, read at every index: a row per state."""
     rows = np.unique(np.concatenate([np.flatnonzero(s.amplitudes) for s in states]))
-    return statevector.run_batch(rows, np.array([s.amplitudes[rows] for s in states]).T, circuit)
+    block = np.array([s.amplitudes[rows] for s in states]).T
+    outputs = statevector.run_rows(rows, block, circuit, np.arange(1 << circuit.num_qubits))
+    return np.ascontiguousarray(outputs.T)
 
 
 @pytest.mark.parametrize("method", list(EvenMethod), ids=lambda m: m.value)
 @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
-def test_run_batch_equals_per_state_runs_bit_for_bit(
+def test_run_rows_equals_per_state_runs_bit_for_bit(
     direction: Direction, method: EvenMethod, monkeypatch: pytest.MonkeyPatch
 ) -> None:
     dense: list[int] = []  # the gates each dense state has left
@@ -72,7 +74,7 @@ def test_run_batch_equals_per_state_runs_bit_for_bit(
                 monkeypatch.setattr(statevector, "_sparse_pays", _RULES[rule])
                 monkeypatch.setattr(statevector, "_CHUNK", chunk)
                 monkeypatch.setattr(statevector, "_dense", recording)
-                outputs = [o.amplitudes for o in _run_batch(inputs, circuit)]
+                outputs = _outputs(inputs, circuit)
                 monkeypatch.undo()
                 assert len(outputs) == len(inputs)
                 for i, amps in enumerate(outputs):
@@ -85,17 +87,24 @@ def test_run_batch_equals_per_state_runs_bit_for_bit(
                 dense.clear()
 
 
-def test_run_batch_checks_every_width_and_yields_nothing_for_no_states() -> None:
+def test_run_rows_checks_every_width_and_reads_nothing_for_no_states() -> None:
     circuit = Circuit(3, ())
-    assert list(statevector.run_batch([1, 2], np.zeros((2, 0)), circuit)) == []
+    assert statevector.run_rows([1, 2], np.zeros((2, 0)), circuit, np.arange(8)).shape == (8, 0)
     with pytest.raises(ValueError, match="register width"):
-        list(statevector.run_batch([0], np.ones((1, 1)), Circuit(25, ())))
+        statevector.run_rows([0], np.ones((1, 1)), Circuit(25, ()), [0])
+
+
+def test_run_refuses_amplitudes_changed_since_the_state_was_made() -> None:
+    state = basis_state(3, 0)
+    state.amplitudes[5] = 1.0
+    with pytest.raises(ValueError, match="every column must be normalized"):
+        run(state, Circuit(3, (x(0),)))
 
 
 _HALF = np.full((2, 1), math.sqrt(0.5))
 
 
-_BAD_BATCHES = pytest.mark.parametrize(
+@pytest.mark.parametrize(
     "rows, amplitudes, match",
     [
         ([[0, 1]], _HALF, "1-D array of integers"),
@@ -113,21 +122,6 @@ _BAD_BATCHES = pytest.mark.parametrize(
     ids=["2-d", "float", "bool", "duplicate", "negative", "too-high", "row-count", "1-d-block",
          "unnormalized", "nan", "object"],
 )
-
-
-@_BAD_BATCHES
-def test_run_batch_rejects_a_bad_batch_before_simulating(rows, amplitudes, match: str) -> None:
-    with pytest.raises(ValueError, match=match):
-        next(statevector.run_batch(rows, amplitudes, Circuit(3, (x(0),))))
-
-
-@_BAD_BATCHES
-def test_run_batch_rejects_a_bad_batch_at_the_call(rows, amplitudes, match: str) -> None:
-    with pytest.raises(ValueError, match=match):
-        statevector.run_batch(rows, amplitudes, Circuit(3, (x(0),)))  # never iterated
-
-
-@_BAD_BATCHES
 def test_run_rows_rejects_a_bad_batch_at_the_call(rows, amplitudes, match: str) -> None:
     with pytest.raises(ValueError, match=match):
         statevector.run_rows(rows, amplitudes, Circuit(3, (x(0),)), [0])
@@ -193,6 +187,6 @@ def test_chunks_are_capped_by_state_count_and_by_held_amplitudes(
                                   (64, 3, [1] * 10)]:
         monkeypatch.setattr(statevector, "_CHUNK", chunk)
         monkeypatch.setattr(statevector, "_BLOCK_MAX", held)
-        outputs = list(statevector.run_batch(rows, block, Circuit(2, (h(0),))))
-        assert len(outputs) == 10 and counts == expected, (chunk, held)
+        outputs = statevector.run_rows(rows, block, Circuit(2, (h(0),)), rows)
+        assert outputs.shape == (4, 10) and counts == expected, (chunk, held)
         counts.clear()

@@ -1,4 +1,4 @@
-"""Sparse steps of `run_batch`: bit-identical to the dense kernel, and taken while they pay."""
+"""Sparse steps of `run_rows` and `run`: bit-identical to the dense kernel, and taken while they pay."""
 
 from __future__ import annotations
 
@@ -35,9 +35,10 @@ def _batch(states: list[Statevector]) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.array([s.amplitudes[rows] for s in states]).T
 
 
-def _run_batch(states: list[Statevector], circuit: Circuit):
-    """`statevector.run_batch` on the union of the states' nonzero rows, with a column per state."""
-    return statevector.run_batch(*_batch(states), circuit)
+def _outputs(states: list[Statevector], circuit: Circuit) -> np.ndarray:
+    """`statevector.run_rows` on the union of the states' nonzero rows, read at every index: a row per state."""
+    block = statevector.run_rows(*_batch(states), circuit, np.arange(1 << circuit.num_qubits))
+    return np.ascontiguousarray(block.T)
 
 
 def _random_gate(rng: np.random.Generator, num_qubits: int) -> Gate:
@@ -77,8 +78,8 @@ def test_sparse_steps_equal_the_dense_kernel_on_random_sparse_batches(
                             met[int(amps[low] != 0) + int(amps[low | bit] != 0)] += 1
                 statevector._apply_inplace(amps.reshape([2] * n), gate, n)
             expected.append(amps)
-        outputs = list(_run_batch(states, Circuit(n, gates)))
-        assert all(np.array_equal(o.amplitudes, e) for o, e in zip(outputs, expected, strict=True))
+        outputs = _outputs(states, Circuit(n, gates))
+        assert all(np.array_equal(o, e) for o, e in zip(outputs, expected, strict=True))
     assert min(met.values()) > 0, met
     assert sparse_steps
 
@@ -105,7 +106,7 @@ def test_default_rule_goes_dense_once_and_for_good_when_the_union_is_too_wide(
         for gate in circuit.gates:
             statevector._apply_inplace(expected.reshape([2] * n), gate, n)
         assert np.count_nonzero(expected) == 8
-        assert all(np.array_equal(o.amplitudes, expected) for o in _run_batch(inputs, circuit))
+        assert all(np.array_equal(o, expected) for o in _outputs(inputs, circuit))
         # One state: rows 1 .. 4096 pay (4 * 4096 + 2048 < 32768) and 8192 does not.
         # Two states share the fixed cost and pay for 8192 rows too. After the first
         # refusal the rule is not asked again: every later step is dense.
@@ -130,7 +131,7 @@ def test_norm_drift_names_the_arithmetic_gate(
     circuit = Circuit(3, (x(0), cnot(0, 1), gate, cnot(1, 2), toffoli(0, 1, 2)))
     for states in (1, 3):
         with pytest.raises(AssertionError, match=re.escape(f"after {gate}")):
-            list(_run_batch([basis_state(3, 0)] * states, circuit))
+            _outputs([basis_state(3, 0)] * states, circuit)
 
 
 @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
@@ -166,7 +167,7 @@ def _sparse_for(steps: int):
 
 
 @_STEPS
-def test_yielded_states_are_not_checked_again(steps: int, monkeypatch: pytest.MonkeyPatch) -> None:
+def test_run_states_are_not_checked_again(steps: int, monkeypatch: pytest.MonkeyPatch) -> None:
     inputs = [basis_state(3, 0), basis_state(3, 5)]
     expected = [run(s, _MIXED).amplitudes for s in inputs]
     checked: list[Statevector] = []
@@ -177,8 +178,10 @@ def test_yielded_states_are_not_checked_again(steps: int, monkeypatch: pytest.Mo
         post_init(self)
 
     monkeypatch.setattr(Statevector, "__post_init__", recording)
-    monkeypatch.setattr(statevector, "_sparse_pays", _sparse_for(steps))
-    outputs = list(_run_batch(inputs, _MIXED))
+    outputs = []
+    for state in inputs:
+        monkeypatch.setattr(statevector, "_sparse_pays", _sparse_for(steps))
+        outputs.append(run(state, _MIXED))
     assert all(np.array_equal(o.amplitudes, e) for o, e in zip(outputs, expected, strict=True))
     assert checked == []
     # A state made by a caller is still checked.
@@ -249,7 +252,7 @@ def test_dense_takes_one_norm_per_arithmetic_gate_left(steps: int, monkeypatch: 
     monkeypatch.setattr(statevector, "_norm_drift", drift)
     monkeypatch.setattr(statevector, "_check", recording)
     monkeypatch.setattr(statevector, "_sparse_pays", _sparse_for(steps))
-    list(_run_batch(inputs, _MIXED))
+    _outputs(inputs, _MIXED)
     # The sparse steps check the batch once each; then each state alone, per arithmetic gate.
     dense = _MIXED_ARITHMETIC[steps:]
     assert checked == _MIXED_ARITHMETIC[:steps] + dense * len(inputs)
@@ -259,11 +262,11 @@ def test_dense_takes_one_norm_per_arithmetic_gate_left(steps: int, monkeypatch: 
     monkeypatch.setattr(statevector, "_sparse_pays", _sparse_for(steps))
     if dense:
         with pytest.raises(AssertionError, match=re.escape(f"after {dense[0]}")):
-            list(_run_batch(inputs, _MIXED))
+            _outputs(inputs, _MIXED)
 
 
 @_STEPS
-def test_run_rows_equals_the_run_batch_states_at_the_read_indices(
+def test_run_rows_equals_per_state_runs_at_the_read_indices(
     steps: int, monkeypatch: pytest.MonkeyPatch
 ) -> None:
     """Bit for bit, from the held rows when sparse to the end, else from each dense state."""
@@ -276,11 +279,10 @@ def test_run_rows_equals_the_run_batch_states_at_the_read_indices(
 
     rng = np.random.default_rng(3)
     for _ in range(30):
-        rows, block = _batch([_sparse_state(rng, 3) for _ in range(int(rng.integers(1, 4)))])
+        states = [_sparse_state(rng, 3) for _ in range(int(rng.integers(1, 4)))]
+        rows, block = _batch(states)
         read = rng.integers(0, 8, size=int(rng.integers(0, 12)))  # any order, repeats too
-        monkeypatch.setattr(statevector, "_sparse_pays", _sparse_for(steps))
-        states = statevector.run_batch(rows, block, _MIXED)
-        expected = np.array([s.amplitudes[read] for s in states]).T
+        expected = np.array([run(s, _MIXED).amplitudes[read] for s in states]).T
         monkeypatch.setattr(statevector, "_sparse_pays", _sparse_for(steps))
         monkeypatch.setattr(statevector, "_state", recording)
         got = statevector.run_rows(rows, block, _MIXED, read)

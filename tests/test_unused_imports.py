@@ -1,4 +1,4 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module, a test module or `conftest.py` imports is used in that module.
 
 `__init__.py` is left out: its imports are the public API. A name counts as
 used when it appears as an `ast.Name` anywhere in the module, annotations
@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-_SOURCES = sorted(p for p in (Path(__file__).parent.parent / "src" / "edick").glob("*.py")
-                  if p.name != "__init__.py")
+_ROOT = Path(__file__).parent.parent
+_SOURCES = sorted(p for p in (_ROOT / "src" / "edick").glob("*.py") if p.name != "__init__.py")
+_SOURCES += sorted(Path(__file__).parent.glob("*.py")) + [_ROOT / "conftest.py"]
 
 
 def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -40,3 +41,4 @@ def test_the_check_finds_an_unused_import() -> None:
 
 def test_every_library_module_is_scanned() -> None:
     assert {p.name for p in _SOURCES} >= {"encodings.py", "converters.py", "decompose.py", "cli.py"}
+    assert {p.name for p in _SOURCES} >= {"conftest.py", "test_cli.py", "test_unused_imports.py"}
