@@ -23,9 +23,9 @@ from .circuit import GateKind, Granularity
 from .converters import _DEFAULT_METHOD, ConverterPlan, Direction, EvenMethod, _converter, build_converter
 from .decompose import decompose_to_basis
 from .dicke import BinomialSpec, build_binomial_pipeline
-from .encodings import EncodingKind, random_vector
+from .encodings import EncodingKind, random_vectors
 from .qasm import _NAMES, emit_text
-from .statevector import _check_width, run_rows
+from .statevector import _MAX_QUBITS, _check_width, run_rows
 
 _FIDELITY_TOL = 1e-9
 
@@ -58,15 +58,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     direction, method = Direction(args.direction), EvenMethod(args.method)
     plan = ConverterPlan(args.n, method, direction)
     _check_width(plan.total_qubits)
+    if args.n * (args.n + args.trials) > 1 << _MAX_QUBITS:  # the column block below, refused before any draw
+        raise ValueError(
+            f"--trials {args.trials} is too many: {args.n} levels by {args.n + args.trials} columns "
+            f"exceed the 2**{_MAX_QUBITS} amplitudes of a {_MAX_QUBITS}-qubit state"
+        )
     circuit = _converter(plan)
-    inputs = [plan.input_index(level) for level in range(args.n)]
-    outputs = [plan.output_index(level) for level in range(args.n)]
     rng = np.random.default_rng(args.seed)
     # Every basis level, then the seeded trials, as columns of level amplitudes.
-    vectors = list(np.eye(args.n))
-    vectors += [random_vector(args.n, rng).alphas for _ in range(args.trials)]
-    columns = np.array(vectors, dtype=np.complex128).T
-    block = run_rows(inputs, columns, circuit, outputs)
+    vectors = np.concatenate((np.eye(args.n), random_vectors(args.n, args.trials, rng)))
+    columns = vectors.astype(np.complex128).T
+    block = run_rows(plan.input_rows(), columns, circuit, plan.output_rows())
     # A level reads its own output row; a trial's overlap is a fixed-order sum over the N output rows.
     values = [abs(block[k, k]) for k in range(args.n)]
     values += np.abs(np.sum(np.conj(columns[:, args.n :]) * block[:, args.n :], axis=0)).tolist()
@@ -106,7 +108,7 @@ def _cmd_prepare_binomial(args: argparse.Namespace) -> int:
     spec = BinomialSpec.from_probability(args.n, args.p, target, EvenMethod(args.method))
     _check_width(spec.plan.total_qubits)
     circuit, plan = build_binomial_pipeline(spec)
-    amplitudes = run_rows([0], [[1.0]], circuit, [plan.output_index(k) for k in range(args.n + 1)])[:, 0]
+    amplitudes = run_rows([0], [[1.0]], circuit, plan.output_rows())[:, 0]
 
     lines = ["level,probability,pmf,abs_error"]
     for k in range(args.n + 1):

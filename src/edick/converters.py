@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .circuit import _CNOT, _CPHASE, _H, _MCX, _PHASE, _TOFFOLI, _X, Circuit, Gate, _gate
 from .circuit import _acyclic, _derived, _integer, _width
 from .encodings import _KIND_LAYOUT, EncodingKind, _levels
@@ -100,11 +102,29 @@ class ConverterPlan:
     def output_index(self, level: int) -> int:
         return self._index(level, *_LAYOUTS[self.direction][1])
 
+    def input_rows(self) -> np.ndarray:
+        """`input_index` of every level, in order, as one int64 array."""
+        return self._rows(*_LAYOUTS[self.direction][0])
+
+    def output_rows(self) -> np.ndarray:
+        """`output_index` of every level, in order, as one int64 array."""
+        return self._rows(*_LAYOUTS[self.direction][1])
+
     def _index(self, level: int, kind: EncodingKind, flag: int) -> int:
         level = _integer(level, "level must be an integer")
         if not 0 <= level < self.num_levels:
             raise ValueError(f"level {level} outside 0..{self.num_levels - 1}")
-        return (_KIND_LAYOUT[kind].row(level) << flag) | flag  # the register holds every level
+        return _row(level, kind, flag)
+
+    def _rows(self, kind: EncodingKind, flag: int) -> np.ndarray:
+        if self.total_qubits > 63:
+            raise ValueError(f"int64 rows hold at most 63 qubits, not {self.total_qubits}")
+        return _row(np.arange(self.num_levels, dtype=np.int64), kind, flag)
+
+
+def _row(level, kind: EncodingKind, flag: int):
+    """The register row of an int or int64 array of levels at a converter end: shifted past any |1> flag."""
+    return (_KIND_LAYOUT[kind].row(level) << flag) | flag  # the register holds every level
 
 
 def binary_width(num_levels: int) -> int:

@@ -126,13 +126,38 @@ def _levels(num_levels: object) -> int:
     return num_levels
 
 
-def random_vector(num_levels: int, rng: np.random.Generator) -> AmplitudeVector:
-    """Reproducible real test vector: normalized standard-normal draws."""
+def random_vectors(num_levels: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` reproducible real test vectors as the rows of a float64 block, from one draw.
+
+    Row j is bit for bit the j-th of `count` successive `random_vector` calls,
+    and the generator ends in the same state: one standard-normal draw of
+    (count, num_levels), each row divided by the square root of its sum of
+    squares, taken left to right in Python as `AmplitudeVector.normalized`
+    does. A row whose sum of squares is outside the normal float range goes
+    to `normalized` itself, which rescales it or raises.
+    """
     num_levels = _levels(num_levels)
+    count = _integer(count, "vector count must be an integer")
+    if count < 0:
+        raise ValueError("vector count must be non-negative")
     if not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
-    values = rng.standard_normal(num_levels).tolist()  # floats convert faster than numpy scalars
-    return AmplitudeVector.normalized(values)
+    draws = rng.standard_normal((count, num_levels))
+    norms_sq = np.array([_sum_of_squares(row) for row in draws.tolist()], dtype=np.float64)
+    rescale = ~((norms_sq >= sys.float_info.min) & (norms_sq < math.inf))  # NaN too
+    rows = draws / np.sqrt(np.where(rescale, 1.0, norms_sq))[:, None]
+    for r in np.flatnonzero(rescale):
+        rows[r] = [a.real for a in AmplitudeVector.normalized(draws[r].tolist()).alphas]
+    drift = np.abs(np.einsum("ij,ij->i", rows, rows) - 1.0)
+    if not np.all(drift <= _NORM_TOL):  # NaN fails too
+        raise ValueError(f"amplitudes are not normalized: a sum of squares is {np.max(drift)} off 1")
+    return rows
+
+
+def random_vector(num_levels: int, rng: np.random.Generator) -> AmplitudeVector:
+    """Reproducible real test vector: normalized standard-normal draws, the one-row case of `random_vectors`."""
+    row = random_vectors(num_levels, 1, rng)[0].tolist()  # floats convert faster than numpy scalars
+    return _holding(object.__new__(AmplitudeVector), tuple(map(complex, row)))
 
 
 def level_to_basis(kind: EncodingKind, level: int, width: int) -> int:

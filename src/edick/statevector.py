@@ -9,7 +9,9 @@ matrix arithmetic, so they are float-exact.
 output amplitudes at given basis indices; `run` takes one state through the
 same pass. A batch is given as basis rows that hold every nonzero input
 amplitude and an (S, B) block of the amplitudes at those rows, one column per
-state. A permutation gate rewrites the rows with bit operations. An arithmetic
+state. Permutation gates rewrite the rows with bit operations: a run of more
+of them than the register has qubits as one Python int per qubit, whose bit r
+is that qubit's value in row r, and a shorter run gate by gate. An arithmetic
 gate (H, RY, PHASE and their controlled forms) adds zero rows for the partners
 its active rows lack, takes each pair once from its target-0 row and applies
 the dense kernel's elementwise formulas to the (G, B) blocks, so every amplitude
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterator
 
 import numpy as np
@@ -167,51 +170,95 @@ def _check(drift: float, label: object) -> None:
         raise AssertionError(f"norm drifted past {_NORM_TOL} after {label}")
 
 
+def _masks(gate: Gate, n: int) -> tuple[int, int]:
+    """A gate's target bit and the mask of its control bits in a basis index of `n` qubits."""
+    return 1 << (n - 1 - gate.target), sum(1 << (n - 1 - c) for c in gate.controls)
+
+
+def _per_qubit_pays(gates: int, width: int) -> bool:
+    """Whether a run of `gates` permutation gates moves the held rows faster as one int per qubit.
+
+    Converting the rows to that form and back costs about `width` per-gate steps.
+    """
+    return gates > width
+
+
+def _permuted(idx: np.ndarray, run: tuple[Gate, ...], n: int) -> np.ndarray:
+    """The rows `idx` moved through the permutation gates `run`, as one Python int per qubit.
+
+    Bit r of qubit q's int is q's value in row r: a gate flips its target's
+    bits where every control's bit is 1, so X flips them all.
+    """
+    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)  # each qubit's bit in a basis index
+    size = (idx.size + 7) // 8
+    packed = np.packbits((idx & weights[:, None]) != 0, axis=1, bitorder="little").tobytes()
+    q = [int.from_bytes(packed[i : i + size], "little") for i in range(0, n * size, size)]
+    ones = (1 << idx.size) - 1
+    for gate in run:
+        flip = ones
+        for c in gate.controls:
+            flip &= q[c]
+        q[gate.target] ^= flip
+    raw = np.frombuffer(b"".join(v.to_bytes(size, "little") for v in q), np.uint8).reshape(n, size)
+    return weights @ np.unpackbits(raw, axis=1, count=idx.size, bitorder="little")
+
+
 def _sparse(idx: np.ndarray, columns: np.ndarray, circuit: Circuit):
     """Walk the states of `columns`, held at rows `idx`, through the circuit while sparse steps pay.
 
-    Returns the held rows, the block of their amplitudes (a column per state)
-    and the index of the first gate left for the dense path, or the gate count.
+    A run of consecutive permutation gates moves the rows through `_permuted`
+    when `_per_qubit_pays`, else gate by gate. Returns the held rows, the block
+    of their amplitudes (a column per state) and the index of the first gate
+    left for the dense path, or the gate count.
     """
     n, (rows, count), size = circuit.num_qubits, columns.shape, 1 << circuit.num_qubits
     pos, synced = None, idx[:0]  # at the first arithmetic step, the row of each index or -1; the indices it holds
     block = np.zeros((2 * rows, count), np.complex128)
     block[:rows] = columns
-    for k, gate in enumerate(circuit.gates):
-        kind, bit = gate.kind, 1 << (n - 1 - gate.target)
-        cmask = sum(1 << (n - 1 - c) for c in gate.controls)
-        if kind in _PERMUTATIONS:  # moves indices, not amplitudes: the norms stay
-            idx = idx ^ bit if not cmask else np.where((idx & cmask) == cmask, idx ^ bit, idx)
+    k = 0  # gates done
+    for moves, run in groupby(circuit.gates, lambda gate: gate.kind in _PERMUTATIONS):
+        run = tuple(run)
+        if moves:  # moves indices, not amplitudes: the norms stay
+            if _per_qubit_pays(len(run), n):
+                idx = _permuted(idx, run, n)
+            else:
+                for gate in run:
+                    bit, cmask = _masks(gate, n)
+                    idx = idx ^ bit if not cmask else np.where((idx & cmask) == cmask, idx ^ bit, idx)
+            k += len(run)
             continue
-        if not _sparse_pays(rows, count, size):
-            return idx, block[:rows], k
-        if idx is not synced:
-            pos = np.full(size, -1, dtype=np.int32) if pos is None else pos
-            pos[synced] = -1
-            pos[idx] = np.arange(rows, dtype=np.int32)
-            synced = idx
-        if kind in _DIAGONAL:
-            hit = np.flatnonzero((idx & (cmask | bit)) == cmask | bit)
-            block[hit] = _mixed(kind, gate.angle, None, block[hit])[1]
-        else:
-            partners = idx[(idx & cmask) == cmask] ^ bit
-            joined = partners[pos[partners] < 0]
-            added = joined.size
-            if added:  # zero rows for the partners outside the held rows
-                pos[joined] = np.arange(rows, rows + added, dtype=np.int32)
-                idx = synced = np.concatenate((idx, joined))
-                if rows + added > len(block):
-                    room = (rows + 2 * added, count)  # twice the rows in use after the step
-                    block = np.concatenate((block[:rows], np.zeros(room, np.complex128)))
-                rows += added
-            low = np.flatnonzero((idx & (cmask | bit)) == cmask)  # each pair once, from its target-0 row
-            up = pos[idx[low] ^ bit]
-            piece = max(1, _PIECE // count)  # pairs at a time, bounding the temporaries
-            for p in range(0, low.size, piece):
-                lo, hi = low[p : p + piece], up[p : p + piece]
-                block[lo], block[hi] = _mixed(kind, gate.angle, block[lo], block[hi])
-        _check(np.max(_drifts(block[:rows])), gate)  # NaN propagates
-    return idx, block[:rows], len(circuit.gates)
+        for gate in run:
+            if not _sparse_pays(rows, count, size):
+                return idx, block[:rows], k
+            kind, (bit, cmask) = gate.kind, _masks(gate, n)
+            if idx is not synced:
+                pos = np.full(size, -1, dtype=np.int32) if pos is None else pos
+                pos[synced] = -1
+                pos[idx] = np.arange(rows, dtype=np.int32)
+                synced = idx
+            if kind in _DIAGONAL:
+                hit = np.flatnonzero((idx & (cmask | bit)) == cmask | bit)
+                block[hit] = _mixed(kind, gate.angle, None, block[hit])[1]
+            else:
+                partners = idx[(idx & cmask) == cmask] ^ bit
+                joined = partners[pos[partners] < 0]
+                added = joined.size
+                if added:  # zero rows for the partners outside the held rows
+                    pos[joined] = np.arange(rows, rows + added, dtype=np.int32)
+                    idx = synced = np.concatenate((idx, joined))
+                    if rows + added > len(block):
+                        room = (rows + 2 * added, count)  # twice the rows in use after the step
+                        block = np.concatenate((block[:rows], np.zeros(room, np.complex128)))
+                    rows += added
+                low = np.flatnonzero((idx & (cmask | bit)) == cmask)  # each pair once, from its target-0 row
+                up = pos[idx[low] ^ bit]
+                piece = max(1, _PIECE // count)  # pairs at a time, bounding the temporaries
+                for p in range(0, low.size, piece):
+                    lo, hi = low[p : p + piece], up[p : p + piece]
+                    block[lo], block[hi] = _mixed(kind, gate.angle, block[lo], block[hi])
+            _check(np.max(_drifts(block[:rows])), gate)  # NaN propagates
+            k += 1
+    return idx, block[:rows], k
 
 
 def _dense(amps: np.ndarray, gates: tuple[Gate, ...], num_qubits: int) -> None:

@@ -491,6 +491,24 @@ def test_verify_rejects_a_negative_seed_before_any_work(capsys, monkeypatch) -> 
     assert captured.out == "" and captured.err == "error: --seed must be non-negative\n"
 
 
+def test_verify_refuses_more_trials_than_a_state_holds_before_any_draw(capsys, monkeypatch) -> None:
+    # 15 levels by 15 + T columns may hold 2**24 amplitudes: T = 1,118,466 at most.
+    def drawn(*args):
+        raise AssertionError("trials were drawn")
+
+    monkeypatch.setattr(edick.cli, "random_vectors", drawn)
+    for trials in ("99999999999999999999", "1118467"):
+        assert main(["verify", "--direction", "cnot-stair", "--n", "15", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: --trials {trials} is too many"), trials
+    monkeypatch.undo()
+    # At the cap the block is drawn: 4 levels by 4 + 60 columns fill a 8-qubit state.
+    monkeypatch.setattr(edick.cli, "_MAX_QUBITS", 8)
+    for trials, code in (("60", 0), ("61", 2)):
+        assert main(["verify", "--direction", "edick-to-binary", "--n", "4", "--trials", trials]) == code
+        assert ("verify: PASS" in capsys.readouterr().out) == (code == 0), trials
+
+
 def test_verify_rejects_registers_above_the_simulation_cap(capsys) -> None:
     # 45 levels need a 49-qubit register, 8 PiB of amplitudes: far past any allocation.
     assert main(["verify", "--direction", "edick-to-binary", "--n", "45"]) == 2

@@ -6,6 +6,7 @@ behind `ConverterPlan.input_index` and `output_index`.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from edick import (
@@ -76,6 +77,21 @@ def test_plan_indices_match_the_closed_forms(direction: Direction, method: EvenM
 
 
 @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+@pytest.mark.parametrize("method", list(EvenMethod), ids=lambda m: m.value)
+def test_plan_rows_are_every_level_index_as_one_int64_array(direction: Direction, method: EvenMethod) -> None:
+    for n in PLAN_SIZES:
+        plan = ConverterPlan(n, method, direction)
+        if plan.total_qubits > 63:  # past int64
+            for rows in (plan.input_rows, plan.output_rows):
+                with pytest.raises(ValueError, match="at most 63 qubits"):
+                    rows()
+            continue
+        for rows, index in ((plan.input_rows(), plan.input_index), (plan.output_rows(), plan.output_index)):
+            assert rows.dtype == np.int64 and rows.shape == (n,), n
+            assert rows.tolist() == [index(level) for level in range(n)], n
+
+
+@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
 def test_levels_outside_the_plan_raise(direction: Direction) -> None:
     _, plan = build_converter(direction, 6)
     for level in (-1, 6, 7):
@@ -136,3 +152,6 @@ def test_binomial_plans_agree_with_level_to_basis(
         for k in range(n + 1):
             assert plan.output_index(k) == level_to_basis(target, k, circuit.num_qubits)
             assert plan.input_index(k) == (edick(k) << flag) | flag
+        if plan.total_qubits <= 63:  # the int64 rows
+            assert plan.output_rows().tolist() == [plan.output_index(k) for k in range(n + 1)]
+            assert plan.input_rows().tolist() == [plan.input_index(k) for k in range(n + 1)]

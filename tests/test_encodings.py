@@ -23,7 +23,7 @@ from edick import (
     random_vector,
     read_state,
 )
-from edick.encodings import _KIND_LAYOUT, _sum_of_squares
+from edick.encodings import _KIND_LAYOUT, _sum_of_squares, random_vectors
 
 
 def test_level_to_basis_per_kind() -> None:
@@ -331,6 +331,8 @@ def test_converter_plan_indices_make_no_level_to_basis_call(direction: Direction
     for level in range(num_levels):
         plan.input_index(level)
         plan.output_index(level)
+    plan.input_rows()
+    plan.output_rows()
     assert calls == []
 
 
@@ -359,3 +361,78 @@ def test_a_level_count_past_capacity_names_the_highest_level(kind, num_levels, w
     with pytest.raises(ValueError) as raised:
         read_state(kind, basis_state(width, 0), num_levels)
     assert str(raised.value) == message
+
+
+def _raw(values) -> bytes:
+    return np.asarray(values, dtype=np.complex128).tobytes()
+
+
+@pytest.mark.parametrize("num_levels", [2, 3, 10, 15, 17, 33, 64])
+def test_random_vectors_are_successive_random_vector_calls_bit_for_bit(num_levels: int) -> None:
+    for seed in range(200):
+        count = 1 + seed % 5
+        block = random_vectors(num_levels, count, block_rng := np.random.default_rng(seed))
+        assert block.shape == (count, num_levels) and block.dtype == np.float64
+        calls = [random_vector(num_levels, calls_rng := np.random.default_rng(seed)).alphas]
+        calls += [random_vector(num_levels, calls_rng).alphas for _ in range(count - 1)]
+        # The loop `random_vector` ran before it became the one-row case.
+        loop_rng = np.random.default_rng(seed)
+        loop = [AmplitudeVector.normalized(loop_rng.standard_normal(num_levels).tolist()).alphas
+                for _ in range(count)]
+        assert _raw(block) == _raw(calls) == _raw(loop), seed
+        assert block_rng.random() == calls_rng.random() == loop_rng.random(), seed
+
+
+def test_zero_random_vectors_draw_nothing() -> None:
+    rng = np.random.default_rng(3)
+    assert random_vectors(4, 0, rng).shape == (0, 4)
+    assert rng.random() == np.random.default_rng(3).random()
+
+
+class _Injecting(np.random.Generator):
+    """A generator whose standard-normal draws get `value` at one place."""
+
+    def __init__(self, value: float, at: tuple[int, int]) -> None:
+        super().__init__(np.random.PCG64(5))
+        self.value, self.at = value, at
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        draws = super().standard_normal(size)
+        draws[self.at] = self.value
+        return draws
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_draw_raises(value: float) -> None:
+    with pytest.raises(ValueError, match="finite"):
+        random_vectors(6, 3, _Injecting(value, (2, 4)))
+    with pytest.raises(ValueError, match="finite"):
+        random_vector(6, _Injecting(value, (0, 1)))
+
+
+def test_a_row_past_the_normal_range_goes_to_normalized() -> None:
+    class Scaled(np.random.Generator):
+        def standard_normal(self, size=None, dtype=np.float64, out=None):
+            draws = super().standard_normal(size)
+            draws[1] *= 1e-170  # its squares underflow
+            draws[2] *= 1e170  # its squares overflow
+            return draws
+
+    block = random_vectors(5, 3, Scaled(np.random.PCG64(9)))
+    draws = Scaled(np.random.PCG64(9)).standard_normal((3, 5))
+    for row, drawn in zip(block, draws):
+        assert _raw(row) == _raw(AmplitudeVector.normalized(drawn.tolist()).alphas)
+    with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+        random_vectors(3, 2, _Injecting(0.0, (1, slice(None))))
+
+
+def test_random_vectors_check_their_arguments() -> None:
+    for rng in (7, None, np.random.RandomState(7)):
+        with pytest.raises(ValueError, match="rng must be a numpy.random.Generator"):
+            random_vectors(6, 2, rng)
+    with pytest.raises(ValueError, match="vector count must be non-negative"):
+        random_vectors(6, -1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="vector count must be an integer"):
+        random_vectors(6, 2.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="need at least two levels"):
+        random_vectors(1, 2, np.random.default_rng(0))
